@@ -139,7 +139,6 @@ def _build(gf: GraphFunction):
 
     fwd_gf = _assemble_forward_variant(gf, needed, call_rewrites)
     rt.stats.count_derived_trace()
-    rt.stats.count_derived_trace()
     return fwd_gf, bwd_cf, saved_desc, float_pos
 
 

@@ -28,7 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--iters", type=int, default=10)
     bench.add_argument("--warmup", type=int, default=2)
     bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--workers", type=int, default=None)
+    bench.add_argument(
+        "--workers", type=int, default=None,
+        help="accepted for compatibility; graphs always run on the calling thread",
+    )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default=None, help="write the CSV report here")
     return parser

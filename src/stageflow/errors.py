@@ -129,10 +129,6 @@ class StorageError(StageflowError):
     pass
 
 
-class DTypeOrShapeConflict(StageflowError):
-    """Reported per-edge in a restore MatchReport; never aborts a restore."""
-
-
 # --- devices ---
 
 class UnknownDevice(StageflowError):

@@ -25,7 +25,7 @@ import itertools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .dtypes import DType
 from .errors import CallbackError, SignatureViolation
@@ -34,7 +34,9 @@ from .tensor import Tensor
 
 _ids = itertools.count(1)
 _registry: Dict[int, "HostCallback"] = {}
-_registry_lock = threading.Lock()
+# Reentrant: backward_callback_for registers its derived callback while
+# holding the lock.
+_registry_lock = threading.RLock()
 _backward_ids: Dict[Tuple, Tuple[int, Tuple[int, ...]]] = {}
 
 
@@ -135,33 +137,35 @@ def backward_callback_for(cb_id: int, in_specs: Tuple) -> Tuple[int, Tuple[int, 
     """A derived callback computing the VJP of ``cb_id`` at fixed input specs.
 
     Shared per (callback, input signature); re-runs the forward callback
-    under a fresh internal tape each invocation.
+    under a fresh internal tape each invocation. Lookup and registration
+    happen under one lock, so threads deriving the same VJP share one id.
     """
     key = (cb_id, in_specs)
-    hit = _backward_ids.get(key)
-    if hit is not None:
+    with _registry_lock:
+        hit = _backward_ids.get(key)
+        if hit is not None:
+            return hit
+        cb = _registry.get(cb_id)
+        if cb is None:
+            raise CallbackError(f"no host callback registered under id {cb_id}")
+        n = len(in_specs)
+        float_pos = tuple(i for i, (dt, _) in enumerate(in_specs) if dt.is_float)
+
+        def vjp_fn(*args):
+            from .tape import Tape
+
+            xs, gs = list(args[:n]), list(args[n:])
+            tape = Tape()
+            with tape:
+                for p in float_pos:
+                    tape.watch(xs[p])
+                ys = _normalize_outputs(cb.fn(*xs))
+            return tape.vjp(ys, gs, [xs[p] for p in float_pos])
+
+        out_sig = [in_specs[p] for p in float_pos]
+        derived = register_callback(vjp_fn, out_sig)
+        hit = _backward_ids[key] = (derived.id, float_pos)
         return hit
-    cb = _registry.get(cb_id)
-    if cb is None:
-        raise CallbackError(f"no host callback registered under id {cb_id}")
-    n = len(in_specs)
-    float_pos = tuple(i for i, (dt, _) in enumerate(in_specs) if dt.is_float)
-
-    def vjp_fn(*args):
-        from .tape import Tape
-
-        xs, gs = list(args[:n]), list(args[n:])
-        tape = Tape()
-        with tape:
-            for p in float_pos:
-                tape.watch(xs[p])
-            ys = _normalize_outputs(cb.fn(*xs))
-        return tape.vjp(ys, gs, [xs[p] for p in float_pos])
-
-    out_sig = [in_specs[p] for p in float_pos]
-    derived = register_callback(vjp_fn, out_sig)
-    _backward_ids[key] = (derived.id, float_pos)
-    return derived.id, float_pos
 
 
 @contextmanager

@@ -2,26 +2,22 @@
 
 A graph compiles once (lazily, cached on the GraphFunction) into a flat
 plan: one instruction per non-constant node, value slots instead of refs,
-constants preloaded. Execution then walks the plan iteratively; there is no
-host recursion in a single graph, however deep the dependency chains.
-
-Scheduling is a hybrid: the calling thread always executes ready work
-itself, and only when several nodes are ready at once (and a worker pool is
-configured) does it offload the surplus. Chains therefore run at tight-loop
-speed while wide graphs still fan out. Nested graph executions (function
-calls inside a graph) stay inline on their worker to keep the pool
-deadlock-free.
+constants preloaded. Execution walks the plan in order on the calling
+thread; there is no host recursion in a single graph, however deep the
+dependency chains, and no thread pool. Nested graph executions (function
+calls, branches and loop bodies inside a graph) run the same way, inline
+in the kernel that calls them.
 
 Ordering: data edges, plus one program-order chain through all stateful
 nodes. The chain is what the per-variable ordering contract requires (it is
-deliberately coarser: a single chain also keeps the RNG stream deterministic
-under any worker count), and it is recomputed from node order and op
-statefulness, so it survives serialization without a wire field.
+deliberately coarser: a single chain also keeps the RNG stream
+deterministic). Node order satisfies both, since a graph builder only
+appends a node after its inputs and in the order ops were recorded, so
+running the plan in order is enough and the order survives serialization
+without a wire field.
 """
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +31,7 @@ from .errors import (
     SignatureViolation,
     StageflowError,
 )
-from .graph import GraphFunction, Node, node_is_stateful
+from .graph import GraphFunction, Node
 from .kernels import KernelEnv
 from .runtime import current_context, get_runtime
 from .tensor import Tensor
@@ -56,16 +52,12 @@ class _Instr:
 
 
 class _Plan:
-    __slots__ = (
-        "n_inputs", "n_slots", "const_prefill", "instrs", "preds", "succs",
-        "output_slots", "max_width", "inputs",
-    )
+    __slots__ = ("n_inputs", "n_slots", "const_prefill", "instrs", "output_slots")
 
     def __init__(self, gf: GraphFunction):
         from .ops import get_op_def
 
         n_in = len(gf.inputs)
-        self.inputs = gf.inputs
         self.n_inputs = n_in
         slot_of: Dict[Tuple[int, int], int] = {}
         next_slot = n_in
@@ -83,63 +75,23 @@ class _Plan:
 
         self.const_prefill: List[Tuple[int, Tensor]] = []
         self.instrs: List[_Instr] = []
-        producer: Dict[int, int] = {}  # slot -> instr index
-        chain_tail: Optional[int] = None  # last stateful instr
-        edges: List[set] = []
-
         for j, node in enumerate(gf.nodes):
             out_slots = tuple(slot_of[(n_in + j, k)] for k in range(len(node.out_specs)))
             if node.op == "constant":
                 self.const_prefill.append((out_slots[0], node.attrs["value"]))
                 continue
-            idx = len(self.instrs)
-            op_def = get_op_def(node.op)
             self.instrs.append(
                 _Instr(
                     node_idx=j,
                     op=node.op,
-                    kernel=op_def.kernel,
+                    kernel=get_op_def(node.op).kernel,
                     attrs=node.attrs,
                     in_slots=tuple(slot(r) for r in node.inputs),
                     out_slots=out_slots,
                     device=node.device,
                 )
             )
-            pred_set = set()
-            for s in self.instrs[idx].in_slots:
-                p = producer.get(s)
-                if p is not None:
-                    pred_set.add(p)
-            if node_is_stateful(node, gf.library):
-                if chain_tail is not None:
-                    pred_set.add(chain_tail)
-                chain_tail = idx
-            edges.append(pred_set)
-            for s in out_slots:
-                producer[s] = idx
-
-        self.preds = [len(e) for e in edges]
-        self.succs: List[List[int]] = [[] for _ in self.instrs]
-        for idx, pred_set in enumerate(edges):
-            for p in pred_set:
-                self.succs[p].append(idx)
         self.output_slots = [(name, slot(ref)) for name, ref in gf.outputs]
-        self.max_width = self._estimate_width()
-
-    def _estimate_width(self) -> int:
-        remaining = list(self.preds)
-        ready = [i for i, p in enumerate(remaining) if p == 0]
-        width = len(ready) or 1
-        while ready:
-            nxt: List[int] = []
-            for i in ready:
-                for s in self.succs[i]:
-                    remaining[s] -= 1
-                    if remaining[s] == 0:
-                        nxt.append(s)
-            ready = nxt
-            width = max(width, len(ready))
-        return width
 
 
 def _plan_for(gf: GraphFunction) -> _Plan:
@@ -203,128 +155,62 @@ def execute_graph(
     env: Optional[KernelEnv] = None,
     workers: Optional[int] = None,
 ) -> List[Tensor]:
+    """Run ``gf`` on ``inputs`` (arguments, then captures) on this thread.
+
+    ``workers`` is accepted for compatibility and ignored.
+    """
     rt = get_runtime()
     plan = _plan_for(gf)
     _bind_inputs(gf, inputs)
     buffers: List = [None] * plan.n_slots
-    for i, v in enumerate(inputs):
-        buffers[i] = v
+    buffers[: plan.n_inputs] = inputs
     for s, t in plan.const_prefill:
         buffers[s] = t
 
     if env is not None:
         exec_device = env.device
         libraries = (gf.library,) + env.libraries
-        nested = env.nested
     else:
-        ctx = current_context()
-        exec_device = ctx.scope_device() or rt.devices[0].name
+        exec_device = current_context().scope_device() or rt.devices[0].name
         libraries = (gf.library,)
-        nested = False
-
-    if workers is None:
-        workers = rt.options.workers
+    shared_env = KernelEnv(device=exec_device, libraries=libraries)
     multi_device = len(rt.devices) > 1
 
-    shared_env = KernelEnv(device=exec_device, libraries=libraries, nested=True)
-
-    def run_instr(instr: _Instr) -> None:
+    for instr in plan.instrs:
         if instr.device is None:
-            target, env2 = exec_device, shared_env
+            node_env = shared_env
         else:
-            target = instr.device
-            env2 = KernelEnv(device=target, libraries=libraries, nested=True)
+            node_env = KernelEnv(device=instr.device, libraries=libraries)
         if multi_device:
-            ins = []
-            moved = {}  # one copy per distinct value, even if used twice
-            for s in instr.in_slots:
-                v = buffers[s]
-                if isinstance(v, Tensor) and v.device != target:
-                    copy = moved.get(id(v))
-                    if copy is None:
-                        copy = Tensor(v.dtype, v.shape, target, array=v.raw())
-                        moved[id(v)] = copy
-                        rt.stats.count_copy()
-                    v = copy
-                ins.append(v)
+            ins = _inputs_on(node_env.device, [buffers[s] for s in instr.in_slots], rt)
         else:
             ins = [buffers[s] for s in instr.in_slots]
         try:
-            outs = instr.kernel(instr.attrs, ins, env2)
+            outs = instr.kernel(instr.attrs, ins, node_env)
         except _PASSTHROUGH:
             raise
-        except StageflowError as e:
-            raise KernelError(f"node {instr.node_idx} ({instr.op}): {e}") from e
         except Exception as e:
             raise KernelError(f"node {instr.node_idx} ({instr.op}): {e}") from e
         for s, out in zip(instr.out_slots, outs):
             buffers[s] = out
 
-    if nested or workers <= 1 or plan.max_width <= 1 or len(plan.instrs) < 2:
-        for instr in plan.instrs:
-            run_instr(instr)
-    else:
-        _run_pooled(plan, run_instr, workers)
-
     return [buffers[s] for _, s in plan.output_slots]
 
 
-def _run_pooled(plan: _Plan, run_instr, workers: int) -> None:
-    rt = get_runtime()
-    pool = rt.pool
-    total = len(plan.instrs)
-    pending = list(plan.preds)
-    ready: deque = deque(i for i, p in enumerate(pending) if p == 0)
-    lock = threading.Lock()
-    wake = threading.Event()
-    state = {"done": 0, "in_flight": 0, "error": None}
-
-    def complete(idx: int, err) -> None:
-        with lock:
-            if err is not None and state["error"] is None:
-                state["error"] = err
-            for s in plan.succs[idx]:
-                pending[s] -= 1
-                if pending[s] == 0:
-                    ready.append(s)
-            state["done"] += 1
-        wake.set()
-
-    def pooled_run(idx: int) -> None:
-        err = None
-        try:
-            run_instr(plan.instrs[idx])
-        except BaseException as e:
-            err = e
-        with lock:
-            state["in_flight"] -= 1
-        complete(idx, err)
-
-    while True:
-        mine = None
-        with lock:
-            if state["done"] >= total or state["error"] is not None:
-                if state["in_flight"] == 0:
-                    break
-            else:
-                if ready:
-                    mine = ready.popleft()
-                while ready and state["in_flight"] < workers - 1:
-                    idx = ready.popleft()
-                    state["in_flight"] += 1
-                    pool.submit(pooled_run, idx)
-        if mine is not None:
-            err = None
-            try:
-                run_instr(plan.instrs[mine])
-            except BaseException as e:
-                err = e
-            complete(mine, err)
-        else:
-            wake.wait(timeout=0.05)
-            wake.clear()
-    if state["error"] is not None:
-        raise state["error"]
+def _inputs_on(target, values: List, rt) -> List:
+    """``values`` with every tensor off ``target`` copied there, once per value."""
+    moved = {}
+    out = []
+    for v in values:
+        if isinstance(v, Tensor) and v.device != target:
+            copy = moved.get(id(v))
+            if copy is None:
+                copy = Tensor(v.dtype, v.shape, target, array=v.raw())
+                moved[id(v)] = copy
+                rt.stats.count_copy()
+            v = copy
+        out.append(v)
+    return out
 
 
 def execute(
@@ -345,7 +231,7 @@ def execute(
                 break
         else:
             device = rt.devices[0].name
-    env = KernelEnv(device=device, libraries=(), nested=False)
+    env = KernelEnv(device=device)
     return execute_graph(gf, all_inputs, env=env, workers=workers)
 
 
@@ -355,7 +241,7 @@ def run_node_for_folding(node: Node, inputs: Sequence[Tensor], library) -> List[
 
     rt = get_runtime()
     op_def = get_op_def(node.op)
-    env = KernelEnv(device=rt.devices[0].name, libraries=(library,), nested=True)
+    env = KernelEnv(device=rt.devices[0].name, libraries=(library,))
     try:
         return op_def.kernel(node.attrs, list(inputs), env)
     except StageflowError:

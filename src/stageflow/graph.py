@@ -18,7 +18,7 @@ bit-identical to unfolded ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .devices import DeviceName
@@ -116,12 +116,6 @@ class GraphFunction:
     @property
     def output_specs(self) -> List[Tuple[DType, SymShape]]:
         return [self.spec_of(ref) for _, ref in self.outputs]
-
-    def node_of(self, ref: Ref) -> Optional[Node]:
-        vid, _ = ref
-        if vid < len(self.inputs):
-            return None
-        return self.nodes[vid - len(self.inputs)]
 
     def op_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

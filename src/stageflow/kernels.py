@@ -18,8 +18,8 @@ specs, possibly with wildcard dims, it produces output specs or raises
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     BroadcastIncompatible,
     KernelError,
     MissingFunction,
-    ShapeMismatch,
 )
 from .tensor import Tensor
 
@@ -43,7 +42,6 @@ class KernelEnv:
 
     device: DeviceName
     libraries: Tuple[Dict[str, Any], ...] = ()  # innermost library first
-    nested: bool = False  # True inside a graph execution; nested runs stay inline
 
     def resolve_function(self, name_or_fn):
         from .graph import GraphFunction

@@ -52,7 +52,6 @@ class OpDef:
     kernel: Callable
     infer: Callable
     gradient: Optional[Callable] = None
-    var_positions: Tuple[int, ...] = ()
 
     @property
     def differentiable(self) -> bool:
@@ -97,7 +96,7 @@ def build_registry() -> OpRegistry:
     grads = gradients.GRADIENTS
     reg = OpRegistry()
 
-    def op(name, arity, out_arity, stateful=False, var_positions=(), **attrs):
+    def op(name, arity, out_arity, stateful=False, **attrs):
         reg.register(
             OpDef(
                 name=name,
@@ -108,7 +107,6 @@ def build_registry() -> OpRegistry:
                 kernel=_k.KERNELS[name],
                 infer=_k.INFERENCE[name],
                 gradient=grads.get(name),
-                var_positions=var_positions,
             )
         )
 
@@ -134,9 +132,9 @@ def build_registry() -> OpRegistry:
     op("eye", 0, 1, size=INT, dtype=DTYPE)
     op("random_normal", 0, 1, stateful=True, shape=SHAPE, dtype=DTYPE)
     op("dropout", 1, 2, stateful=True, rate=FLOAT)
-    op("read_variable", 1, 1, stateful=True, var_positions=(0,))
-    op("assign_variable", 2, 0, stateful=True, var_positions=(0,))
-    op("assign_add_variable", 2, 0, stateful=True, var_positions=(0,))
+    op("read_variable", 1, 1, stateful=True)
+    op("assign_variable", 2, 0, stateful=True)
+    op("assign_add_variable", 2, 0, stateful=True)
     op("call_function", None, None, function=FUNCTION)
     op(
         "cond", None, None,

@@ -2,7 +2,8 @@
 
 The runtime owns everything immutable-after-startup (device list, op
 registry, options) plus the shared services: instrumentation counters, the
-RNG stream behind stateful random ops, and the executor worker pool.
+RNG stream behind stateful random ops, and the host-callback lock. Graphs
+execute on the calling thread; the runtime starts no threads of its own.
 
 Each thread of execution owns one ExecutionContext: its stack of open
 traces, its stack of active gradient tapes, and its device-scope stack.
@@ -13,7 +14,7 @@ import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional
 
 import numpy as np
@@ -24,7 +25,9 @@ from .devices import Device, default_devices
 @dataclass(frozen=True)
 class RuntimeOptions:
     accelerators: int = 0
-    executor_workers: Optional[int] = None  # None = hardware parallelism
+    # Size of ``Runtime.pool``; None = one per CPU. Graph execution never
+    # uses the pool, so this does not change how graphs run.
+    executor_workers: Optional[int] = None
     seed: int = 0
     serialize_host_callbacks: bool = True
 
@@ -128,6 +131,11 @@ class Runtime:
 
     @property
     def pool(self) -> ThreadPoolExecutor:
+        """A lazily made pool of ``options.workers`` threads.
+
+        No stageflow code submits work to it; it starts no thread until a
+        caller does.
+        """
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(

@@ -25,7 +25,7 @@ registry ids with no portable meaning.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .dtypes import DTYPE_TAGS, TAG_DTYPES, DType
 from .errors import CorruptGraph, FormatVersionMismatch, NotSerializable, UnknownOp
@@ -102,10 +102,6 @@ class ByteReader:
         b = self._data[self._pos : self._pos + n]
         self._pos += n
         return b
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._data)
 
 
 class StringTable:

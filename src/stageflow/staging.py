@@ -24,7 +24,7 @@ import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .devices import DeviceName
 from .dtypes import DType
@@ -41,10 +41,10 @@ from .errors import (
 )
 from .graph import FUNCTION_ATTRS, GraphBuilder, GraphFunction, optimize
 from .kernels import KernelEnv
-from .ops import FUNCTION, dispatch, get_op_def, input_spec, _as_operand
+from .ops import dispatch, input_spec, _as_operand
 from .runtime import current_context, get_runtime
 from .state import Variable
-from .tensor import SymbolicRef, Tensor
+from .tensor import SymbolicRef, Tensor, count_open_trace
 
 _trace_ids = itertools.count(1)
 
@@ -69,6 +69,7 @@ class TraceState:
     @contextmanager
     def open(self):
         ctx = current_context()
+        count_open_trace(1)
         ctx.traces.append(self)
         # Tapes follow execution, not tracing: outer tapes must not see the
         # symbolic ops recorded here (they see the staged call instead), so
@@ -81,6 +82,7 @@ class TraceState:
         finally:
             ctx.tapes = saved_tapes
             popped = ctx.traces.pop()
+            count_open_trace(-1)
             assert popped is self
 
     # -- inputs -----------------------------------------------------------------
@@ -300,7 +302,6 @@ class ConcreteFunction:
                 self._captured.append(("variable", weakref.ref(value), repr(value)))
             else:
                 self._captured.append(("tensor", value, None))
-        n_args = len(graph.inputs) - len(captured)
         self._read_var_positions = self._find_read_positions()
 
     def _find_read_positions(self) -> Tuple[int, ...]:

@@ -11,6 +11,7 @@ in variables (see ``state``), which own their buffers separately.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple, Union
 
@@ -20,6 +21,7 @@ from . import dtypes
 from .devices import DeviceName
 from .dtypes import DType, Shape, SymShape
 from .errors import LengthMismatch, NarrowingOverflow, SymbolicTensor
+from .runtime import current_context, get_runtime
 
 broadcast_shapes = dtypes.broadcast_shapes
 
@@ -53,7 +55,7 @@ class Tensor:
         self.device = device
         self._array = array
         self._symbolic = symbolic
-        self._born_trace = _current_trace_id()
+        self._born_trace = _current_trace_id() if _open_traces else None
 
     # -- construction ------------------------------------------------------
 
@@ -120,9 +122,22 @@ class Tensor:
     # that this module stays free of dispatch machinery.
 
 
-def _current_trace_id() -> Optional[int]:
-    from .runtime import current_context
+# Traces open on any thread (``staging.TraceState.open`` keeps the count).
+# While it is 0 no tensor can be born inside a trace, so construction skips
+# the thread-local lookup. A thread raises the count before it pushes its
+# trace and lowers it after the pop, so it never reads 0 while its own
+# trace is open.
+_open_traces = 0
+_open_traces_lock = threading.Lock()
 
+
+def count_open_trace(delta: int) -> None:
+    global _open_traces
+    with _open_traces_lock:
+        _open_traces += delta
+
+
+def _current_trace_id() -> Optional[int]:
     ctx = current_context()
     if ctx.traces:
         return ctx.traces[-1].trace_id
@@ -130,8 +145,6 @@ def _current_trace_id() -> Optional[int]:
 
 
 def _default_device() -> DeviceName:
-    from .runtime import get_runtime
-
     return get_runtime().devices[0].name
 
 

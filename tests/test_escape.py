@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -102,6 +103,34 @@ class TestStagedHostCalls:
         pf(sf.constant(1.0))
         pf(sf.constant(2.0))
         assert calls == [1.0, 2.0]  # never at trace time, once per execution
+
+
+class TestBackwardRegistry:
+    def test_concurrent_derivations_share_one_callback(self):
+        from stageflow.escape import backward_callback_for
+
+        cb = _square_cb()
+        specs = ((sf.float32, ()),)
+        n = 8
+        start = threading.Barrier(n)
+        ids = []
+
+        def derive():
+            start.wait(timeout=10)
+            ids.append(backward_callback_for(cb.id, specs))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=derive) for _ in range(n)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(ids) == n and len(set(ids)) == 1
 
 
 class TestEscapeTrace:

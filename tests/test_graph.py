@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stageflow.errors import (
     NotSerializable,
 )
 from stageflow.graph import GraphBuilder, constant_fold, optimize, prune
+from stageflow.runtime import RuntimeOptions, init_runtime
 from stageflow.serial import deserialize, serialize
 
 from helpers import random_graph
@@ -163,6 +166,65 @@ class TestExecute:
         seq = sf.execute(gf, [x_val], workers=1)[0].numpy()
         par = sf.execute(gf, [x_val], workers=4)[0].numpy()
         assert seq.tobytes() == par.tobytes()
+
+
+def _exec_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("stageflow-exec")]
+
+
+def _wide_graph(width=16):
+    b = GraphBuilder()
+    x = b.add_placeholder("x", sf.float64, (64,))
+    branches = []
+    for _ in range(width):
+        (r,) = b.add_node("softplus", [x], {}, None, [(sf.float64, (64,))])
+        (r,) = b.add_node("exp", [r], {}, None, [(sf.float64, (64,))])
+        branches.append(r)
+    acc = branches[0]
+    for r in branches[1:]:
+        (acc,) = b.add_node("add", [acc, r], {}, None, [(sf.float64, (64,))])
+    return b.finalize("wide", [acc], ["y"])
+
+
+class TestInlineExecution:
+    """Graphs run on the calling thread whatever the worker setting."""
+
+    @pytest.fixture(autouse=True)
+    def four_workers(self):
+        init_runtime(RuntimeOptions(executor_workers=4))
+        assert _exec_threads() == []
+
+    def test_wide_graph_starts_no_worker_thread(self):
+        x_val = sf.constant(np.linspace(-1, 1, 64))
+        (y,) = sf.execute(_wide_graph(), [x_val], workers=4)
+        want = sum(np.exp(np.logaddexp(0.0, np.linspace(-1, 1, 64))) for _ in range(16))
+        np.testing.assert_allclose(y.numpy(), want, rtol=1e-12)
+        assert _exec_threads() == []
+
+    def test_staged_leapfrog_starts_no_worker_thread(self):
+        def force(q):
+            with sf.Tape() as tape:
+                tape.watch(q)
+                u = sf.mul(sf.reduce_sum(sf.mul(q, q)), 0.5)
+            return tape.gradient(u, q)
+
+        def trajectory(q, p):
+            for _ in range(3):
+                p = sf.sub(p, sf.mul(force(q), 0.05))
+                q = sf.add(q, sf.mul(p, 0.1))
+                p = sf.sub(p, sf.mul(force(q), 0.05))
+            return q, p
+
+        rng = np.random.default_rng(0)
+        q0 = sf.constant(rng.standard_normal((8, 2)).astype(np.float32))
+        p0 = sf.constant(rng.standard_normal((8, 2)).astype(np.float32))
+        eager = trajectory(q0, p0)
+        staged = sf.stage(trajectory)
+        for _ in range(2):
+            got = staged(q0, p0)
+        for e, g in zip(eager, got):
+            assert e.numpy().tobytes() == g.numpy().tobytes()
+        assert _exec_threads() == []
 
 
 class TestOptimizerProperties:

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -159,6 +160,96 @@ class TestCapture:
         graph = f.get_concrete(f.trace_key_for(x)).graph
         # one arg placeholder + exactly one capture despite two uses
         assert len(graph.inputs) == 2
+
+    def test_tensor_made_in_trace_is_embedded_as_constant(self):
+        @sf.stage
+        def f(x):
+            c = sf.constant([2.0, 3.0])
+            with sf.escape_trace():
+                d = sf.add(sf.constant(1.0), sf.constant(1.0))
+            return sf.mul(sf.mul(x, c), d)
+
+        x = sf.constant([1.0, 1.0])
+        np.testing.assert_array_equal(f(x).numpy(), [4.0, 6.0])
+        graph = f.get_concrete(f.trace_key_for(x)).graph
+        assert len(graph.inputs) == 1
+        assert graph.op_counts()["constant"] == 2
+
+    def test_closed_over_tensor_is_captured(self):
+        outside = sf.constant([2.0, 3.0])
+
+        @sf.stage
+        def f(x):
+            return sf.mul(x, outside)
+
+        x = sf.constant([1.0, 1.0])
+        np.testing.assert_array_equal(f(x).numpy(), [2.0, 3.0])
+        graph = f.get_concrete(f.trace_key_for(x)).graph
+        assert [ph.name for ph in graph.inputs] == ["x", "capture_0"]
+        assert "constant" not in graph.op_counts()
+
+    def test_tensor_made_on_another_thread_during_trace_is_captured(self):
+        made = {}
+
+        def make():
+            made["t"] = sf.constant([2.0, 3.0])
+
+        @sf.stage
+        def f(x):
+            worker = threading.Thread(target=make)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            return sf.mul(x, made["t"])
+
+        x = sf.constant([1.0, 1.0])
+        np.testing.assert_array_equal(f(x).numpy(), [2.0, 3.0])
+        graph = f.get_concrete(f.trace_key_for(x)).graph
+        assert [ph.name for ph in graph.inputs] == ["x", "capture_0"]
+        assert "constant" not in graph.op_counts()
+
+    def test_failed_trace_closes_its_count(self):
+        from stageflow import tensor
+
+        @sf.stage
+        def bad(x):
+            raise ValueError("boom")
+
+        with pytest.raises(StagingError):
+            bad(sf.constant(1.0))
+        assert tensor._open_traces == 0
+        assert sf.constant(1.0)._born_trace is None
+
+    def test_concurrent_traces_classify_and_close(self):
+        from stageflow import tensor
+
+        n, rounds = 8, 20
+        errors = []
+
+        def work(k):
+            try:
+                for r in range(rounds):
+                    f = sf.stage(lambda x: sf.mul(x, sf.constant(float(k + r))))
+                    x = sf.constant(2.0)
+                    assert float(f(x)) == 2.0 * (k + r)
+                    graph = f.get_concrete(f.trace_key_for(x)).graph
+                    assert len(graph.inputs) == 1
+            except Exception as e:  # reported below; a thread cannot raise
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(n)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert tensor._open_traces == 0
 
     def test_variable_captured_by_reference(self):
         v = sf.Variable([1.0, 1.0])

@@ -286,3 +286,19 @@ class TestStagedGradients:
         delta = {k: v for k, v in delta.items() if v}
         assert delta == {"call_function": 1}
         np.testing.assert_array_equal(g.numpy(), 2.0 * np.ones(8, dtype=np.float32))
+
+    def test_derived_traces_counts_each_derivation_once(self):
+        stats = sf.get_runtime().stats
+        x = sf.constant(np.ones(4, dtype=np.float32))
+        n = 3
+        for k in range(n):
+            pf = sf.stage(lambda v, k=k: sf.reduce_sum(sf.mul(v, float(k + 1))))
+            with sf.Tape() as t:
+                t.watch(x)
+                y = pf(x)
+            t.gradient(y, x)
+        # a second taped call of a derived function derives nothing new
+        with sf.Tape() as t:
+            t.watch(x)
+            pf(x)
+        assert stats.snapshot()["derived_traces"] == n
