@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 from .errors import StagingError
 from .gradients import GradContext, zeros_for
 from .graph import GraphFunction, Node
-from .ops import dispatch, get_op_def
+from .ops import add, dispatch, get_op_def
 from .runtime import get_runtime
 
 SavedDesc = Tuple  # ("input", placeholder index) | ("extra", fwd extra index)
@@ -38,7 +38,6 @@ def get_forward_backward(gf: GraphFunction):
 
 
 def _build(gf: GraphFunction):
-    from .ops import add
     from .staging import ConcreteFunction, TraceState, call_concrete
 
     rt = get_runtime()

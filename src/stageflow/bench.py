@@ -21,8 +21,8 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class BenchConfig:
     iterations: int = 10
     warmup: int = 2
     repeats: int = 3
-    workers: Optional[int] = None
     seed: int = 0
 
     def validate(self) -> None:

@@ -46,7 +46,6 @@ def _run_bench(args) -> int:
         iterations=args.iters,
         warmup=args.warmup,
         repeats=args.repeats,
-        workers=args.workers,
         seed=args.seed,
     )
     report = run_benchmark(cfg)

@@ -29,17 +29,12 @@ class DType(enum.Enum):
     int32 = "int32"
     boolean = "boolean"
 
-    @property
-    def np_dtype(self) -> np.dtype:
-        return _NP_DTYPES[self]
-
-    @property
-    def width(self) -> int:
-        return int(self.np_dtype.itemsize)
-
-    @property
-    def is_float(self) -> bool:
-        return self in (DType.float32, DType.float64)
+    def __init__(self, value: str):
+        # Plain attributes, not properties: kernels read them for every
+        # output they wrap.
+        self.np_dtype = np.dtype(np.bool_ if value == "boolean" else value)
+        self.width = int(self.np_dtype.itemsize)
+        self.is_float = value in ("float32", "float64")
 
     def __repr__(self) -> str:
         return f"DType.{self.value}"
@@ -50,14 +45,7 @@ float64 = DType.float64
 int32 = DType.int32
 boolean = DType.boolean
 
-_NP_DTYPES = {
-    DType.float32: np.dtype(np.float32),
-    DType.float64: np.dtype(np.float64),
-    DType.int32: np.dtype(np.int32),
-    DType.boolean: np.dtype(np.bool_),
-}
-
-_FROM_NP = {v: k for k, v in _NP_DTYPES.items()}
+_FROM_NP = {d.np_dtype: d for d in DType}
 
 # Stable single-byte tags, used by the wire formats and trace keys.
 DTYPE_TAGS = {

@@ -9,7 +9,9 @@ trace is open its ops become nodes of the backward graph being built.
 Rules receive a ``GradContext``: attrs plus lazy accessors for the saved
 forward inputs/outputs and the upstream gradients. Accessors are lazy so the
 staged-backward builder only exports forward intermediates a rule actually
-touches.
+touches. ``needs(i)`` says whether input ``i``'s gradient is wanted at all;
+a rule may return None for an input that is not needed instead of computing
+it, and must compute the needed ones with the same ops either way.
 """
 from __future__ import annotations
 
@@ -19,19 +21,24 @@ import numpy as np
 
 from .dtypes import DType
 from .errors import StagingError
+from .ops import (
+    add, broadcast_to, dispatch, div, exp, matmul, mul, neg, reduce_sum, reshape,
+)
 from .tensor import Tensor, tensor_from_host
 
 
 class GradContext:
     """Accessors into one recorded op application."""
 
-    def __init__(self, attrs, input_fn, output_fn, in_specs, out_specs, out_grads):
+    def __init__(self, attrs, input_fn, output_fn, in_specs, out_specs, out_grads,
+                 needs=None):
         self.attrs = attrs
         self._input_fn = input_fn
         self._output_fn = output_fn
         self._in_specs = in_specs
         self._out_specs = out_specs
         self._out_grads = out_grads
+        self._needs = needs  # per-input flags; None = every input
 
     def input(self, i: int) -> Tensor:
         return self._input_fn(i)
@@ -47,6 +54,9 @@ class GradContext:
 
     def out_spec(self, j: int):
         return self._out_specs[j]
+
+    def needs(self, i: int) -> bool:
+        return self._needs is None or self._needs[i]
 
 
 def _static_shape(shape, what: str):
@@ -78,8 +88,6 @@ def ones_for(spec) -> Tensor:
 
 def _unbroadcast(g: Tensor, target_shape) -> Tensor:
     """Sum a broadcast gradient back down to the operand's shape."""
-    from .ops import reduce_sum, reshape
-
     target = _static_shape(target_shape, "an unbroadcast")
     gshape = _static_shape(g.shape, "an unbroadcast")
     if gshape == target:
@@ -107,62 +115,53 @@ def _grad_identity(ctx) -> List[Optional[Tensor]]:
 def _grad_add(ctx):
     up = ctx.out_grad()
     return [
-        _unbroadcast(up, ctx.in_spec(0)[1]),
-        _unbroadcast(up, ctx.in_spec(1)[1]),
+        _unbroadcast(up, ctx.in_spec(0)[1]) if ctx.needs(0) else None,
+        _unbroadcast(up, ctx.in_spec(1)[1]) if ctx.needs(1) else None,
     ]
 
 
 def _grad_sub(ctx):
-    from .ops import neg
-
     up = ctx.out_grad()
     return [
-        _unbroadcast(up, ctx.in_spec(0)[1]),
-        _unbroadcast(neg(up), ctx.in_spec(1)[1]),
+        _unbroadcast(up, ctx.in_spec(0)[1]) if ctx.needs(0) else None,
+        _unbroadcast(neg(up), ctx.in_spec(1)[1]) if ctx.needs(1) else None,
     ]
 
 
 def _grad_mul(ctx):
-    from .ops import mul
-
     up = ctx.out_grad()
     return [
-        _unbroadcast(mul(up, ctx.input(1)), ctx.in_spec(0)[1]),
-        _unbroadcast(mul(up, ctx.input(0)), ctx.in_spec(1)[1]),
+        _unbroadcast(mul(up, ctx.input(1)), ctx.in_spec(0)[1])
+        if ctx.needs(0) else None,
+        _unbroadcast(mul(up, ctx.input(0)), ctx.in_spec(1)[1])
+        if ctx.needs(1) else None,
     ]
 
 
 def _grad_div(ctx):
-    from .ops import div, mul, neg
-
     up = ctx.out_grad()
     a, b = ctx.input(0), ctx.input(1)
-    ga = _unbroadcast(div(up, b), ctx.in_spec(0)[1])
-    gb = _unbroadcast(neg(div(mul(up, a), mul(b, b))), ctx.in_spec(1)[1])
+    ga = _unbroadcast(div(up, b), ctx.in_spec(0)[1]) if ctx.needs(0) else None
+    gb = (
+        _unbroadcast(neg(div(mul(up, a), mul(b, b))), ctx.in_spec(1)[1])
+        if ctx.needs(1) else None
+    )
     return [ga, gb]
 
 
 def _grad_neg(ctx):
-    from .ops import neg
-
     return [neg(ctx.out_grad())]
 
 
 def _grad_exp(ctx):
-    from .ops import mul
-
     return [mul(ctx.out_grad(), ctx.output(0))]
 
 
 def _grad_log(ctx):
-    from .ops import div
-
     return [div(ctx.out_grad(), ctx.input(0))]
 
 
 def _grad_softplus(ctx):
-    from .ops import add, div, exp, mul, neg
-
     x = ctx.input(0)
     one = _scalar(1.0, ctx.in_spec(0)[0])
     sigmoid = div(one, add(one, exp(neg(x))))
@@ -170,31 +169,25 @@ def _grad_softplus(ctx):
 
 
 def _grad_relu(ctx):
-    from .ops import dispatch, mul
-
     gate = dispatch("step_positive", [ctx.input(0)])[0]
     return [mul(ctx.out_grad(), gate)]
 
 
 def _grad_matmul(ctx):
-    from .ops import dispatch, matmul
-
     up = ctx.out_grad()
-    a, b = ctx.input(0), ctx.input(1)
-    ta = dispatch("transpose", [a])[0]
-    tb = dispatch("transpose", [b])[0]
-    return [matmul(up, tb), matmul(ta, up)]
+    ta = dispatch("transpose", [ctx.input(0)])[0] if ctx.needs(1) else None
+    tb = dispatch("transpose", [ctx.input(1)])[0] if ctx.needs(0) else None
+    return [
+        None if tb is None else matmul(up, tb),
+        None if ta is None else matmul(ta, up),
+    ]
 
 
 def _grad_transpose(ctx):
-    from .ops import dispatch
-
     return [dispatch("transpose", [ctx.out_grad()])[0]]
 
 
 def _grad_reshape(ctx):
-    from .ops import reshape
-
     shape = _static_shape(ctx.in_spec(0)[1], "a reshape gradient")
     return [reshape(ctx.out_grad(), shape)]
 
@@ -210,37 +203,33 @@ def _reduced_axes(shape, axes):
     return tuple(ax % rank for ax in axes)
 
 
-def _grad_reduce_sum(ctx):
-    from .ops import broadcast_to, reshape
-
+def _kept_dims_grad(ctx, what: str):
+    """A reduction's upstream gradient with the reduced axes kept as 1s,
+    plus the input shape and the reduced axes."""
     up = ctx.out_grad()
-    in_shape = _static_shape(ctx.in_spec(0)[1], "a reduce_sum gradient")
+    in_shape = _static_shape(ctx.in_spec(0)[1], what)
     axes = _reduced_axes(in_shape, ctx.attrs.get("axes"))
     if not ctx.attrs.get("keepdims", False):
         mid_shape = tuple(1 if i in axes else d for i, d in enumerate(in_shape))
         up = reshape(up, mid_shape)
+    return up, in_shape, axes
+
+
+def _grad_reduce_sum(ctx):
+    up, in_shape, _ = _kept_dims_grad(ctx, "a reduce_sum gradient")
     return [broadcast_to(up, in_shape)]
 
 
 def _grad_reduce_mean(ctx):
-    from .ops import broadcast_to, mul, reshape
-
-    up = ctx.out_grad()
-    in_shape = _static_shape(ctx.in_spec(0)[1], "a reduce_mean gradient")
-    axes = _reduced_axes(in_shape, ctx.attrs.get("axes"))
+    up, in_shape, axes = _kept_dims_grad(ctx, "a reduce_mean gradient")
     count = 1
     for ax in axes:
         count *= in_shape[ax]
-    if not ctx.attrs.get("keepdims", False):
-        mid_shape = tuple(1 if i in axes else d for i, d in enumerate(in_shape))
-        up = reshape(up, mid_shape)
     scaled = mul(up, _scalar(1.0 / count, ctx.in_spec(0)[0]))
     return [broadcast_to(scaled, in_shape)]
 
 
 def _grad_dropout(ctx):
-    from .ops import mul
-
     up = ctx.out_grad(0)
     if up is None:
         return [None]

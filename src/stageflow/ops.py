@@ -34,7 +34,8 @@ from .errors import (
     UnknownOp,
 )
 from .runtime import ExecutionContext, current_context, get_runtime
-from .tensor import Tensor, constant as _constant_tensor
+from .state import Variable
+from .tensor import Tensor, coerce, constant as _constant_tensor
 
 # Attr value kinds.
 INT, FLOAT, BOOL, STRING, DTYPE, SHAPE, AXES, TENSOR, FUNCTION = (
@@ -170,6 +171,8 @@ def kernel_table() -> List[OpDef]:
 
 
 def canonicalize_attrs(op_def: OpDef, attrs: Optional[dict]) -> Dict[str, Any]:
+    if not attrs and not op_def.attr_schema:
+        return {}
     attrs = attrs or {}
     out: Dict[str, Any] = {}
     for name in sorted(attrs):
@@ -247,10 +250,11 @@ def resolve_placement(
 
     Scope wins if set; otherwise the first tensor input's device; otherwise
     the default CPU. Each transparent copy bumps the runtime copy metric.
+    With a single device and no scope, ``inputs`` itself comes back.
     """
-    rt = get_runtime()
+    rt = ctx.runtime
     if len(rt.devices) == 1 and not ctx.device_scopes:
-        return rt.devices[0].name, list(inputs)
+        return rt.devices[0].name, inputs
     target = ctx.scope_device()
     if target is None:
         for x in inputs:
@@ -291,21 +295,19 @@ def copy_to(t: Tensor, dst: Union[str, DeviceName]) -> Tensor:
 
 def dispatch(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> List[Tensor]:
     """Run an op eagerly or record it into the open trace."""
-    op_def = get_op_def(op)
+    ctx = current_context()
+    op_def = ctx.runtime.registry.get(op)
     if op_def.input_arity is not None and len(inputs) != op_def.input_arity:
         raise ArityMismatch(
             f"{op} takes {op_def.input_arity} inputs, got {len(inputs)}"
         )
     attrs = canonicalize_attrs(op_def, attrs)
-    ctx = current_context()
     if ctx.tracing:
         return ctx.current_trace.record(op_def, list(inputs), attrs)
     return _dispatch_eager(op_def, list(inputs), attrs, ctx)
 
 
 def input_spec(x) -> Tuple[DType, tuple]:
-    from .state import Variable
-
     if isinstance(x, Tensor):
         return (x.dtype, x.shape)
     if isinstance(x, Variable):
@@ -316,11 +318,9 @@ def input_spec(x) -> Tuple[DType, tuple]:
 def _dispatch_eager(
     op_def: OpDef, inputs: List, attrs: Dict[str, Any], ctx: ExecutionContext
 ) -> List[Tensor]:
-    from .state import Variable
-
     for i, x in enumerate(inputs):
         if isinstance(x, Tensor):
-            if x.is_symbolic:
+            if x._symbolic is not None:
                 raise SymbolicTensor(
                     f"symbolic tensor passed to eager dispatch of {op_def.name!r}; "
                     "symbolic values are only usable inside their trace"
@@ -331,15 +331,14 @@ def _dispatch_eager(
                 "expected a tensor or variable"
             )
     device, moved = resolve_placement(op_def, inputs, ctx)
-    env = _k.KernelEnv(device=device)
+    env = ctx.runtime.eager_envs.get(device) or _k.KernelEnv(device=device)
     try:
         outputs = op_def.kernel(attrs, moved, env)
     except StageflowError:
         raise
     except Exception as e:  # numpy and friends
         raise KernelError(f"{op_def.name}: {e}") from e
-    rt = get_runtime()
-    rt.stats.count_eager(op_def.name)
+    ctx.runtime.stats.count_eager(op_def.name)
     if ctx.tapes:
         _notify_tapes(op_def, inputs, outputs, attrs, ctx)
     return outputs
@@ -366,25 +365,22 @@ def _notify_tapes(op_def, inputs, outputs, attrs, ctx) -> None:
 
 
 def _as_operand(x, like: Optional[Tensor] = None):
-    """Coerce a wrapper argument to a Tensor (variables read themselves)."""
-    from .state import Variable
+    """Coerce a wrapper argument to a Tensor (variables read themselves).
 
+    A plain value next to a tensor takes that tensor's dtype, and must fit
+    it (NarrowingOverflow otherwise).
+    """
     if isinstance(x, Tensor):
         return x
     if isinstance(x, Variable):
         return x.read_value()
-    if like is not None and isinstance(like, Tensor):
-        arr = np.asarray(x, dtype=like.dtype.np_dtype)
-        from .tensor import tensor_from_host
-
-        return tensor_from_host(arr.reshape(-1), arr.shape, like.dtype)
+    if isinstance(like, Tensor):
+        return coerce(x, like.dtype)
     return _constant_tensor(x)
 
 
 def _binary(op: str):
     def fn(a, b):
-        from .state import Variable
-
         if isinstance(a, Variable):
             a = a.read_value()
         if isinstance(b, Variable):

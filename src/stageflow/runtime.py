@@ -82,11 +82,12 @@ class RuntimeStats:
 
 
 class ExecutionContext:
-    """Per-thread mode, tape, and placement state."""
+    """Per-thread mode, tape, and placement state, for one runtime."""
 
-    __slots__ = ("traces", "tapes", "device_scopes", "escape_depth")
+    __slots__ = ("runtime", "traces", "tapes", "device_scopes", "escape_depth")
 
-    def __init__(self):
+    def __init__(self, runtime: "Runtime"):
+        self.runtime = runtime
         self.traces: List[Any] = []  # stack of staging.TraceState
         self.tapes: List[Any] = []  # stack of tape.Tape, innermost last
         self.device_scopes: List[Any] = []
@@ -116,9 +117,13 @@ class Runtime:
         self._pool_lock = threading.Lock()
         # RLock: a callback may itself contain host calls.
         self.host_callback_lock = threading.RLock()
+        from .kernels import KernelEnv
         from .ops import build_registry
 
         self.registry = build_registry()
+        # One kernel environment per device, shared by every eager op run
+        # there: eager kernels see no library, and no kernel mutates its env.
+        self.eager_envs = {d.name: KernelEnv(device=d.name) for d in self.devices}
 
     def reseed(self, seed: int) -> None:
         with self._rng_lock:
@@ -179,14 +184,14 @@ def init_runtime(options: Optional[RuntimeOptions] = None) -> Runtime:
         if _runtime is not None:
             _runtime.shutdown()
         _runtime = Runtime(options)
-    _local.context = ExecutionContext()
-    _local.runtime_ref = _runtime
+    _local.context = ExecutionContext(_runtime)
     return _runtime
 
 
 def current_context() -> ExecutionContext:
-    rt = get_runtime()
-    if getattr(_local, "runtime_ref", None) is not rt:
-        _local.context = ExecutionContext()
-        _local.runtime_ref = rt
-    return _local.context
+    """This thread's context for the live runtime (``ctx.runtime``)."""
+    rt = _runtime or get_runtime()
+    ctx = getattr(_local, "context", None)
+    if ctx is None or ctx.runtime is not rt:
+        ctx = _local.context = ExecutionContext(rt)
+    return ctx

@@ -27,8 +27,13 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Tuple
 
+import numpy as np
+
+from .devices import DeviceName
 from .dtypes import DTYPE_TAGS, TAG_DTYPES, DType
-from .errors import CorruptGraph, FormatVersionMismatch, NotSerializable, UnknownOp
+from .errors import (
+    CorruptGraph, FormatVersionMismatch, NotSerializable, StageflowError,
+)
 from .graph import GraphFunction, Node, Placeholder
 from .kernels import KernelEnv, infer_out_specs
 from .tensor import Tensor, tensor_from_host
@@ -162,8 +167,6 @@ def _tensor_from_wire(r: ByteReader) -> Tensor:
     for d in shape:
         count *= d
     payload = r.raw(count * dtype.width)
-    import numpy as np
-
     arr = np.frombuffer(payload, dtype=dtype.np_dtype)
     return tensor_from_host(arr, shape, dtype)
 
@@ -311,7 +314,20 @@ def _attr_from_wire(r: ByteReader, strings: List[str]):
 
 
 def deserialize(data: bytes, name: str = "loaded") -> GraphFunction:
-    """Decode a container; node output specs are re-inferred."""
+    """Decode a container; node output specs are re-inferred.
+
+    Every decode failure is a ``StageflowError``: malformed bytes that trip
+    anything else (bad UTF-8, out-of-range ids) raise ``CorruptGraph``.
+    """
+    try:
+        return _decode(data, name)
+    except StageflowError:
+        raise
+    except Exception as e:
+        raise CorruptGraph(f"corrupt graph container: {type(e).__name__}: {e}") from e
+
+
+def _decode(data: bytes, name: str) -> GraphFunction:
     r = ByteReader(data)
     if r.raw(4) != MAGIC:
         raise CorruptGraph("not a graph-function container (bad magic)")
@@ -357,8 +373,6 @@ def deserialize(data: bytes, name: str = "loaded") -> GraphFunction:
         dev_id = nr.u32()
         device = None
         if dev_id:
-            from .devices import DeviceName
-
             device = DeviceName.parse(string_at(dev_id))
         raw_nodes.append((op, inputs, attrs, device))
 
@@ -373,7 +387,7 @@ def deserialize(data: bytes, name: str = "loaded") -> GraphFunction:
     for _ in range(lr.u32()):
         lname = string_at(lr.u32())
         body = lr.raw(lr.u32())
-        library[lname] = deserialize(body, name=lname)
+        library[lname] = _decode(body, lname)
 
     # Rebuild node output specs by running inference in program order.
     n_in = len(placeholders)
@@ -389,10 +403,7 @@ def deserialize(data: bytes, name: str = "loaded") -> GraphFunction:
             if out_idx >= len(group):
                 raise CorruptGraph("node references a missing output")
             in_specs.append(group[out_idx])
-        try:
-            out_specs = infer_out_specs(op, attrs, in_specs, env)
-        except UnknownOp:
-            raise
+        out_specs = infer_out_specs(op, attrs, in_specs, env)
         nodes.append(Node(op, inputs, attrs, device, tuple(out_specs)))
         specs.append(list(out_specs))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dtypes import DType
 from .errors import ShapeMismatch, StagingError
-from .tensor import Tensor, constant as _constant
+from .tensor import Tensor, coerce, constant as _constant
 
 _uid = itertools.count()
 
@@ -94,10 +94,7 @@ class Variable:
     def _coerce(self, value) -> Tensor:
         if isinstance(value, Tensor):
             return value
-        arr = np.asarray(value, dtype=self.dtype.np_dtype)
-        from .tensor import tensor_from_host
-
-        return tensor_from_host(arr.reshape(-1), arr.shape, self.dtype)
+        return coerce(value, self.dtype)
 
     def numpy(self) -> np.ndarray:
         with self._lock:

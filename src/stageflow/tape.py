@@ -6,13 +6,19 @@ gradient computation dispatches ordinary ops, so a still-active outer tape
 records the backward math too, which is all that higher-order derivatives
 require.
 
+The backward pass runs only over entries reachable from the requested
+sources. A forward walk over the entries finds every value computed from a
+source; an entry none of whose inputs is among them is skipped, and a rule
+computes no gradient for an input that no source reaches (``needs``). The
+gradients that are computed use the same ops in the same order either way.
+
 Values are tracked by host object identity. Entries keep strong references
 to the tensors they saved, so identities stay stable for the tape's
 lifetime.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import (
     ConsumedTape,
@@ -22,6 +28,7 @@ from .errors import (
     UnwatchedSource,
 )
 from .gradients import GradContext, ones_for, zeros_for
+from .ops import add
 from .runtime import current_context
 from .tensor import Tensor
 
@@ -30,22 +37,45 @@ class TapeEntry:
     """One recorded op application.
 
     ``saved_inputs``/``saved_outputs`` hold everything the op's gradient
-    might need, so the backward pass never re-runs the forward op.
-    ``backward`` maps upstream output gradients to a list of
-    ``(input identity, gradient)`` contributions.
+    might need, so the backward pass never re-runs the forward op. An op
+    entry keeps its ``op_def`` and ``attrs`` and builds its gradient from
+    them; a custom entry (a staged call) brings a prebuilt ``backward``
+    closure instead.
     """
 
     __slots__ = ("op", "input_ids", "output_ids", "saved_inputs", "saved_outputs",
-                 "backward")
+                 "op_def", "attrs", "backward")
 
     def __init__(self, op, input_ids, output_ids, saved_inputs, saved_outputs,
-                 backward):
+                 op_def=None, attrs=None, backward=None):
         self.op = op
         self.input_ids = input_ids
         self.output_ids = output_ids
         self.saved_inputs = saved_inputs
         self.saved_outputs = saved_outputs
+        self.op_def = op_def
+        self.attrs = attrs
         self.backward = backward
+
+    def backprop(self, out_grads, needs) -> List[Tuple[int, Tensor]]:
+        """``(input identity, gradient)`` contributions for upstream
+        ``out_grads``. ``needs`` flags the inputs whose gradient is wanted;
+        a custom entry computes all of its float inputs regardless."""
+        if self.backward is not None:
+            return self.backward(out_grads)
+        ins, outs = self.saved_inputs, self.saved_outputs
+        ctx = GradContext(
+            self.attrs,
+            input_fn=ins.__getitem__,
+            output_fn=outs.__getitem__,
+            in_specs=[_spec_of(x) for x in ins],
+            out_specs=[_spec_of(y) for y in outs],
+            out_grads=out_grads,
+            needs=needs,
+        )
+        grads = self.op_def.gradient(ctx)
+        ids = self.input_ids
+        return [(ids[i], g) for i, g in enumerate(grads) if g is not None]
 
 
 def _spec_of(value) -> Tuple:
@@ -111,44 +141,25 @@ class Tape:
         return id(value) in self._watched
 
     def _maybe_record(self, op_def, inputs, outputs, attrs) -> None:
-        if not any(id(x) in self._tracked for x in inputs):
+        if self._tracked.isdisjoint(map(id, inputs)):
             return
-        saved_in = tuple(inputs)
-        saved_out = tuple(outputs)
-        in_specs = [_spec_of(x) for x in inputs]
-        out_specs = [_spec_of(x) for x in outputs]
-        input_ids = tuple(id(x) for x in inputs)
-
-        def backward(out_grads):
-            ctx = GradContext(
-                attrs,
-                input_fn=lambda i: saved_in[i],
-                output_fn=lambda j: saved_out[j],
-                in_specs=in_specs,
-                out_specs=out_specs,
-                out_grads=out_grads,
-            )
-            grads = op_def.gradient(ctx)
-            return [
-                (input_ids[i], g) for i, g in enumerate(grads) if g is not None
-            ]
-
-        self._record(op_def.name, input_ids, outputs, saved_in, saved_out, backward)
+        self._record(
+            TapeEntry(op_def.name, tuple(map(id, inputs)),
+                      tuple(map(id, outputs)), tuple(inputs),
+                      tuple(outputs), op_def=op_def, attrs=attrs)
+        )
 
     def _record_custom(self, op, inputs, outputs, saved, backward) -> None:
-        """Record a function-call entry with a prebuilt backward closure."""
-        self._record(op, tuple(id(x) for x in inputs), outputs, tuple(saved),
-                     tuple(outputs), backward)
-
-    def _record(self, op, input_ids, outputs, saved_in, saved_out, backward):
-        entry = TapeEntry(
-            op=op,
-            input_ids=input_ids,
-            output_ids=tuple(id(y) for y in outputs),
-            saved_inputs=saved_in,
-            saved_outputs=saved_out,
-            backward=backward,
+        """Record a function-call entry with a prebuilt backward closure
+        mapping upstream output gradients to ``(input identity, gradient)``
+        contributions."""
+        self._record(
+            TapeEntry(op, tuple(map(id, inputs)),
+                      tuple(map(id, outputs)), tuple(saved),
+                      tuple(outputs), backward=backward)
         )
+
+    def _record(self, entry: TapeEntry) -> None:
         self.entries.append(entry)
         self._tracked.update(entry.output_ids)
 
@@ -191,21 +202,35 @@ class Tape:
             self._consumed = True
 
         seeds = {id(target): ones_for(_spec_of(target))}
-        grads = self._accumulate(seeds)
+        grads = self._accumulate(seeds, source_list)
         results = [
             grads.get(id(s), None) or zeros_for(_spec_of(s)) for s in source_list
         ]
         return results[0] if single else results
 
-    def _accumulate(self, seeds: Dict[int, Tensor]) -> Dict[int, Tensor]:
-        from .ops import add
+    def _reachable(self, sources: Sequence) -> set:
+        """Identities of the sources and of every value computed from them."""
+        reach = {id(s) for s in sources}
+        for entry in self.entries:
+            for iid in entry.input_ids:
+                if iid in reach:
+                    reach.update(entry.output_ids)
+                    break
+        return reach
 
+    def _accumulate(self, seeds: Dict[int, Tensor], sources: Sequence) -> Dict[int, Tensor]:
+        """Reverse accumulation from ``seeds`` over the entries some source
+        reaches; an input no source reaches gets no gradient computed."""
+        reach = self._reachable(sources)
         grads = dict(seeds)
         for entry in reversed(self.entries):
-            if not any(oid in grads for oid in entry.output_ids):
-                continue
             out_grads = [grads.get(oid) for oid in entry.output_ids]
-            for key, g in entry.backward(out_grads):
+            if all(g is None for g in out_grads):
+                continue
+            needs = [iid in reach for iid in entry.input_ids]
+            if not any(needs):
+                continue
+            for key, g in entry.backprop(out_grads, needs):
                 prev = grads.get(key)
                 grads[key] = g if prev is None else add(prev, g)
         return grads
@@ -223,15 +248,13 @@ class Tape:
             raise ConsumedTape("tape already consumed")
         if not self.persistent:
             self._consumed = True
-        from .ops import add
-
         seeds: Dict[int, Tensor] = {}
         for y, ct in zip(outputs, cotangents):
             if ct is None:
                 continue
             prev = seeds.get(id(y))
             seeds[id(y)] = ct if prev is None else add(prev, ct)
-        grads = self._accumulate(seeds)
+        grads = self._accumulate(seeds, sources)
         return [grads.get(id(s)) or zeros_for(_spec_of(s)) for s in sources]
 
 

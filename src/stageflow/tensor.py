@@ -57,20 +57,6 @@ class Tensor:
         self._symbolic = symbolic
         self._born_trace = _current_trace_id() if _open_traces else None
 
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def _wrap(array: np.ndarray, device: DeviceName) -> "Tensor":
-        """Adopt a freshly computed numpy array without copying."""
-        if array.dtype not in dtypes._FROM_NP:
-            raise TypeError(f"kernel produced unsupported dtype {array.dtype}")
-        array = np.asarray(array, order="C")
-        if array.flags.writeable:
-            array.flags.writeable = False
-        return Tensor(
-            dtypes.from_np_dtype(array.dtype), array.shape, device, array=array
-        )
-
     # -- predicates --------------------------------------------------------
 
     @property
@@ -165,7 +151,11 @@ def tensor_from_host(
             f"({dtypes.element_count(shape)} elements)"
         )
     if dtype is DType.int32 and flat.size:
-        as_int = flat.astype(np.int64)
+        try:
+            with np.errstate(invalid="ignore"):
+                as_int = flat.astype(np.int64)
+        except (OverflowError, TypeError, ValueError):
+            raise NarrowingOverflow("value not representable as int32") from None
         if np.any(as_int != flat):
             raise NarrowingOverflow("non-integral value for int32 tensor")
         if as_int.min() < _INT32_MIN or as_int.max() > _INT32_MAX:
@@ -173,6 +163,24 @@ def tensor_from_host(
     array = flat.astype(dtype.np_dtype).reshape(shape).copy()
     array.flags.writeable = False
     return Tensor(dtype, shape, _default_device(), array=array)
+
+
+def coerce(value, dtype: DType) -> Tensor:
+    """A plain host value (scalar, nested sequence or array) as a tensor of
+    ``dtype`` on the default device.
+
+    The original values are checked, not their conversion: an int32 target
+    rejects non-integral and out-of-range values with NarrowingOverflow, as
+    ``tensor_from_host`` does.
+    """
+    if type(value) is float and dtype.is_float:
+        # The common case (``x * 0.5``) built directly; the same bits as the
+        # general path, since a Python float has a single rounding to dtype.
+        array = np.array(value, dtype=dtype.np_dtype)
+        array.flags.writeable = False
+        return Tensor(dtype, (), _default_device(), array=array)
+    arr = np.asarray(value)
+    return tensor_from_host(arr.reshape(-1), arr.shape, dtype)
 
 
 def to_host(t: Tensor) -> Tuple[list, Shape, DType]:

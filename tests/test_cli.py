@@ -1,0 +1,59 @@
+import csv
+
+import pytest
+
+from stageflow import cli
+from stageflow.bench import CSV_HEADER, BenchConfig
+from stageflow.errors import ConfigError, NumericalDivergence, StorageError
+
+
+class TestBenchConfig:
+    @pytest.mark.parametrize("overrides", [
+        {"workload": "nope"},
+        {"mode": "lazy"},
+        {"iterations": 0},
+        {"batch_size": 0},
+        {"warmup": -1},
+        {"repeats": 0},
+    ])
+    def test_validate_rejects(self, overrides):
+        fields = {"workload": "microop_loop", "mode": "eager", **overrides}
+        with pytest.raises(ConfigError):
+            BenchConfig(**fields).validate()
+
+    def test_validate_accepts_defaults(self):
+        BenchConfig(workload="leapfrog", mode="staged").validate()
+
+
+def _bench_args(*extra):
+    return ["bench", "--workload", "leapfrog", "--mode", "eager",
+            "--batch", "1", "--iters", "1", "--warmup", "0", "--repeats", "1",
+            *extra]
+
+
+class TestMain:
+    def test_divergence_exits_2(self, monkeypatch, capsys):
+        def diverge(cfg):
+            raise NumericalDivergence("forced")
+
+        monkeypatch.setattr(cli, "run_benchmark", diverge)
+        assert cli.main(_bench_args()) == 2
+        assert "forced" in capsys.readouterr().err
+
+    def test_other_stageflow_error_exits_1(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise StorageError("disk gone")
+
+        monkeypatch.setattr(cli, "run_benchmark", fail)
+        assert cli.main(_bench_args()) == 1
+        assert "disk gone" in capsys.readouterr().err
+
+    def test_success_writes_csv(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert cli.main(_bench_args("--workers", "3", "--out", str(out))) == 0
+        assert "leapfrog [eager]" in capsys.readouterr().out
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert len(rows) == 3  # one repeat row plus the mean row
+        assert rows[1][:4] == ["leapfrog", "eager", "1", "1"]
+        assert float(rows[2][4]) > 0

@@ -8,6 +8,7 @@ from stageflow.errors import (
     AttrMismatch,
     DuplicateOp,
     KernelError,
+    NarrowingOverflow,
     UnknownOp,
 )
 from stageflow.kernels import KERNELS, INFERENCE
@@ -169,3 +170,51 @@ class TestRandomizedEquivalence:
             assert eager.dtype is staged.dtype
             assert eager.shape == staged.shape
             assert eager.raw().tobytes() == staged.raw().tobytes(), seed
+
+
+class TestScalarCoercion:
+    """A plain value next to a tensor takes its dtype, and must fit it."""
+
+    def test_float_scalar_is_bit_identical_zero_d(self):
+        for dtype, np_dtype in ((sf.float32, np.float32), (sf.float64, np.float64)):
+            x = sf.constant(np.array([0.3, -1.7], dtype=np_dtype))
+            np.testing.assert_array_equal(
+                (x * 0.1).numpy(), x.numpy() * np_dtype(0.1)
+            )
+            c = sfops._as_operand(0.1, like=x)
+            assert c.dtype is dtype and c.shape == ()
+            assert c.raw().item() == np_dtype(0.1)
+            assert not c.raw().flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda t: t * 0.5,
+        lambda t: 0.5 * t,
+        lambda t: t + 0.7,
+        lambda t: sf.mul(t, 0.5),
+        lambda t: sf.add(0.7, t),
+    ])
+    def test_non_integral_value_for_int32_raises(self, make):
+        with pytest.raises(NarrowingOverflow):
+            make(sf.constant([1, 2, 3]))
+
+    def test_out_of_range_value_for_int32_raises(self):
+        t = sf.constant([1, 2, 3])
+        for value in (2**40, -(2**31) - 1, 2**70):
+            with pytest.raises(NarrowingOverflow):
+                t + value
+
+    def test_integral_values_still_coerce(self):
+        t = sf.constant([1, 2, 3])
+        np.testing.assert_array_equal((t * 2.0).numpy(), [2, 4, 6])
+        np.testing.assert_array_equal((t + (2**31 - 4)).numpy(),
+                                      [2**31 - 3, 2**31 - 2, 2**31 - 1])
+
+    def test_variable_assign_checks_the_original_values(self):
+        v = sf.Variable(sf.constant([1, 2]))
+        with pytest.raises(NarrowingOverflow):
+            v.assign([0.5, 1.5])
+        with pytest.raises(NarrowingOverflow):
+            v.assign_add([2**40, 0])
+        np.testing.assert_array_equal(v.numpy(), [1, 2])
+        v.assign([3.0, 4.0])
+        np.testing.assert_array_equal(v.numpy(), [3, 4])

@@ -302,3 +302,165 @@ class TestStagedGradients:
             t.watch(x)
             pf(x)
         assert stats.snapshot()["derived_traces"] == n
+
+
+def _trajectory(n_steps, step):
+    """Leapfrog steps with the force taken by a nested tape."""
+    half = step / 2.0
+
+    def force(q):
+        with sf.Tape() as tape:
+            tape.watch(q)
+            u = sf.mul(sf.reduce_sum(sf.mul(q, q)), 0.5)
+        return tape.gradient(u, q)
+
+    def trajectory(q, p):
+        for _ in range(n_steps):
+            p = sf.sub(p, sf.mul(force(q), half))
+            q = sf.add(q, sf.mul(p, step))
+            p = sf.sub(p, sf.mul(force(q), half))
+        return q, p
+
+    return trajectory
+
+
+def _mlp_loss_fn(rng):
+    params, forward = build_mlp(rng)
+
+    def loss_fn(x, y):
+        err = sf.sub(forward(x), y)
+        return sf.reduce_mean(sf.mul(err, err))
+
+    return [params[k] for k in ("w1", "b1", "w2", "b2")], loss_fn
+
+
+class TestBackwardTowardSources:
+    """The eager backward pass computes only gradients that reach a source.
+
+    The pinned values below are what the tape gave before it learned to
+    skip unneeded gradients; they must not move by a bit.
+    """
+
+    def test_leapfrog_eager_matches_staged_bit_exactly(self):
+        rng = np.random.default_rng(5)
+        q0 = sf.constant(rng.standard_normal((8, 2)).astype(np.float32))
+        p0 = sf.constant(rng.standard_normal((8, 2)).astype(np.float32))
+        eager = _trajectory(4, 0.1)
+        staged = sf.stage(eager)
+
+        def grads(fn):
+            with sf.Tape() as t:
+                t.watch(q0)
+                t.watch(p0)
+                q, p = fn(q0, p0)
+                loss = sf.reduce_sum(sf.add(sf.mul(q, q), p))
+            return [q.numpy(), p.numpy()] + [g.numpy() for g in t.gradient(loss, [q0, p0])]
+
+        for e, s in zip(grads(eager), grads(staged)):
+            np.testing.assert_array_equal(e, s)
+
+    def test_mlp_eager_matches_staged_bit_exactly(self):
+        rng = np.random.default_rng(0)
+        params, loss_fn = _mlp_loss_fn(rng)
+        x = sf.constant(rng.standard_normal((8, 16)).astype(np.float32))
+        y = sf.constant(rng.standard_normal((8, 1)).astype(np.float32))
+
+        def grads(fn):
+            with sf.Tape() as t:
+                loss = fn(x, y)
+            return [loss.numpy()] + [g.numpy() for g in t.gradient(loss, params)]
+
+        for e, s in zip(grads(loss_fn), grads(sf.stage(loss_fn))):
+            np.testing.assert_array_equal(e, s)
+
+    def test_mlp_step_skips_input_gradients(self):
+        # The x-side of the first matmul (its transpose and matmul) and the
+        # negation for the target y have no source to reach.
+        rng = np.random.default_rng(1)
+        params, loss_fn = _mlp_loss_fn(rng)
+        x = sf.constant(rng.standard_normal((8, 16)).astype(np.float32))
+        y = sf.constant(rng.standard_normal((8, 1)).astype(np.float32))
+        stats = sf.get_runtime().stats
+        stats.reset()
+        with sf.Tape() as t:
+            loss = loss_fn(x, y)
+        t.gradient(loss, params)
+        counts = stats.snapshot()["eager_op_counts"]
+        assert counts["matmul"] == 5
+        assert counts["transpose"] == 3
+        assert "neg" not in counts
+
+    def test_constant_operand_gets_no_gradient_op(self):
+        x = sf.constant(np.array([1.0, 2.0], np.float32))
+        with sf.Tape() as t:
+            t.watch(x)
+            y = sf.reduce_sum(sf.mul(x, 0.5))
+        stats = sf.get_runtime().stats
+        stats.reset()
+        assert t.gradient(y, x).numpy().tolist() == [0.5, 0.5]
+        # one mul for the gradient of x; none for the constant 0.5
+        assert stats.snapshot()["eager_op_counts"].get("mul") == 1
+
+    def test_second_order_values_unchanged(self):
+        x = sf.constant(np.array([0.3, -1.7, 2.5], np.float32))
+        c = sf.constant(np.array([1.1, 0.7, -0.4], np.float32))
+        with sf.Tape() as t1:
+            t1.watch(x)
+            with sf.Tape() as t2:
+                t2.watch(x)
+                y = sf.reduce_sum(sf.mul(sf.mul(sf.mul(x, x), x), c))
+            d1 = t2.gradient(y, x)
+            s = sf.reduce_sum(sf.mul(d1, d1))
+        d2 = t1.gradient(s, x)
+        assert d1.numpy().tolist() == [0.2970000207424164, 6.069000720977783, -7.5]
+        assert d2.numpy().tolist() == [1.1761201620101929, -86.66533660888672, 90.0]
+
+    def test_persistent_tape_values_unchanged(self):
+        a = sf.constant(np.array([[0.5, -1.25], [2.0, 0.75]], np.float32))
+        b = sf.constant(np.array([[1.5], [-0.5]], np.float32))
+        with sf.Tape(persistent=True) as t:
+            t.watch(a)
+            h = sf.matmul(a, b)
+            z = sf.reduce_sum(sf.mul(sf.sub(h, 1.0), sf.div(h, 3.0)))
+            w = sf.reduce_sum(sf.exp(sf.mul(a, 0.5)))
+        gz = [[0.8750000596046448, -0.2916666865348816], [2.125, -0.7083333730697632]]
+        gw = [[0.6420127749443054, 0.2676306962966919],
+              [1.3591409921646118, 0.7274956703186035]]
+        assert t.gradient(z, a).numpy().tolist() == gz
+        assert t.gradient(w, a).numpy().tolist() == gw
+        assert t.gradient(z, a).numpy().tolist() == gz  # reusable, same bits
+
+    def test_host_call_vjp_values_unchanged(self):
+        cb = sf.register_callback(lambda u, v: sf.mul(sf.mul(u, u), v),
+                                  [(sf.float32, (3,))])
+        f = sf.stage(lambda u, v: sf.reduce_sum(sf.host_call(cb, [u, v])[0]))
+        u = sf.constant(np.array([0.1, 2.0, -3.0], np.float32))
+        v = sf.constant(np.array([1.5, 0.25, -2.0], np.float32))
+        with sf.Tape() as t:
+            t.watch(u)
+            t.watch(v)
+            r = f(u, v)
+        gu, gv = t.gradient(r, [u, v])
+        assert float(r) == -16.985000610351562
+        assert gu.numpy().tolist() == [0.30000001192092896, 1.0, 12.0]
+        assert gv.numpy().tolist() == [0.010000000707805157, 4.0, 9.0]
+
+    def test_source_watched_after_first_use(self):
+        x = sf.constant(np.array([1.5, -2.0], np.float32))
+        k = sf.constant(np.array([3.0, 0.5], np.float32))
+        with sf.Tape() as t:
+            t.watch(k)
+            y1 = sf.mul(x, k)  # recorded (k is watched) before x is
+            t.watch(x)
+            total = sf.reduce_sum(sf.add(y1, sf.mul(x, x)))
+        gx, gk = t.gradient(total, [x, k])
+        assert gx.numpy().tolist() == [6.0, -3.5]
+        assert gk.numpy().tolist() == [1.5, -2.0]
+
+    def test_use_before_any_watch_is_not_recorded(self):
+        x = sf.constant(np.array([1.5, -2.0], np.float32))
+        with sf.Tape() as t:
+            y1 = sf.mul(x, x)  # nothing watched yet: not on the tape
+            t.watch(x)
+            total = sf.reduce_sum(sf.add(y1, sf.mul(x, 2.0)))
+        assert t.gradient(total, x).numpy().tolist() == [2.0, 2.0]
