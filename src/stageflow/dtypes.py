@@ -80,10 +80,6 @@ def element_count(shape: Sequence[Optional[int]]) -> int:
     return n
 
 
-def is_concrete_shape(shape: Sequence[Optional[int]]) -> bool:
-    return all(d is not None for d in shape)
-
-
 def broadcast_shapes(a: Sequence[Optional[int]], b: Sequence[Optional[int]]) -> SymShape:
     """Right-aligned broadcast of two shapes (NumPy convention).
 
@@ -91,21 +87,36 @@ def broadcast_shapes(a: Sequence[Optional[int]], b: Sequence[Optional[int]]) -> 
     ``None`` stays unknown, ``None`` against ``n > 1`` resolves to ``n``
     (validated for real at execution time).
     """
+    if a == b or not b:
+        return tuple(a)
+    if not a:
+        return tuple(b)
+    pa, pb = tuple(a), tuple(b)
+    if len(pa) < len(pb):
+        pa = (1,) * (len(pb) - len(pa)) + pa
+    else:
+        pb = (1,) * (len(pa) - len(pb)) + pb
     out = []
-    ra, rb = len(a), len(b)
-    for i in range(max(ra, rb)):
-        da = a[ra - 1 - i] if i < ra else 1
-        db = b[rb - 1 - i] if i < rb else 1
-        if da is None or db is None:
-            known = db if da is None else da
-            out.append(None if known in (1, None) else known)
-        elif da == db or db == 1:
+    for da, db in zip(pa, pb):
+        if da == db or db == 1:
             out.append(da)
-        elif da == 1:
+        elif da == 1 or da is None:
             out.append(db)
+        elif db is None:
+            out.append(da)
         else:
             raise BroadcastIncompatible(
                 f"shapes {tuple(a)} and {tuple(b)} are not broadcast-compatible"
             )
-    out.reverse()
     return tuple(out)
+
+
+def matches_spec(dtype: DType, shape: Sequence[int], want_dtype: DType,
+                 want_shape: Sequence[Optional[int]]) -> bool:
+    """Whether a concrete (dtype, shape) fits a spec: the same dtype, the
+    same rank, and every dim the spec knows (not ``None``) equal."""
+    return (
+        dtype is want_dtype
+        and len(shape) == len(want_shape)
+        and all(w is None or s == w for s, w in zip(shape, want_shape))
+    )

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .dtypes import DType
+from .dtypes import DType, matches_spec
 from .errors import CallbackError, SignatureViolation
 from .runtime import current_context, get_runtime
 from .tensor import Tensor
@@ -112,10 +112,7 @@ def run_callback(cb_id: int, inputs: List[Tensor]) -> List[Tensor]:
             raise SignatureViolation(
                 f"host callback {cb_id} output {i} is not a concrete tensor"
             )
-        if out.dtype is not dtype or len(out.shape) != len(shape) or any(
-            want is not None and have != want
-            for have, want in zip(out.shape, shape)
-        ):
+        if not matches_spec(out.dtype, out.shape, dtype, shape):
             raise SignatureViolation(
                 f"host callback {cb_id} output {i} is "
                 f"{out.dtype.value}{list(out.shape)}, declared "

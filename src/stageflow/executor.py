@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .dtypes import matches_spec
 from .errors import (
     CallbackError,
     DeadVariable,
@@ -34,7 +35,7 @@ from .errors import (
 from .graph import GraphFunction, Node
 from .kernels import KernelEnv
 from .runtime import current_context, get_runtime
-from .tensor import Tensor
+from .tensor import Tensor, move_to
 
 _PASSTHROUGH = (CallbackError, SignatureViolation, DeadVariable, MissingFunction,
                 InputMismatch, NotSerializable)
@@ -116,14 +117,7 @@ def _bind_inputs(gf: GraphFunction, values: Sequence) -> None:
                 raise InputMismatch(
                     f"{gf.name}: input {ph.name!r} expects a variable"
                 )
-            if v.dtype is not ph.dtype or (
-                _known(ph.shape) and v.shape != ph.shape
-            ):
-                raise InputMismatch(
-                    f"{gf.name}: variable bound to {ph.name!r} is "
-                    f"{v.dtype.value}{list(v.shape)}, expected "
-                    f"{ph.dtype.value}{list(ph.shape)}"
-                )
+            what = "variable bound to"
         else:
             if not isinstance(v, Tensor):
                 raise InputMismatch(
@@ -134,19 +128,13 @@ def _bind_inputs(gf: GraphFunction, values: Sequence) -> None:
                 raise InputMismatch(
                     f"{gf.name}: symbolic tensor passed for {ph.name!r}"
                 )
-            if v.dtype is not ph.dtype or len(v.shape) != len(ph.shape) or any(
-                want is not None and have != want
-                for have, want in zip(v.shape, ph.shape)
-            ):
-                raise InputMismatch(
-                    f"{gf.name}: input {ph.name!r} is "
-                    f"{v.dtype.value}{list(v.shape)}, expected "
-                    f"{ph.dtype.value}{list(ph.shape)}"
-                )
-
-
-def _known(shape) -> bool:
-    return all(d is not None for d in shape)
+            what = "input"
+        if not matches_spec(v.dtype, v.shape, ph.dtype, ph.shape):
+            raise InputMismatch(
+                f"{gf.name}: {what} {ph.name!r} is "
+                f"{v.dtype.value}{list(v.shape)}, expected "
+                f"{ph.dtype.value}{list(ph.shape)}"
+            )
 
 
 def execute_graph(
@@ -181,10 +169,9 @@ def execute_graph(
             node_env = shared_env
         else:
             node_env = KernelEnv(device=instr.device, libraries=libraries)
+        ins = [buffers[s] for s in instr.in_slots]
         if multi_device:
-            ins = _inputs_on(node_env.device, [buffers[s] for s in instr.in_slots], rt)
-        else:
-            ins = [buffers[s] for s in instr.in_slots]
+            ins = move_to(node_env.device, ins, rt.stats)
         try:
             outs = instr.kernel(instr.attrs, ins, node_env)
         except _PASSTHROUGH:
@@ -197,22 +184,6 @@ def execute_graph(
     return [buffers[s] for _, s in plan.output_slots]
 
 
-def _inputs_on(target, values: List, rt) -> List:
-    """``values`` with every tensor off ``target`` copied there, once per value."""
-    moved = {}
-    out = []
-    for v in values:
-        if isinstance(v, Tensor) and v.device != target:
-            copy = moved.get(id(v))
-            if copy is None:
-                copy = Tensor(v.dtype, v.shape, target, array=v.raw())
-                moved[id(v)] = copy
-                rt.stats.count_copy()
-            v = copy
-        out.append(v)
-    return out
-
-
 def execute(
     gf: GraphFunction,
     inputs: Sequence,
@@ -220,18 +191,10 @@ def execute(
     workers: Optional[int] = None,
 ) -> List[Tensor]:
     """Run a graph function directly (inputs, then captured values)."""
+    from .ops import placement_target
+
     all_inputs = list(inputs) + list(captured)
-    ctx = current_context()
-    rt = get_runtime()
-    device = ctx.scope_device()
-    if device is None:
-        for v in all_inputs:
-            if isinstance(v, Tensor):
-                device = v.device
-                break
-        else:
-            device = rt.devices[0].name
-    env = KernelEnv(device=device)
+    env = KernelEnv(device=placement_target(all_inputs, current_context()))
     return execute_graph(gf, all_inputs, env=env, workers=workers)
 
 

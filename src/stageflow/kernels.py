@@ -1,25 +1,38 @@
 """Kernels and shape/dtype inference for the built-in op set.
 
-Every op has exactly one kernel shared by both execution modes: eager
-dispatch and the graph executor call the same functions, which is what makes
-eager and staged results bit-identical. Kernels are deterministic for fixed
-inputs (reductions use numpy's fixed accumulation order), and the only
-nondeterminism anywhere comes from the runtime RNG stream consumed by the
-stateful random ops.
+Every op has one ``infer`` rule and one kernel, and both execution modes use
+both. The ``infer`` rule is the op's only validator: given the input
+(dtype, shape) specs, possibly with wildcard (``None``) dims, and the attrs,
+it returns the output specs or raises ``KernelError`` (``ShapeMismatch`` for
+a variable assignment). Eager dispatch runs it before every kernel call;
+graph building runs it when it records a node, and decoding a graph runs it
+again for every node. A kernel therefore trusts its inputs and only
+computes.
 
 A kernel takes ``(attrs, inputs, env)`` and returns a list of output
-tensors. ``env`` supplies the target device, the library chain for resolving
-function-valued attrs, and the executor re-entry points; pure math kernels
-ignore everything except the device.
+tensors. ``env`` supplies the target device and the library chain for
+resolving function-valued attrs; pure math kernels ignore everything except
+the device. Eager dispatch and the graph executor call the same kernels,
+which is what makes eager and staged results bit-identical. Kernels are
+deterministic for fixed inputs (reductions use numpy's fixed accumulation
+order); the only nondeterminism comes from the runtime RNG stream consumed
+by the stateful random ops.
 
-Inference mirrors each kernel symbolically: given input (dtype, shape)
-specs, possibly with wildcard dims, it produces output specs or raises
-``KernelError`` for inputs the kernel would reject.
+What a kernel still checks is what ``infer`` could not see:
+
+* dims that ``infer`` saw as wildcards: the size of a ``cond`` or
+  ``while_loop`` predicate (``_check_predicate``), and the value a variable
+  is assigned (``Variable._check_value``);
+* that a variable op got a variable, since specs do not carry kind;
+* numpy's own errors on wildcard dims (a broadcast, matmul or reshape that
+  does not fit at run time), which the dispatcher and the executor wrap as
+  ``KernelError``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +43,9 @@ from .errors import (
     BroadcastIncompatible,
     KernelError,
     MissingFunction,
+    ShapeMismatch,
 )
-from .tensor import Tensor
+from .tensor import Tensor, to_device
 
 Spec = Tuple[DType, SymShape]
 
@@ -65,27 +79,21 @@ def _wrap(arr: np.ndarray, dtype: DType, env: KernelEnv) -> Tensor:
     return Tensor(dtype, out.shape, env.device, array=out)
 
 
-def _require_float(op: str, *specs: Spec) -> None:
-    for dt, _ in specs:
-        if not dt.is_float:
-            raise KernelError(f"{op} requires a float tensor, got {dt.value}")
-
-
-def _require_same_dtype(op: str, specs: Sequence[Spec]) -> DType:
-    first = specs[0][0]
-    for dt, _ in specs[1:]:
-        if dt is not first:
-            raise KernelError(
-                f"{op}: mixed dtypes {first.value} and {dt.value} "
-                "(there is no implicit promotion)"
-            )
-    return first
-
-
-def _no_bool(op: str, *specs: Spec) -> None:
-    for dt, _ in specs:
-        if dt is DType.boolean:
-            raise KernelError(f"{op} is not defined for boolean tensors")
+def _check_dtypes(op: str, floats_only: bool, dt: DType,
+                  other: Optional[DType] = None) -> DType:
+    """The one input dtype: no implicit promotion, no boolean math, and a
+    float where the op needs one. Every eager op runs this; the module
+    lookup ``dtypes.boolean`` is cheaper than the enum's ``DType.boolean``."""
+    if other is not None and other is not dt:
+        raise KernelError(
+            f"{op}: mixed dtypes {dt.value} and {other.value} "
+            "(there is no implicit promotion)"
+        )
+    if dt is dtypes.boolean:
+        raise KernelError(f"{op} is not defined for boolean tensors")
+    if floats_only and not dt.is_float:
+        raise KernelError(f"{op} requires a float tensor, got {dt.value}")
+    return dt
 
 
 def _broadcast(op: str, a: SymShape, b: SymShape) -> SymShape:
@@ -102,50 +110,32 @@ def _broadcast(op: str, a: SymShape, b: SymShape) -> SymShape:
 
 def _binary_infer(op, floats_only=False):
     def infer(attrs, in_specs, env=None):
-        dt = _require_same_dtype(op, in_specs)
-        _no_bool(op, *in_specs)
-        if floats_only:
-            _require_float(op, *in_specs)
-        return [(dt, _broadcast(op, in_specs[0][1], in_specs[1][1]))]
+        (dt, a), (dt_b, b) = in_specs
+        _check_dtypes(op, floats_only, dt, dt_b)
+        return [(dt, a if a == b else _broadcast(op, a, b))]
 
     return infer
 
 
-def _binary_kernel(np_fn, op: str, floats_only: bool = False):
+def _binary_kernel(np_fn):
     def kernel(attrs, inputs, env):
         a, b = inputs
-        if a.dtype is not b.dtype:
-            raise KernelError(
-                f"{op}: mixed dtypes {a.dtype.value} and {b.dtype.value} "
-                "(there is no implicit promotion)"
-            )
-        if a.dtype is DType.boolean:
-            raise KernelError(f"{op} is not defined for boolean tensors")
-        if floats_only and not a.dtype.is_float:
-            raise KernelError(f"{op} requires a float tensor, got {a.dtype.value}")
         return [_wrap(np_fn(a.raw(), b.raw()), a.dtype, env)]
 
     return kernel
 
 
-def _unary_infer(op, floats_only=False, out_dtype=None):
+def _unary_infer(op, floats_only=False):
     def infer(attrs, in_specs, env=None):
-        dt, shape = in_specs[0]
-        _no_bool(op, in_specs[0])
-        if floats_only:
-            _require_float(op, in_specs[0])
-        return [(out_dtype or dt, shape)]
+        _check_dtypes(op, floats_only, in_specs[0][0])
+        return [in_specs[0]]
 
     return infer
 
 
-def _unary_kernel(np_fn, op: str, floats_only: bool = False):
+def _unary_kernel(np_fn):
     def kernel(attrs, inputs, env):
         (x,) = inputs
-        if x.dtype is DType.boolean:
-            raise KernelError(f"{op} is not defined for boolean tensors")
-        if floats_only and not x.dtype.is_float:
-            raise KernelError(f"{op} requires a float tensor, got {x.dtype.value}")
         return [_wrap(np_fn(x.raw()), x.dtype, env)]
 
     return kernel
@@ -180,8 +170,7 @@ def _step_positive_np(x):
 
 
 def _matmul_infer(attrs, in_specs, env=None):
-    _require_float("matmul", *in_specs)
-    dt = _require_same_dtype("matmul", in_specs)
+    dt = _check_dtypes("matmul", True, in_specs[0][0], in_specs[1][0])
     (m, k1), (k2, n) = _rank2("matmul", in_specs[0][1]), _rank2("matmul", in_specs[1][1])
     if k1 is not None and k2 is not None and k1 != k2:
         raise KernelError(f"matmul inner dims {k1} and {k2} differ")
@@ -196,13 +185,6 @@ def _rank2(op, shape: SymShape):
 
 def _matmul_kernel(attrs, inputs, env):
     a, b = inputs
-    if a.dtype is not b.dtype or not a.dtype.is_float:
-        raise KernelError("matmul requires two float tensors of one dtype")
-    if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
-        raise KernelError(
-            f"matmul requires compatible rank-2 tensors, got "
-            f"{list(a.shape)} and {list(b.shape)}"
-        )
     return [_wrap(np.matmul(a.raw(), b.raw()), a.dtype, env)]
 
 
@@ -218,15 +200,12 @@ def _transpose_kernel(attrs, inputs, env):
 
 
 def _greater_infer(attrs, in_specs, env=None):
-    _require_same_dtype("greater", in_specs)
-    _no_bool("greater", *in_specs)
+    _check_dtypes("greater", False, in_specs[0][0], in_specs[1][0])
     return [(DType.boolean, _broadcast("greater", in_specs[0][1], in_specs[1][1]))]
 
 
 def _greater_kernel(attrs, inputs, env):
     a, b = inputs
-    if a.dtype is not b.dtype or a.dtype is DType.boolean:
-        raise KernelError("greater compares two non-boolean tensors of one dtype")
     return [_wrap(np.greater(a.raw(), b.raw()), DType.boolean, env)]
 
 
@@ -235,46 +214,43 @@ def _greater_kernel(attrs, inputs, env):
 # ---------------------------------------------------------------------------
 
 
+def _known_target(op: str, target) -> tuple:
+    if None in target:
+        raise KernelError(f"{op} target shape must be fully known, got {list(target)}")
+    return tuple(target)
+
+
 def _reshape_infer(attrs, in_specs, env=None):
     dt, shape = in_specs[0]
-    target = attrs["shape"]
-    if any(d is None for d in target):
-        raise KernelError("reshape target must be fully known")
-    if dtypes.is_concrete_shape(shape) and dtypes.element_count(
-        shape
-    ) != dtypes.element_count(target):
+    target = _known_target("reshape", attrs["shape"])
+    if None not in shape and math.prod(shape) != math.prod(target):
         raise KernelError(
-            f"cannot reshape {list(shape)} ({dtypes.element_count(shape)} elements) "
+            f"cannot reshape {list(shape)} ({math.prod(shape)} elements) "
             f"to {list(target)}"
         )
-    return [(dt, tuple(target))]
+    return [(dt, target)]
 
 
 def _reshape_kernel(attrs, inputs, env):
     (x,) = inputs
-    target = attrs["shape"]
-    if x.size != dtypes.element_count(target):
-        raise KernelError(f"cannot reshape {list(x.shape)} to {list(target)}")
-    return [_wrap(x.raw().reshape(target), x.dtype, env)]
+    return [_wrap(x.raw().reshape(attrs["shape"]), x.dtype, env)]
 
 
 def _broadcast_to_infer(attrs, in_specs, env=None):
     dt, shape = in_specs[0]
-    target = tuple(attrs["shape"])
-    _broadcast("broadcast_to", shape, target)  # compatibility check
+    target = _known_target("broadcast_to", attrs["shape"])
+    lead = len(target) - len(shape)
+    if lead < 0:
+        raise KernelError(f"cannot broadcast {list(shape)} to {list(target)}")
+    for d, t in zip(shape, target[lead:]):
+        if d != t and d != 1 and d is not None:
+            raise KernelError(f"cannot broadcast {list(shape)} to {list(target)}")
     return [(dt, target)]
 
 
 def _broadcast_to_kernel(attrs, inputs, env):
     (x,) = inputs
-    target = tuple(attrs["shape"])
-    try:
-        out = np.broadcast_to(x.raw(), target)
-    except ValueError as e:
-        raise KernelError(str(e)) from e
-    if out.shape != target:
-        raise KernelError(f"cannot broadcast {list(x.shape)} to {list(target)}")
-    return [_wrap(out.copy(), x.dtype, env)]
+    return [_wrap(np.broadcast_to(x.raw(), attrs["shape"]).copy(), x.dtype, env)]
 
 
 def _eye_infer(attrs, in_specs, env=None):
@@ -282,6 +258,8 @@ def _eye_infer(attrs, in_specs, env=None):
     dt = attrs["dtype"]
     if not dt.is_float:
         raise KernelError("eye produces float tensors")
+    if n < 0:
+        raise KernelError(f"eye size must be non-negative, got {n}")
     return [(dt, (n, n))]
 
 
@@ -299,7 +277,7 @@ def _constant_kernel(attrs, inputs, env):
     value: Tensor = attrs["value"]
     if value.device == env.device:
         return [value]
-    return [Tensor(value.dtype, value.shape, env.device, array=value.raw())]
+    return [to_device(value, env.device)]
 
 
 def _identity_infer(attrs, in_specs, env=None):
@@ -309,8 +287,7 @@ def _identity_infer(attrs, in_specs, env=None):
 def _identity_kernel(attrs, inputs, env):
     # Fresh handle over the same buffer: tapes track values by object
     # identity, so an op must never return its own input object.
-    x = inputs[0]
-    return [Tensor(x.dtype, x.shape, env.device, array=x.raw())]
+    return [to_device(inputs[0], env.device)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +298,23 @@ def _identity_kernel(attrs, inputs, env):
 def _reduce_shape(op, shape: SymShape, axes, keepdims) -> SymShape:
     rank = len(shape)
     if axes is None:
-        axes = tuple(range(rank))
-    norm = []
+        return (1,) * rank if keepdims else ()
+    norm = set()
     for ax in axes:
         if ax < -rank or ax >= rank:
             raise KernelError(f"{op}: axis {ax} out of range for rank {rank}")
-        norm.append(ax % rank if rank else 0)
-    if len(set(norm)) != len(norm):
+        norm.add(ax % rank)
+    if len(norm) != len(axes):
         raise KernelError(f"{op}: repeated axes {axes}")
-    out = []
-    for i, d in enumerate(shape):
-        if i in norm:
-            if keepdims:
-                out.append(1)
-        else:
-            out.append(d)
-    return tuple(out)
+    if keepdims:
+        return tuple(1 if i in norm else d for i, d in enumerate(shape))
+    return tuple(d for i, d in enumerate(shape) if i not in norm)
 
 
 def _reduce_infer(op, floats_only):
     def infer(attrs, in_specs, env=None):
         dt, shape = in_specs[0]
-        _no_bool(op, in_specs[0])
-        if floats_only:
-            _require_float(op, in_specs[0])
+        _check_dtypes(op, floats_only, dt)
         return [(dt, _reduce_shape(op, shape, attrs.get("axes"), attrs.get("keepdims", False)))]
 
     return infer
@@ -357,7 +327,7 @@ def _reduce_kernel(np_fn):
         keepdims = attrs.get("keepdims", False)
         axis = tuple(axes) if axes is not None else None
         out = np_fn(x.raw(), axis=axis, keepdims=keepdims)
-        return [_wrap(np.asarray(out), x.dtype, env)]
+        return [_wrap(out, x.dtype, env)]
 
     return kernel
 
@@ -371,7 +341,7 @@ def _random_normal_infer(attrs, in_specs, env=None):
     dt = attrs["dtype"]
     if not dt.is_float:
         raise KernelError("random_normal produces float tensors")
-    return [(dt, tuple(attrs["shape"]))]
+    return [(dt, _known_target("random_normal", attrs["shape"]))]
 
 
 def _random_normal_kernel(attrs, inputs, env):
@@ -383,7 +353,7 @@ def _random_normal_kernel(attrs, inputs, env):
 
 
 def _dropout_infer(attrs, in_specs, env=None):
-    _require_float("dropout", in_specs[0])
+    _check_dtypes("dropout", True, in_specs[0][0])
     rate = attrs["rate"]
     if not (0.0 <= rate < 1.0):
         raise KernelError(f"dropout rate must be in [0, 1), got {rate}")
@@ -422,17 +392,15 @@ def _read_variable_kernel(attrs, inputs, env):
 
 def _assign_infer(op):
     def infer(attrs, in_specs, env=None):
-        var_spec, val_spec = in_specs
-        if var_spec[0] is not val_spec[0]:
-            raise KernelError(
-                f"{op}: value dtype {val_spec[0].value} does not match "
-                f"variable dtype {var_spec[0].value}"
+        (var_dt, var_shape), (val_dt, val_shape) = in_specs
+        if var_dt is not val_dt or len(var_shape) != len(val_shape) or any(
+            dv is not None and dn is not None and dv != dn
+            for dv, dn in zip(var_shape, val_shape)
+        ):
+            raise ShapeMismatch(
+                f"{op}: variable holds {var_dt.value}{list(var_shape)}, "
+                f"got {val_dt.value}{list(val_shape)}"
             )
-        for dv, dn in zip(var_spec[1], val_spec[1]):
-            if dv is not None and dn is not None and dv != dn:
-                raise KernelError(f"{op}: shape mismatch {var_spec[1]} vs {val_spec[1]}")
-        if len(var_spec[1]) != len(val_spec[1]):
-            raise KernelError(f"{op}: rank mismatch {var_spec[1]} vs {val_spec[1]}")
         return []
 
     return infer
@@ -456,7 +424,7 @@ def _assign_add_kernel(attrs, inputs, env):
 
 
 def _call_function_infer(attrs, in_specs, env=None):
-    gf = _infer_resolve(attrs["function"], env)
+    gf = _resolve(attrs["function"], env)
     if len(in_specs) != len(gf.inputs):
         raise KernelError(
             f"call_function: {gf.name} takes {len(gf.inputs)} inputs, "
@@ -465,14 +433,12 @@ def _call_function_infer(attrs, in_specs, env=None):
     return list(gf.output_specs)
 
 
-def _infer_resolve(fn_attr, env):
-    from .graph import GraphFunction
+def _resolve(fn_attr, env: Optional[KernelEnv]):
+    """A function attr's graph; eager inference passes no env (no library)."""
+    return (env or _NO_LIBRARY).resolve_function(fn_attr)
 
-    if isinstance(fn_attr, GraphFunction):
-        return fn_attr
-    if env is None:
-        raise KernelError(f"cannot resolve function {fn_attr!r} without a library")
-    return env.resolve_function(fn_attr)
+
+_NO_LIBRARY = KernelEnv(device=None)
 
 
 def _call_function_kernel(attrs, inputs, env):
@@ -482,14 +448,26 @@ def _call_function_kernel(attrs, inputs, env):
     return execute_graph(gf, inputs, env=env)
 
 
+def _require_predicate(op: str, spec: Spec) -> None:
+    dt, shape = spec
+    if dt is not DType.boolean or (None not in shape and math.prod(shape) != 1):
+        raise KernelError(
+            f"{op} predicate must be a boolean scalar, got {dt.value}{list(shape)}"
+        )
+
+
+def _check_predicate(op: str, pred: Tensor) -> bool:
+    """The value of a predicate whose size ``infer`` saw as a wildcard."""
+    arr = pred.raw()
+    if arr.size != 1:
+        raise KernelError(f"{op} predicate must have one element, got shape {list(arr.shape)}")
+    return bool(arr.reshape(-1)[0])
+
+
 def _cond_infer(attrs, in_specs, env=None):
-    then_gf = _infer_resolve(attrs["then_branch"], env)
-    else_gf = _infer_resolve(attrs["else_branch"], env)
-    pred_dt, pred_shape = in_specs[0]
-    if pred_dt is not DType.boolean or (
-        dtypes.is_concrete_shape(pred_shape) and dtypes.element_count(pred_shape) != 1
-    ):
-        raise KernelError("cond predicate must be a boolean scalar")
+    then_gf = _resolve(attrs["then_branch"], env)
+    else_gf = _resolve(attrs["else_branch"], env)
+    _require_predicate("cond", in_specs[0])
     t_specs, e_specs = then_gf.output_specs, else_gf.output_specs
     if [s[0] for s in t_specs] != [s[0] for s in e_specs]:
         raise KernelError("cond branches must produce matching output dtypes")
@@ -505,7 +483,7 @@ def _cond_kernel(attrs, inputs, env):
     operands = inputs[1 : 1 + n_ops]
     then_caps = inputs[1 + n_ops : 1 + n_ops + n_then]
     else_caps = inputs[1 + n_ops + n_then :]
-    if bool(pred.raw().reshape(-1)[0]):
+    if _check_predicate("cond", pred):
         gf = env.resolve_function(attrs["then_branch"])
         return execute_graph(gf, list(operands) + list(then_caps), env=env)
     gf = env.resolve_function(attrs["else_branch"])
@@ -513,8 +491,13 @@ def _cond_kernel(attrs, inputs, env):
 
 
 def _while_infer(attrs, in_specs, env=None):
-    n_vars = attrs["n_vars"]
-    return [in_specs[i] for i in range(n_vars)]
+    cond_specs = _resolve(attrs["loop_cond"], env).output_specs
+    if len(cond_specs) != 1:
+        raise KernelError(
+            f"while_loop condition must return one value, got {len(cond_specs)}"
+        )
+    _require_predicate("while_loop", cond_specs[0])
+    return list(in_specs[: attrs["n_vars"]])
 
 
 def _while_kernel(attrs, inputs, env):
@@ -529,9 +512,7 @@ def _while_kernel(attrs, inputs, env):
     body_caps = list(inputs[n_vars + n_cond :])
     while True:
         (keep_going,) = execute_graph(cond_gf, loop_vars + cond_caps, env=env)
-        if keep_going.dtype is not DType.boolean or keep_going.size != 1:
-            raise KernelError("while_loop condition must return a boolean scalar")
-        if not bool(keep_going.raw().reshape(-1)[0]):
+        if not _check_predicate("while_loop", keep_going):
             return loop_vars
         loop_vars = list(execute_graph(body_gf, loop_vars + body_caps, env=env))
 
@@ -555,17 +536,16 @@ def _host_call_kernel(attrs, inputs, env):
 KERNELS: Dict[str, Callable] = {
     "constant": _constant_kernel,
     "identity": _identity_kernel,
-    "add": _binary_kernel(np.add, "add"),
-    "sub": _binary_kernel(np.subtract, "sub"),
-    "mul": _binary_kernel(np.multiply, "mul"),
-    "div": _binary_kernel(_div_np, "div", floats_only=True),
-    "neg": _unary_kernel(np.negative, "neg"),
-    "exp": _unary_kernel(_exp_np, "exp", floats_only=True),
-    "log": _unary_kernel(_log_np, "log", floats_only=True),
-    "softplus": _unary_kernel(_softplus_np, "softplus", floats_only=True),
-    "relu": _unary_kernel(_relu_np, "relu", floats_only=True),
-    "step_positive": _unary_kernel(_step_positive_np, "step_positive",
-                                   floats_only=True),
+    "add": _binary_kernel(np.add),
+    "sub": _binary_kernel(np.subtract),
+    "mul": _binary_kernel(np.multiply),
+    "div": _binary_kernel(_div_np),
+    "neg": _unary_kernel(np.negative),
+    "exp": _unary_kernel(_exp_np),
+    "log": _unary_kernel(_log_np),
+    "softplus": _unary_kernel(_softplus_np),
+    "relu": _unary_kernel(_relu_np),
+    "step_positive": _unary_kernel(_step_positive_np),
     "matmul": _matmul_kernel,
     "transpose": _transpose_kernel,
     "greater": _greater_kernel,

@@ -5,9 +5,11 @@ statefulness, kernel, inference rule, and (if differentiable) a gradient
 rule. Dispatch takes the same call in two directions depending on the
 current execution context:
 
-* eager: inputs are transparently moved to the resolved device, the kernel
-  runs immediately, and the call is recorded on any active tape watching one
-  of its inputs;
+* eager: the op's ``infer`` rule validates the input specs and attrs (the
+  same rule graph building runs, so both modes reject the same inputs with
+  the same error), inputs are transparently moved to the resolved device,
+  the kernel runs immediately, and the call is recorded on any active tape
+  watching one of its inputs;
 * graph building: a node is appended to the open trace and symbolic outputs
   come back. No kernel runs (constants embed their value directly).
 
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .runtime import ExecutionContext, current_context, get_runtime
 from .state import Variable
-from .tensor import Tensor, coerce, constant as _constant_tensor
+from .tensor import Tensor, coerce, constant as _constant_tensor, move_to, to_device
 
 # Attr value kinds.
 INT, FLOAT, BOOL, STRING, DTYPE, SHAPE, AXES, TENSOR, FUNCTION = (
@@ -248,34 +250,24 @@ def resolve_placement(
 ) -> Tuple[DeviceName, List]:
     """Pick the execution device and transparently copy stray inputs to it.
 
-    Scope wins if set; otherwise the first tensor input's device; otherwise
-    the default CPU. Each transparent copy bumps the runtime copy metric.
-    With a single device and no scope, ``inputs`` itself comes back.
+    Each transparent copy bumps the runtime copy metric. With a single
+    device and no scope, ``inputs`` itself comes back.
     """
     rt = ctx.runtime
     if len(rt.devices) == 1 and not ctx.device_scopes:
         return rt.devices[0].name, inputs
+    target = placement_target(inputs, ctx)
+    return target, move_to(target, inputs, rt.stats)
+
+
+def placement_target(inputs: Sequence, ctx: ExecutionContext) -> DeviceName:
+    """Scope wins if set; otherwise the first tensor input's device;
+    otherwise the default CPU."""
     target = ctx.scope_device()
     if target is None:
-        for x in inputs:
-            if isinstance(x, Tensor):
-                target = x.device
-                break
-        else:
-            target = rt.devices[0].name
-    moved = []
-    copies = {}  # one copy per distinct tensor, even when passed twice
-    for x in inputs:
-        if isinstance(x, Tensor) and x.device != target:
-            copy = copies.get(id(x))
-            if copy is None:
-                copy = Tensor(x.dtype, x.shape, target, array=x.raw())
-                copies[id(x)] = copy
-                rt.stats.count_copy()
-            moved.append(copy)
-        else:
-            moved.append(x)
-    return target, moved
+        target = next((x.device for x in inputs if isinstance(x, Tensor)),
+                      ctx.runtime.devices[0].name)
+    return target
 
 
 def copy_to(t: Tensor, dst: Union[str, DeviceName]) -> Tensor:
@@ -283,9 +275,7 @@ def copy_to(t: Tensor, dst: Union[str, DeviceName]) -> Tensor:
     from .devices import resolve_device
 
     name = resolve_device(dst)
-    if t.device == name:
-        return t
-    return Tensor(t.dtype, t.shape, name, array=t.raw())
+    return t if t.device == name else to_device(t, name)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +308,7 @@ def input_spec(x) -> Tuple[DType, tuple]:
 def _dispatch_eager(
     op_def: OpDef, inputs: List, attrs: Dict[str, Any], ctx: ExecutionContext
 ) -> List[Tensor]:
+    specs = []
     for i, x in enumerate(inputs):
         if isinstance(x, Tensor):
             if x._symbolic is not None:
@@ -330,6 +321,9 @@ def _dispatch_eager(
                 f"{op_def.name}: input {i} is {type(x).__name__}, "
                 "expected a tensor or variable"
             )
+        specs.append((x.dtype, x.shape))
+    # The op's one validator, as graph building runs it; the kernel trusts it.
+    op_def.infer(attrs, specs, None)
     device, moved = resolve_placement(op_def, inputs, ctx)
     env = ctx.runtime.eager_envs.get(device) or _k.KernelEnv(device=device)
     try:
@@ -338,7 +332,8 @@ def _dispatch_eager(
         raise
     except Exception as e:  # numpy and friends
         raise KernelError(f"{op_def.name}: {e}") from e
-    ctx.runtime.stats.count_eager(op_def.name)
+    counts = ctx.op_counts
+    counts[op_def.name] = counts.get(op_def.name, 0) + 1
     if ctx.tapes:
         _notify_tapes(op_def, inputs, outputs, attrs, ctx)
     return outputs

@@ -6,7 +6,8 @@ RNG stream behind stateful random ops, and the host-callback lock. Graphs
 execute on the calling thread; the runtime starts no threads of its own.
 
 Each thread of execution owns one ExecutionContext: its stack of open
-traces, its stack of active gradient tapes, and its device-scope stack.
+traces, its stack of active gradient tapes, its device-scope stack and its
+eager op counts.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -39,24 +40,29 @@ class RuntimeOptions:
 
 
 class RuntimeStats:
-    """Instrumentation counters; cheap enough to leave always on."""
+    """Instrumentation counters; cheap enough to leave always on.
+
+    Eager ops are counted per op name in one dict per execution context,
+    which only that context's thread writes (no lock per op);
+    ``snapshot`` merges them.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
+        self._op_counts: List[Dict[str, int]] = []
         self.reset()
 
     def reset(self) -> None:
-        with getattr(self, "_lock"):
-            self.eager_dispatches = 0
-            self.eager_op_counts: Counter = Counter()
+        with self._lock:
+            for counts in self._op_counts:
+                counts.clear()
             self.transparent_copies = 0
             self.traces = 0
             self.derived_traces = 0
 
-    def count_eager(self, op: str) -> None:
+    def register_op_counts(self, counts: Dict[str, int]) -> None:
         with self._lock:
-            self.eager_dispatches += 1
-            self.eager_op_counts[op] += 1
+            self._op_counts.append(counts)
 
     def count_copy(self, n: int = 1) -> None:
         with self._lock:
@@ -72,9 +78,12 @@ class RuntimeStats:
 
     def snapshot(self) -> dict:
         with self._lock:
+            merged: Counter = Counter()
+            for counts in self._op_counts:
+                merged.update(counts.copy())
             return {
-                "eager_dispatches": self.eager_dispatches,
-                "eager_op_counts": dict(self.eager_op_counts),
+                "eager_dispatches": sum(merged.values()),
+                "eager_op_counts": dict(merged),
                 "transparent_copies": self.transparent_copies,
                 "traces": self.traces,
                 "derived_traces": self.derived_traces,
@@ -84,7 +93,8 @@ class RuntimeStats:
 class ExecutionContext:
     """Per-thread mode, tape, and placement state, for one runtime."""
 
-    __slots__ = ("runtime", "traces", "tapes", "device_scopes", "escape_depth")
+    __slots__ = ("runtime", "traces", "tapes", "device_scopes", "escape_depth",
+                 "op_counts")
 
     def __init__(self, runtime: "Runtime"):
         self.runtime = runtime
@@ -92,6 +102,8 @@ class ExecutionContext:
         self.tapes: List[Any] = []  # stack of tape.Tape, innermost last
         self.device_scopes: List[Any] = []
         self.escape_depth = 0
+        self.op_counts: Dict[str, int] = {}  # eager ops run on this thread
+        runtime.stats.register_op_counts(self.op_counts)
 
     @property
     def tracing(self) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .devices import DeviceName
-from .dtypes import DType
+from .dtypes import DType, matches_spec
 from .errors import (
     DeadVariable,
     KernelError,
@@ -516,17 +516,11 @@ class PolymorphicFunction:
                     f"{self._name}: argument {i} must be a tensor under a "
                     "pinned signature"
                 )
-            if arg.dtype is not dtype or len(arg.shape) != len(shape):
+            if not matches_spec(arg.dtype, arg.shape, dtype, shape):
                 raise SignatureMismatch(
-                    f"{self._name}: argument {i} is {arg.dtype.value} rank "
-                    f"{len(arg.shape)}, pinned to {dtype.value} rank {len(shape)}"
+                    f"{self._name}: argument {i} is {arg.dtype.value}"
+                    f"{list(arg.shape)}, pinned to {dtype.value}{list(shape)}"
                 )
-            for have, want in zip(arg.shape, shape):
-                if want is not None and have != want:
-                    raise SignatureMismatch(
-                        f"{self._name}: argument {i} shape {list(arg.shape)} "
-                        f"violates pinned shape {list(shape)}"
-                    )
 
     def _concrete_for(self, bound: List) -> ConcreteFunction:
         if self.pinned_signature is not None:

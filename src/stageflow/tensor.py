@@ -130,6 +130,29 @@ def _current_trace_id() -> Optional[int]:
     return None
 
 
+def to_device(t: Tensor, device: DeviceName) -> Tensor:
+    """A handle to ``t``'s data on ``device``. Devices are simulated and
+    buffers immutable, so the copy shares the buffer."""
+    return Tensor(t.dtype, t.shape, device, array=t.raw())
+
+
+def move_to(target: DeviceName, values: Sequence, stats) -> list:
+    """``values`` with every tensor off ``target`` copied there, once per
+    distinct tensor even when it is passed twice; ``stats`` counts each
+    copy."""
+    copies = {}
+    out = []
+    for v in values:
+        if isinstance(v, Tensor) and v.device != target:
+            copy = copies.get(id(v))
+            if copy is None:
+                copy = copies[id(v)] = to_device(v, target)
+                stats.count_copy()
+            v = copy
+        out.append(v)
+    return out
+
+
 def _default_device() -> DeviceName:
     return get_runtime().devices[0].name
 

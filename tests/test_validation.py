@@ -1,0 +1,304 @@
+"""One validator per op: the op's ``infer`` rule.
+
+Eager dispatch runs the same rule graph building runs, so a function that is
+rejected staged is rejected eagerly too, with the same error class. Kernels
+trust the rule; the checks they keep cover dims the rule saw as wildcards.
+"""
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import stageflow as sf
+from stageflow import ops as sfops
+from stageflow.errors import (
+    AttrMismatch,
+    InputMismatch,
+    KernelError,
+    MissingFunction,
+    ShapeMismatch,
+    StageflowError,
+)
+from stageflow.graph import GraphBuilder
+
+
+def f32(*shape):
+    return sf.constant(np.ones(shape, dtype=np.float32))
+
+
+def f64(*shape):
+    return sf.tensor_from_host(np.ones(shape).reshape(-1), shape, sf.float64)
+
+
+def i32(*values):
+    return sf.constant(np.array(values, dtype=np.int32))
+
+
+def op(name, attrs=None):
+    return lambda *xs: sfops.dispatch(name, list(xs), attrs)[0]
+
+
+# (id, function, argument maker, error class). Each function is run eagerly
+# and staged on the same arguments and must raise the same class both ways.
+REJECTIONS = [
+    ("add-mixed-dtypes", sf.add, lambda: [f32(2), f64(2)], KernelError),
+    ("add-boolean", sf.add, lambda: [sf.constant([True]), sf.constant([False])], KernelError),
+    ("add-broadcast", sf.add, lambda: [f32(2, 3), f32(4)], KernelError),
+    ("sub-mixed-dtypes", sf.sub, lambda: [i32(1), f32(1)], KernelError),
+    ("mul-boolean", sf.mul, lambda: [sf.constant(True), sf.constant(True)], KernelError),
+    ("div-int32", sf.div, lambda: [i32(1, 2), i32(1, 1)], KernelError),
+    ("neg-boolean", sf.neg, lambda: [sf.constant([True])], KernelError),
+    ("exp-int32", sf.exp, lambda: [i32(1)], KernelError),
+    ("log-int32", sf.log, lambda: [i32(1)], KernelError),
+    ("softplus-int32", sf.softplus, lambda: [i32(1)], KernelError),
+    ("relu-int32", sf.relu, lambda: [i32(1)], KernelError),
+    ("step_positive-int32", op("step_positive"), lambda: [i32(1)], KernelError),
+    ("matmul-int32", sf.matmul, lambda: [sf.constant([[1]]), sf.constant([[1]])], KernelError),
+    ("matmul-mixed-dtypes", sf.matmul, lambda: [f32(2, 2), f64(2, 2)], KernelError),
+    ("matmul-rank-1", sf.matmul, lambda: [f32(2), f32(2, 2)], KernelError),
+    ("matmul-inner-dims", sf.matmul, lambda: [f32(2, 3), f32(4, 2)], KernelError),
+    ("transpose-rank-3", op("transpose"), lambda: [f32(2, 2, 2)], KernelError),
+    ("greater-mixed-dtypes", sf.greater, lambda: [f32(1), f64(1)], KernelError),
+    ("greater-boolean", sf.greater,
+     lambda: [sf.constant([True]), sf.constant([False])], KernelError),
+    ("greater-broadcast", sf.greater, lambda: [f32(2), f32(3)], KernelError),
+    ("reshape-count", lambda x: sf.reshape(x, (4,)), lambda: [f32(2, 3)], KernelError),
+    ("reshape-wildcard-target", lambda x: sf.reshape(x, (None, 3)),
+     lambda: [f32(2, 3)], KernelError),
+    ("broadcast_to-incompatible", lambda x: sf.broadcast_to(x, (2, 4)),
+     lambda: [f32(3)], KernelError),
+    ("broadcast_to-lower-rank", lambda x: sf.broadcast_to(x, (3,)),
+     lambda: [f32(2, 3)], KernelError),
+    ("broadcast_to-wildcard-target", lambda x: sf.broadcast_to(x, (None, 3)),
+     lambda: [f32(3)], KernelError),
+    ("reduce_sum-boolean", sf.reduce_sum, lambda: [sf.constant([True, False])], KernelError),
+    ("reduce_sum-axis-range", lambda x: sf.reduce_sum(x, axes=(2,)),
+     lambda: [f32(2, 3)], KernelError),
+    ("reduce_sum-repeated-axes", lambda x: sf.reduce_sum(x, axes=(0, -2)),
+     lambda: [f32(2, 3)], KernelError),
+    ("reduce_mean-int32", sf.reduce_mean, lambda: [i32(1, 2, 4)], KernelError),
+    ("eye-int32", lambda: sf.eye(2, sf.int32), lambda: [], KernelError),
+    ("eye-negative", lambda: sf.eye(-1), lambda: [], KernelError),
+    ("random_normal-int32", lambda: sf.random_normal((2,), sf.int32), lambda: [], KernelError),
+    ("random_normal-wildcard", lambda: sf.random_normal((None, 2)), lambda: [], KernelError),
+    ("dropout-rate", lambda x: sf.dropout(x, 1.5), lambda: [f32(4)], KernelError),
+    ("dropout-int32", lambda x: sf.dropout(x, 0.5), lambda: [i32(1, 2)], KernelError),
+    ("assign-shape", lambda v, x: v.assign(x),
+     lambda: [sf.Variable([1.0, 2.0]), f32(3)], ShapeMismatch),
+    ("assign-dtype", lambda v, x: v.assign(x),
+     lambda: [sf.Variable([1.0, 2.0]), f64(2)], ShapeMismatch),
+    ("assign_add-rank", lambda v, x: v.assign_add(x),
+     lambda: [sf.Variable([1.0, 2.0]), f32(1, 2)], ShapeMismatch),
+    ("cond-vector-predicate",
+     lambda p, x: sf.cond(p, lambda v: v * 2.0, lambda v: v, [x]),
+     lambda: [sf.constant([True, False, False]), sf.constant(3.0)], KernelError),
+    ("cond-int-predicate",
+     lambda p, x: sf.cond(p, lambda v: v * 2.0, lambda v: v, [x]),
+     lambda: [i32(1), sf.constant(3.0)], KernelError),
+    ("while-float-condition",
+     lambda x: sf.while_loop(lambda v: v, lambda v: v - 1.0, [x]),
+     lambda: [sf.constant(3.0)], KernelError),
+    ("call_function-unknown", op("call_function", {"function": "ghost"}),
+     lambda: [f32(1)], MissingFunction),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, make_args, error", [r[1:] for r in REJECTIONS], ids=[r[0] for r in REJECTIONS]
+)
+def test_rejection_same_in_both_modes(fn, make_args, error):
+    with pytest.raises(error):
+        fn(*make_args())
+    with pytest.raises(error):
+        sf.stage(fn)(*make_args())
+
+
+def test_rejected_assign_leaves_variable_unchanged():
+    v = sf.Variable([1.0, 2.0])
+    with pytest.raises(ShapeMismatch):
+        v.assign(f32(3))
+    np.testing.assert_array_equal(v.numpy(), [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# Eager output specs are the rule's output specs
+# ---------------------------------------------------------------------------
+
+PURE_OPS = [
+    "identity", "add", "sub", "mul", "div", "neg", "exp", "log", "softplus",
+    "relu", "step_positive", "matmul", "transpose", "greater", "reshape",
+    "broadcast_to", "reduce_sum", "reduce_mean", "eye",
+]
+DTYPES = [sf.float32, sf.float64, sf.int32, sf.boolean]
+shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+def _value(rng, dtype, shape):
+    if dtype is sf.boolean:
+        arr = rng.random(shape) > 0.5
+    elif dtype is sf.int32:
+        arr = rng.integers(-3, 4, size=shape)
+    else:
+        arr = rng.standard_normal(shape)
+    return sf.tensor_from_host(np.asarray(arr).reshape(-1), shape, dtype)
+
+
+@st.composite
+def op_calls(draw):
+    name = draw(st.sampled_from(PURE_OPS))
+    arity = 0 if name == "eye" else 2 if name in ("add", "sub", "mul", "div",
+                                                  "matmul", "greater") else 1
+    in_specs = [(draw(st.sampled_from(DTYPES)), draw(shapes)) for _ in range(arity)]
+    if draw(st.booleans()) and arity == 2:  # often a well-typed pair
+        in_specs[1] = (in_specs[0][0], in_specs[1][1])
+    attrs = {}
+    if name in ("reshape", "broadcast_to"):
+        attrs["shape"] = draw(shapes)
+    elif name in ("reduce_sum", "reduce_mean"):
+        attrs["axes"] = draw(st.none() | st.lists(st.integers(-4, 3), max_size=3))
+        attrs["keepdims"] = draw(st.booleans())
+    elif name == "eye":
+        attrs["size"] = draw(st.integers(-1, 3))
+        attrs["dtype"] = draw(st.sampled_from(DTYPES))
+    return name, in_specs, attrs, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(op_calls())
+def test_eager_agrees_with_infer(call):
+    name, in_specs, attrs, seed = call
+    rng = np.random.default_rng(seed)
+    inputs = [_value(rng, dt, shape) for dt, shape in in_specs]
+    op_def = sfops.get_op_def(name)
+    attrs = sfops.canonicalize_attrs(op_def, attrs)
+    try:
+        want = op_def.infer(attrs, in_specs, None)
+    except StageflowError as e:
+        with pytest.raises(type(e)):
+            sfops.dispatch(name, inputs, attrs)
+        return
+    outs = sfops.dispatch(name, inputs, attrs)
+    assert [(t.dtype, t.shape) for t in outs] == [(dt, tuple(s)) for dt, s in want]
+    for t in outs:
+        assert t.raw().dtype == t.dtype.np_dtype and t.raw().shape == t.shape
+
+
+# ---------------------------------------------------------------------------
+# Wildcard dims: the checks that stay at run time
+# ---------------------------------------------------------------------------
+
+WILDCARD_MISFITS = [
+    ("add", lambda x, y: x + y, [(sf.float32, (None,)), (sf.float32, (3,))],
+     [f32(4), f32(3)]),
+    ("matmul", sf.matmul, [(sf.float32, (2, None)), (sf.float32, (3, 2))],
+     [f32(2, 4), f32(3, 2)]),
+    ("reshape", lambda x: sf.reshape(x, (2, 3)), [(sf.float32, (None,))], [f32(5)]),
+    ("broadcast_to", lambda x: sf.broadcast_to(x, (2, 3)), [(sf.float32, (None,))],
+     [f32(4)]),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, signature, args", [w[1:] for w in WILDCARD_MISFITS],
+    ids=[w[0] for w in WILDCARD_MISFITS],
+)
+def test_wildcard_misfit_raises_kernel_error(fn, signature, args):
+    with pytest.raises(KernelError):
+        sf.stage(fn, signature=signature)(*args)
+
+
+def test_cond_predicate_size_checked_at_run_time():
+    def branch(p, x):
+        return sf.cond(p, lambda v: v * 2.0, lambda v: v, [x])
+
+    staged = sf.stage(branch, signature=[(sf.boolean, (None,)), (sf.float32, ())])
+    assert float(staged(sf.constant([True]), sf.constant(3.0))) == 6.0
+    assert float(staged(sf.constant([False]), sf.constant(3.0))) == 3.0
+    with pytest.raises(KernelError):
+        staged(sf.constant([True, False, False]), sf.constant(3.0))
+
+
+def test_while_predicate_size_checked_at_run_time():
+    def count_down(x):
+        return sf.while_loop(lambda v: sf.greater(v, 0.0), lambda v: v - 1.0, [x])
+
+    staged = sf.stage(count_down, signature=[(sf.float32, (None,))])
+    assert staged(sf.constant([3.0])).numpy().tolist() == [0.0]
+    with pytest.raises(KernelError):
+        staged(sf.constant([3.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# One spec matcher
+# ---------------------------------------------------------------------------
+
+
+def test_variable_binding_checks_rank_under_wildcards():
+    b = GraphBuilder()
+    vref = b.add_placeholder("v", sf.float32, (None, 3), is_variable_ref=True)
+    (y,) = b.add_node("read_variable", [vref], {}, None, [(sf.float32, (None, 3))])
+    gf = b.finalize("read", [y], ["y"])
+    assert sf.execute(gf, [], [sf.Variable(np.ones((2, 3), np.float32))])[0].shape == (2, 3)
+    for bad in (np.ones(4, np.float32), np.ones((2, 4), np.float32), np.ones((2, 3))):
+        with pytest.raises(InputMismatch):
+            sf.execute(gf, [], [sf.Variable(bad)])
+
+
+# ---------------------------------------------------------------------------
+# Per-context eager op counts
+# ---------------------------------------------------------------------------
+
+
+def test_eager_counts_from_threads_sum_exactly():
+    stats = sf.get_runtime().stats
+    stats.reset()
+    n_threads, per_thread = 8, 200
+    start = threading.Barrier(n_threads)
+
+    def work():
+        x = f32(2)
+        start.wait()
+        for _ in range(per_thread):
+            sf.add(x, x)
+
+    threads = [threading.Thread(target=work) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    snap = stats.snapshot()
+    assert snap["eager_op_counts"] == {"add": n_threads * per_thread}
+    assert snap["eager_dispatches"] == n_threads * per_thread
+
+
+def test_reset_clears_eager_counts():
+    stats = sf.get_runtime().stats
+    x = f32(2)
+    sf.mul(x, x)
+    sf.neg(x)
+    assert stats.snapshot()["eager_dispatches"] >= 2
+    stats.reset()
+    snap = stats.snapshot()
+    assert snap["eager_dispatches"] == 0 and snap["eager_op_counts"] == {}
+    sf.neg(x)
+    assert stats.snapshot()["eager_op_counts"] == {"neg": 1}
+
+
+def test_rejected_op_is_not_counted():
+    stats = sf.get_runtime().stats
+    stats.reset()
+    with pytest.raises(AttrMismatch):
+        sfops.dispatch("reshape", [f32(2)], {})
+    with pytest.raises(KernelError):
+        sf.reshape(f32(2), (3,))
+    assert stats.snapshot()["eager_dispatches"] == 0
