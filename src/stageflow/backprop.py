@@ -15,6 +15,14 @@ inputs, two derived functions are built from it and cached:
 The tape entry for the call stores the saved values, so computing the
 gradient of a staged forward pass executes the staged backward function —
 no eager math runs in the backward pass of a staged computation.
+
+A tape wants only the gradients of inputs that reach one of its sources.
+``backward_for`` serves a mask of wanted float inputs with a backward
+function that keeps just those outputs of the full one and prunes the nodes
+no kept output or stateful node reaches. It takes the same inputs, so the
+forward variant and the saved values stay one per graph, and no mask needs
+a second derivation. The kept nodes are the full backward's own, so the
+gradients are bit-identical to the full backward's.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from .errors import StagingError
 from .gradients import GradContext, zeros_for
-from .graph import GraphFunction, Node
+from .graph import GraphFunction, Node, prune
 from .ops import add, dispatch, get_op_def
 from .runtime import get_runtime
 
@@ -35,6 +43,29 @@ def get_forward_backward(gf: GraphFunction):
         cached = _build(gf)
         gf._fwd_bwd = cached
     return cached
+
+
+def backward_for(gf: GraphFunction, wanted: Tuple[bool, ...]):
+    """The backward function of ``gf`` returning only the gradients of the
+    float inputs flagged in ``wanted`` (one flag per float input, in input
+    order); cached per graph and mask."""
+    bwd_cf = get_forward_backward(gf)[1]
+    if all(wanted):
+        return bwd_cf
+    cf = gf._bwd_by_mask.get(wanted)
+    if cf is None:
+        from .staging import ConcreteFunction
+
+        full = bwd_cf.graph
+        outputs = [o for o, w in zip(full.outputs, wanted) if w]
+        pruned = prune(GraphFunction(
+            full.name, full.inputs, full.nodes, outputs, full.library
+        ))
+        cf = gf._bwd_by_mask.setdefault(
+            wanted,
+            ConcreteFunction(pruned, bwd_cf.materialize_captured(), "list"),
+        )
+    return cf
 
 
 def _build(gf: GraphFunction):

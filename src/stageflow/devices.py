@@ -34,6 +34,20 @@ class DeviceName:
     kind: str = CPU
     index: int = 0
 
+    # Eager dispatch hashes a device name on every op; hash it once. The
+    # cached value depends on the process's string hash seed, so pickling
+    # rebuilds the name instead of copying it.
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_hash", hash((self.job, self.task, self.kind, self.index))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return DeviceName, (self.job, self.task, self.kind, self.index)
+
     def render(self) -> str:
         return f"/job:{self.job}/task:{self.task}/device:{self.kind}:{self.index}"
 

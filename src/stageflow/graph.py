@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .devices import DeviceName
 from .dtypes import DType, SymShape
 from .errors import CorruptGraph, KernelError
+from .ops import get_op_def
 from .tensor import Tensor
 
 Ref = Tuple[int, int]  # (value id, output index)
@@ -34,6 +35,9 @@ FUNCTION_ATTRS = {
     "cond": ("then_branch", "else_branch"),
     "while_loop": ("loop_cond", "loop_body"),
 }
+
+# Ops whose first input must be a variable-reference placeholder.
+VARIABLE_OPS = ("read_variable", "assign_variable", "assign_add_variable")
 
 _name_counter = itertools.count()
 
@@ -83,6 +87,7 @@ class GraphFunction:
         self._validate()
         self._plan = None  # compiled executor plan, set lazily
         self._fwd_bwd = None  # derived (forward variant, backward fn), set lazily
+        self._bwd_by_mask: Dict[Tuple[bool, ...], Any] = {}  # backward_for's cache
 
     # -- well-formedness -----------------------------------------------------
 
@@ -100,6 +105,14 @@ class GraphFunction:
                         f"{self.name}: node {i} references missing output "
                         f"{out_idx} of node {vid - n_in}"
                     )
+            if node.op in VARIABLE_OPS and not (
+                node.inputs and node.inputs[0][0] < n_in
+                and self.inputs[node.inputs[0][0]].is_variable_ref
+            ):
+                raise CorruptGraph(
+                    f"{self.name}: node {i} ({node.op}) must take a variable "
+                    "input placeholder as its first input"
+                )
         for _, (vid, out_idx) in self.outputs:
             if vid < 0 or vid >= n_in + len(self.nodes):
                 raise CorruptGraph(f"{self.name}: dangling output reference")
@@ -235,8 +248,6 @@ class GraphBuilder:
 
 def node_is_stateful(node: Node, library: Dict[str, GraphFunction]) -> bool:
     """A node is stateful if its op is, or if a function it calls is."""
-    from .ops import get_op_def
-
     if node.op in FUNCTION_ATTRS:
         for attr_name in FUNCTION_ATTRS[node.op]:
             fn_name = node.attrs.get(attr_name)
@@ -305,24 +316,18 @@ def prune(gf: GraphFunction) -> GraphFunction:
     """
     n_in = len(gf.inputs)
     keep = [False] * len(gf.nodes)
-    worklist: List[int] = []
-
-    def mark(ref: Ref) -> None:
-        vid = ref[0]
-        if vid >= n_in and not keep[vid - n_in]:
+    for _, (vid, _) in gf.outputs:
+        if vid >= n_in:
             keep[vid - n_in] = True
-            worklist.append(vid - n_in)
-
-    for _, ref in gf.outputs:
-        mark(ref)
-    for i, node in enumerate(gf.nodes):
-        if node_is_stateful(node, gf.library) and not keep[i]:
+    # Every consumer of node i comes after it, so a reverse walk settles
+    # keep[i] before visiting i; a kept node needs no statefulness test.
+    for i in range(len(gf.nodes) - 1, -1, -1):
+        node = gf.nodes[i]
+        if keep[i] or node_is_stateful(node, gf.library):
             keep[i] = True
-            worklist.append(i)
-    while worklist:
-        i = worklist.pop()
-        for ref in gf.nodes[i].inputs:
-            mark(ref)
+            for vid, _ in node.inputs:
+                if vid >= n_in:
+                    keep[vid - n_in] = True
 
     kept = [i for i, k in enumerate(keep) if k]
     if len(kept) == len(gf.nodes):

@@ -23,7 +23,9 @@ What a kernel still checks is what ``infer`` could not see:
 * dims that ``infer`` saw as wildcards: the size of a ``cond`` or
   ``while_loop`` predicate (``_check_predicate``), and the value a variable
   is assigned (``Variable._check_value``);
-* that a variable op got a variable, since specs do not carry kind;
+* that an eager variable op got a variable, since specs do not carry
+  kind (a graph is checked when it is built or decoded: input 0 of a
+  variable op must be a variable-reference placeholder);
 * numpy's own errors on wildcard dims (a broadcast, matmul or reshape that
   does not fit at run time), which the dispatcher and the executor wrap as
   ``KernelError``.
@@ -163,6 +165,15 @@ def _softplus_np(x):
 
 def _relu_np(x):
     return np.maximum(x, 0)
+
+
+def _mean_np(x, axis=None, keepdims=False):
+    if x.size:
+        return np.mean(x, axis=axis, keepdims=keepdims)
+    # Every output of an empty input averages an empty slice: 0 / 0 = NaN.
+    # np.mean would warn about each one.
+    with np.errstate(invalid="ignore"):
+        return np.sum(x, axis=axis, keepdims=keepdims) / 0
 
 
 def _step_positive_np(x):
@@ -552,7 +563,7 @@ KERNELS: Dict[str, Callable] = {
     "reshape": _reshape_kernel,
     "broadcast_to": _broadcast_to_kernel,
     "reduce_sum": _reduce_kernel(np.sum),
-    "reduce_mean": _reduce_kernel(np.mean),
+    "reduce_mean": _reduce_kernel(_mean_np),
     "eye": _eye_kernel,
     "random_normal": _random_normal_kernel,
     "dropout": _dropout_kernel,

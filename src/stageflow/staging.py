@@ -305,13 +305,12 @@ class ConcreteFunction:
         self._read_var_positions = self._find_read_positions()
 
     def _find_read_positions(self) -> Tuple[int, ...]:
-        n_in = len(self.graph.inputs)
-        positions = set()
-        for node in self.graph.nodes:
-            if node.op in ("read_variable", "assign_variable", "assign_add_variable"):
-                vid, _ = node.inputs[0]
-                if vid < n_in and node.op == "read_variable":
-                    positions.add(vid)
+        # Graph validation makes input 0 of a read_variable a placeholder.
+        positions = {
+            node.inputs[0][0]
+            for node in self.graph.nodes
+            if node.op == "read_variable"
+        }
         return tuple(sorted(positions))
 
     @property
@@ -382,10 +381,10 @@ def call_concrete(cf: ConcreteFunction, explicit: Sequence) -> List[Tensor]:
 
 
 def _call_with_tape(cf, inputs_all, watching) -> List[Tensor]:
-    from .backprop import get_forward_backward
+    from .backprop import backward_for, get_forward_backward
     from .gradients import zeros_for
 
-    fwd, bwd_cf, saved_desc, float_pos = get_forward_backward(cf.graph)
+    fwd, _, saved_desc, float_pos = get_forward_backward(cf.graph)
     outs_all = dispatch("call_function", inputs_all, {"function": fwd})
     m = len(cf.graph.outputs)
     outs, extras = outs_all[:m], outs_all[m:]
@@ -395,13 +394,15 @@ def _call_with_tape(cf, inputs_all, watching) -> List[Tensor]:
     out_specs = cf.graph.output_specs
     input_ids = [id(x) for x in inputs_all]
 
-    def backward(out_grads):
+    def backward(out_grads, needs):
         seeds = [
             g if g is not None else zeros_for(spec)
             for g, spec in zip(out_grads, out_specs)
         ]
-        grads = call_concrete(bwd_cf, seeds + list(saved_vals))
-        return [(input_ids[p], g) for p, g in zip(float_pos, grads)]
+        wanted = tuple(needs[p] for p in float_pos)
+        grads = call_concrete(backward_for(cf.graph, wanted), seeds + list(saved_vals))
+        kept = [p for p, w in zip(float_pos, wanted) if w]
+        return [(input_ids[p], g) for p, g in zip(kept, grads)]
 
     for t in watching:
         t._record_custom("call_function", inputs_all, outs, saved_vals, backward)

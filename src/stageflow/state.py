@@ -25,7 +25,12 @@ _uid = itertools.count()
 
 
 class Variable:
-    """Named-free mutable tensor storage, referenced by identity."""
+    """Named-free mutable tensor storage, referenced by identity.
+
+    The storage array is read-only and is never changed in place: a write
+    replaces it with a new array. So a snapshot hands out the storage
+    itself, and keeps its value through later writes.
+    """
 
     def __init__(self, initial, dtype: Optional[DType] = None):
         if isinstance(initial, Tensor) and initial.is_symbolic:
@@ -39,7 +44,7 @@ class Variable:
         self.shape = init.shape
         self.device = init.device
         self._lock = threading.Lock()
-        self._storage = init.raw().copy()
+        self._storage = _read_only(init.raw().copy())
         from .runtime import current_context
 
         ctx = current_context()
@@ -49,10 +54,7 @@ class Variable:
     # -- raw storage access (kernels) ---------------------------------------
 
     def snapshot(self) -> Tensor:
-        with self._lock:
-            arr = np.array(self._storage, dtype=self.dtype.np_dtype)
-        arr.flags.writeable = False
-        return Tensor(self.dtype, self.shape, self.device, array=arr)
+        return Tensor(self.dtype, self.shape, self.device, array=self._storage)
 
     def _check_value(self, value: Tensor, op: str) -> None:
         if value.dtype is not self.dtype or value.shape != self.shape:
@@ -64,15 +66,15 @@ class Variable:
     def write(self, value: Tensor) -> None:
         self._check_value(value, "assign")
         with self._lock:
-            self._storage = value.raw().copy()
+            self._storage = _read_only(value.raw().copy())
 
     def accumulate(self, value: Tensor) -> None:
         self._check_value(value, "assign_add")
         with self._lock:
             # np.array keeps 0-d results as arrays (0-d + 0-d is a scalar).
-            self._storage = np.array(
+            self._storage = _read_only(np.array(
                 self._storage + value.raw(), dtype=self.dtype.np_dtype
-            )
+            ))
 
     # -- dispatched API -------------------------------------------------------
 
@@ -97,14 +99,18 @@ class Variable:
         return coerce(value, self.dtype)
 
     def numpy(self) -> np.ndarray:
-        with self._lock:
-            return self._storage.copy()
+        return self._storage.copy()
 
     def __float__(self) -> float:
         return float(self.numpy().reshape(-1)[0])
 
     def __repr__(self) -> str:
         return f"Variable(uid={self.uid}, {self.dtype.value}{list(self.shape)})"
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def variable_create(initial: Tensor) -> Variable:

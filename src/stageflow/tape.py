@@ -60,9 +60,9 @@ class TapeEntry:
     def backprop(self, out_grads, needs) -> List[Tuple[int, Tensor]]:
         """``(input identity, gradient)`` contributions for upstream
         ``out_grads``. ``needs`` flags the inputs whose gradient is wanted;
-        a custom entry computes all of its float inputs regardless."""
+        op rules and custom entries compute only those."""
         if self.backward is not None:
-            return self.backward(out_grads)
+            return self.backward(out_grads, needs)
         ins, outs = self.saved_inputs, self.saved_outputs
         ctx = GradContext(
             self.attrs,
@@ -151,8 +151,8 @@ class Tape:
 
     def _record_custom(self, op, inputs, outputs, saved, backward) -> None:
         """Record a function-call entry with a prebuilt backward closure
-        mapping upstream output gradients to ``(input identity, gradient)``
-        contributions."""
+        mapping upstream output gradients and the ``needs`` mask to
+        ``(input identity, gradient)`` contributions."""
         self._record(
             TapeEntry(op, tuple(map(id, inputs)),
                       tuple(map(id, outputs)), tuple(saved),

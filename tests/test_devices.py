@@ -21,6 +21,14 @@ class TestNames:
         n = DeviceName.parse("/job:training/task:2/device:GPU:0")
         assert (n.job, n.task, n.kind, n.index) == ("training", 2, "GPU", 0)
 
+    def test_equal_names_hash_equal(self):
+        a = DeviceName(kind="ACCEL", index=1)
+        b = DeviceName.parse(a.render())
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != DeviceName(kind="ACCEL", index=2)
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             DeviceName.parse("cpu:0")

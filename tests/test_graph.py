@@ -11,7 +11,15 @@ from stageflow.errors import (
     MissingFunction,
     NotSerializable,
 )
-from stageflow.graph import GraphBuilder, constant_fold, optimize, prune
+from stageflow.graph import (
+    GraphBuilder,
+    GraphFunction,
+    _rebuild,
+    constant_fold,
+    node_is_stateful,
+    optimize,
+    prune,
+)
 from stageflow.runtime import RuntimeOptions, init_runtime
 from stageflow.serial import deserialize, serialize
 
@@ -50,6 +58,41 @@ class TestPrune:
         out = sf.execute(pruned, [sf.constant([2.0, 3.0])], captured=[v])
         np.testing.assert_array_equal(out[0].numpy(), [4.0, 9.0])
         np.testing.assert_array_equal(v.numpy(), [4.0, 9.0])
+
+    def test_keeps_what_outputs_and_stateful_nodes_reach(self):
+        def reference_keep(gf):
+            n_in = len(gf.inputs)
+            todo = [vid - n_in for _, (vid, _) in gf.outputs if vid >= n_in]
+            todo += [i for i, n in enumerate(gf.nodes)
+                     if node_is_stateful(n, gf.library)]
+            keep = set()
+            while todo:
+                i = todo.pop()
+                if i not in keep:
+                    keep.add(i)
+                    todo += [v - n_in for v, _ in gf.nodes[i].inputs if v >= n_in]
+            return sorted(keep)
+
+        graphs = []
+        for seed in range(30):
+            var = sf.Variable(np.zeros((2, 2))) if seed % 2 else None
+            graphs.append(random_graph(seed, max_nodes=20, with_dead=4,
+                                       stateful_var=var)[0])
+        # a value that only a stateful node reads
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, (2,))
+        s = b.add_placeholder("state", sf.float32, (2,), is_variable_ref=True)
+        (e,) = b.add_node("exp", [x], {}, None, [(sf.float32, (2,))])
+        b.add_node("neg", [e], {}, None, [(sf.float32, (2,))])
+        (y,) = b.add_node("mul", [x, x], {}, None, [(sf.float32, (2,))])
+        b.add_node("assign_add_variable", [s, e], {}, None, [])
+        graphs.append(b.finalize("side_effect", [y], ["y"]))
+        for gf in graphs:
+            want = _rebuild(gf, reference_keep(gf), {})
+            assert prune(gf).structurally_equal(want), gf.name
+        assert prune(graphs[-1]).op_counts() == {
+            "exp": 1, "mul": 1, "assign_add_variable": 1,
+        }
 
     def test_idempotent(self):
         gf = prune(_simple_graph(extra_dead=True))
@@ -333,6 +376,26 @@ class TestSerialization:
             deserialize(b"XXXX" + blob[4:])
         with pytest.raises(CorruptGraph):
             deserialize(blob[: len(blob) // 2])
+
+    @pytest.mark.parametrize("op, extra", [
+        ("read_variable", 0), ("assign_variable", 1), ("assign_add_variable", 1),
+    ])
+    def test_variable_op_on_plain_placeholder_rejected(self, op, extra, monkeypatch):
+        def build():
+            b = GraphBuilder()
+            x = b.add_placeholder("x", sf.float32, (2,))
+            outs = [(sf.float32, (2,))] if op == "read_variable" else []
+            b.add_node(op, [x] * (1 + extra), {}, None, outs)
+            return b.finalize("bad", [x], ["x"])
+
+        with pytest.raises(CorruptGraph):
+            build()
+        # A blob that skipped the check when written fails when decoded.
+        monkeypatch.setattr(GraphFunction, "_validate", lambda self: None)
+        blob = serialize(build())
+        monkeypatch.undo()
+        with pytest.raises(CorruptGraph):
+            deserialize(blob)
 
     def test_optimizer_outputs_round_trip(self):
         for seed in range(10):

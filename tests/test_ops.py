@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,31 @@ class TestScalarCoercion:
         np.testing.assert_array_equal(v.numpy(), [1, 2])
         v.assign([3.0, 4.0])
         np.testing.assert_array_equal(v.numpy(), [3, 4])
+
+
+class TestReduceMean:
+    @pytest.mark.parametrize("shape, axes, out", [
+        ((0, 3), (0,), [np.nan] * 3),
+        ((3, 0), (1,), [np.nan] * 3),
+        ((0, 3), (1,), []),
+        ((0, 3), None, np.nan),
+    ])
+    def test_empty_axis_is_nan_without_warnings(self, shape, axes, out):
+        x = sf.constant(np.zeros(shape, np.float32))
+        staged = sf.stage(lambda t: sf.reduce_mean(t, axes=axes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [sf.reduce_mean(x, axes=axes), staged(x)]
+        for r in results:
+            assert r.dtype is sf.float32
+            np.testing.assert_array_equal(r.numpy(), np.float32(out))
+
+    def test_non_empty_matches_numpy_bit_exactly(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 7, 3)).astype(np.float32)
+        x = sf.constant(a)
+        for axes in (None, (0,), (1,), (2,), (0, 2)):
+            for keepdims in (False, True):
+                got = sf.reduce_mean(x, axes=axes, keepdims=keepdims).numpy()
+                want = np.mean(a, axis=axes, keepdims=keepdims)
+                assert got.tobytes() == np.asarray(want, np.float32).tobytes()

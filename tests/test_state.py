@@ -40,6 +40,26 @@ class TestVariableBasics:
         snap = v.read_value()
         v.assign_add([1.0, 1.0])
         np.testing.assert_array_equal(snap.numpy(), [1.0, 1.0])
+        snap = v.read_value()
+        v.assign([5.0, 6.0])
+        np.testing.assert_array_equal(snap.numpy(), [2.0, 2.0])
+        np.testing.assert_array_equal(v.read_value().numpy(), [5.0, 6.0])
+
+    def test_snapshots_share_storage_and_are_read_only(self):
+        v = sf.Variable(np.ones((4, 4), np.float32))
+        a, b = v.read_value().raw(), v.read_value().raw()
+        assert np.shares_memory(a, b)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+
+    def test_numpy_is_a_writable_copy(self):
+        v = sf.Variable([1.0, 2.0])
+        host = v.numpy()
+        assert host.flags.writeable
+        host[0] = 9.0
+        assert v.numpy().tolist() == [1.0, 2.0]
+        assert not np.shares_memory(host, v.read_value().raw())
 
     def test_shape_mismatch(self):
         v = sf.Variable([1.0, 2.0])

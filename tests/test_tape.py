@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stageflow as sf
+from stageflow.backprop import backward_for, get_forward_backward
 from stageflow.errors import (
     ConsumedTape,
     InactiveTape,
@@ -464,3 +465,95 @@ class TestBackwardTowardSources:
             t.watch(x)
             total = sf.reduce_sum(sf.add(y1, sf.mul(x, 2.0)))
         assert t.gradient(total, x).numpy().tolist() == [2.0, 2.0]
+
+
+class TestStagedBackwardMask:
+    """A staged call's backward computes only the gradients of the inputs
+    that reach a source of the gradient call, from one derivation."""
+
+    def test_source_watched_after_first_use(self):
+        # The mask comes from the gradient call, not the forward call: x is
+        # watched only after the first staged call has taken it.
+        x = sf.constant(np.array([1.5, -2.0], np.float32))
+        k = sf.constant(np.array([3.0, 0.5], np.float32))
+        mul = sf.stage(lambda a, b: sf.mul(a, b))
+        with sf.Tape() as t:
+            t.watch(k)
+            y1 = mul(x, k)
+            t.watch(x)
+            total = sf.reduce_sum(sf.add(y1, mul(x, x)))
+        gx, gk = t.gradient(total, [x, k])
+        assert gx.numpy().tolist() == [6.0, -3.5]
+        assert gk.numpy().tolist() == [1.5, -2.0]
+
+    def test_mask_changes_between_calls(self):
+        a = sf.constant(np.array([0.3, -1.2, 2.0], np.float32))
+        b = sf.constant(np.array([1.5, 0.25, -0.75], np.float32))
+
+        def fn(u, v):
+            return sf.reduce_sum(sf.mul(sf.mul(u, v), sf.exp(u)))
+
+        staged = sf.stage(fn)
+
+        def grads(f, sources):
+            with sf.Tape() as t:
+                t.watch(a)
+                t.watch(b)
+                r = f(a, b)
+            return [r.numpy()] + [g.numpy() for g in t.gradient(r, sources)]
+
+        stats = sf.get_runtime().stats
+        stats.reset()
+        for sources in ([a], [b], [a, b]):
+            for e, s in zip(grads(fn, sources), grads(staged, sources)):
+                assert e.tobytes() == s.tobytes()
+        # one derivation serves every mask
+        assert stats.snapshot()["derived_traces"] == 1
+        graph = staged.cached_functions()[0].graph
+        assert sorted(graph._bwd_by_mask) == [(False, True), (True, False)]
+        assert backward_for(graph, (True, False)) is graph._bwd_by_mask[(True, False)]
+        assert backward_for(graph, (True, True)) is get_forward_backward(graph)[1]
+
+    def test_mlp_backward_skips_input_gradients(self):
+        rng = np.random.default_rng(1)
+        params, loss_fn = _mlp_loss_fn(rng)
+        staged = sf.stage(loss_fn)
+        x = sf.constant(rng.standard_normal((8, 16)).astype(np.float32))
+        y = sf.constant(rng.standard_normal((8, 1)).astype(np.float32))
+        with sf.Tape() as t:
+            loss = staged(x, y)
+        t.gradient(loss, params)
+        graph = staged.cached_functions()[0].graph
+        # x and y, then the captured w1, b1, w2, b2
+        wanted = tuple(ph.is_variable_ref for ph in graph.inputs if ph.dtype.is_float)
+        assert wanted == (False, False, True, True, True, True)
+        assert list(graph._bwd_by_mask) == [wanted]
+        full = get_forward_backward(graph)[1].graph.op_counts()
+        masked = backward_for(graph, wanted).graph.op_counts()
+        assert (full["matmul"], full["transpose"], full["neg"]) == (4, 4, 1)
+        assert (masked["matmul"], masked["transpose"]) == (3, 3)
+        assert "neg" not in masked
+
+    def test_pruned_backward_still_runs_host_call(self):
+        calls = []
+
+        def cube(v):
+            calls.append(v)
+            return sf.mul(sf.mul(v, v), v)
+
+        cb = sf.register_callback(cube, [(sf.float32, (2,))])
+        f = sf.stage(lambda u, v: sf.add(sf.reduce_sum(sf.mul(u, u)),
+                                         sf.reduce_sum(sf.host_call(cb, [v])[0])))
+        a = sf.constant(np.array([0.5, -1.5], np.float32))
+        b = sf.constant(np.array([2.0, 3.0], np.float32))
+        with sf.Tape() as t:
+            t.watch(a)
+            t.watch(b)
+            r = f(a, b)
+        del calls[:]
+        assert t.gradient(r, a).numpy().tolist() == [1.0, -3.0]
+        # b's gradient is not wanted, but the host call is stateful: it runs
+        bwd = backward_for(f.cached_functions()[0].graph, (True, False)).graph
+        assert [name for name, _ in bwd.outputs] == ["grad_u"]
+        assert "host_call" in bwd.op_counts()
+        assert len(calls) == 1
