@@ -71,6 +71,10 @@ class ConsumedTape(StageflowError):
     pass
 
 
+class NotDifferentiable(StageflowError):
+    """A gradient that the runtime cannot compute correctly was asked for."""
+
+
 # --- staging ---
 
 class SignatureMismatch(StageflowError):

@@ -1,12 +1,22 @@
 """Dataflow execution of graph functions.
 
 A graph compiles once (lazily, cached on the GraphFunction) into a flat
-plan: one instruction per non-constant node, value slots instead of refs,
+plan: one step per non-constant node, value slots instead of refs,
 constants preloaded. Execution walks the plan in order on the calling
-thread; there is no host recursion in a single graph, however deep the
-dependency chains, and no thread pool. Nested graph executions (function
-calls, branches and loop bodies inside a graph) run the same way, inline
-in the kernel that calls them.
+thread, with no host recursion and no thread pool; nested graphs (calls,
+branches, loop bodies) run the same way, inline in their node's kernel.
+
+Slots hold raw arrays. Every node passed its op's ``infer`` rule when it was
+recorded or decoded, so a node with a ``compute`` (``kernels.COMPUTE``) runs
+it on the arrays directly. Tensors are made only at the graph's edges: the
+inputs are unwrapped once, after binding; each output is wrapped once,
+read-only and C-contiguous, on its node's device (an output that is an
+input or a constant comes back as that object); and a node without a
+compute (a variable op, ``dropout``, ``call_function``, ``cond``,
+``while_loop``, ``host_call`` or a custom op) gets Tensors, each slot
+wrapped at most once per call, and a ``KernelEnv`` made once per call and
+pinned device. With several devices, each node counts the transparent
+copies eager placement would make for it.
 
 Ordering: data edges, plus one program-order chain through all stateful
 nodes. The chain is what the per-variable ordering contract requires (it is
@@ -18,8 +28,7 @@ without a wire field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .dtypes import matches_spec
 from .errors import (
@@ -33,65 +42,64 @@ from .errors import (
     StageflowError,
 )
 from .graph import GraphFunction, Node
-from .kernels import KernelEnv
+from .kernels import COMPUTE, KernelEnv, _wrap
 from .runtime import current_context, get_runtime
+from .state import Variable
 from .tensor import Tensor, move_to
 
 _PASSTHROUGH = (CallbackError, SignatureViolation, DeadVariable, MissingFunction,
                 InputMismatch, NotSerializable)
 
 
-@dataclass
-class _Instr:
-    node_idx: int
-    op: str
-    kernel: object
-    attrs: dict
-    in_slots: Tuple[int, ...]
-    out_slots: Tuple[int, ...]
-    device: Optional[object]
-
-
 class _Plan:
-    __slots__ = ("n_inputs", "n_slots", "const_prefill", "instrs", "output_slots")
+    """A graph compiled to steps over slots.
+
+    A step is ``(kind, fn, attrs, a, b, out, info)``. A compute node has
+    its arity (0, 1 or 2) as ``kind``, its compute as ``fn``, its input
+    slots as ``a``/``b`` and its output slot as ``out``; a Tensor node has
+    kind -1 and its kernel as ``fn``. ``info`` is ``(node index, op, pinned
+    device, input slots, output slots)``.
+    """
+
+    __slots__ = ("n_inputs", "prefill", "constants", "slot_device", "steps",
+                 "output_slots")
 
     def __init__(self, gf: GraphFunction):
         from .ops import get_op_def
 
-        n_in = len(gf.inputs)
-        self.n_inputs = n_in
-        slot_of: Dict[Tuple[int, int], int] = {}
-        next_slot = n_in
-        for j, node in enumerate(gf.nodes):
-            for k in range(len(node.out_specs)):
-                slot_of[(n_in + j, k)] = next_slot
-                next_slot += 1
-        self.n_slots = next_slot
+        n_in = self.n_inputs = len(gf.inputs)
+        first: List[int] = []  # each node's first output slot
+        # Per slot: a constant's array and tensor, and the device of a
+        # pinned node's outputs (None: the call's device).
+        self.prefill: List = [None] * n_in
+        self.constants: List = [None] * n_in
+        self.slot_device: List = [None] * n_in
 
-        def slot(ref) -> int:
+        def slot(ref) -> int:  # a graph only refers to earlier values
             vid, out_idx = ref
-            if vid < n_in:
-                return vid
-            return slot_of[(vid, out_idx)]
+            return vid if vid < n_in else first[vid - n_in] + out_idx
 
-        self.const_prefill: List[Tuple[int, Tensor]] = []
-        self.instrs: List[_Instr] = []
+        self.steps: List[tuple] = []
         for j, node in enumerate(gf.nodes):
-            out_slots = tuple(slot_of[(n_in + j, k)] for k in range(len(node.out_specs)))
+            out = len(self.prefill)
+            first.append(out)
+            n_out = len(node.out_specs)
+            self.prefill += [None] * n_out
+            self.constants += [None] * n_out
+            self.slot_device += [node.device] * n_out
             if node.op == "constant":
-                self.const_prefill.append((out_slots[0], node.attrs["value"]))
+                self.constants[out] = node.attrs["value"]
+                self.prefill[out] = node.attrs["value"].raw()
                 continue
-            self.instrs.append(
-                _Instr(
-                    node_idx=j,
-                    op=node.op,
-                    kernel=get_op_def(node.op).kernel,
-                    attrs=node.attrs,
-                    in_slots=tuple(slot(r) for r in node.inputs),
-                    out_slots=out_slots,
-                    device=node.device,
-                )
-            )
+            in_slots = tuple(slot(r) for r in node.inputs)
+            info = (j, node.op, node.device, in_slots, tuple(range(out, out + n_out)))
+            compute = COMPUTE.get(node.op)
+            if compute is None:
+                kernel = get_op_def(node.op).kernel
+                self.steps.append((-1, kernel, node.attrs, None, None, None, info))
+            else:
+                a, b = (in_slots + (None, None))[:2]
+                self.steps.append((len(in_slots), compute, node.attrs, a, b, out, info))
         self.output_slots = [(name, slot(ref)) for name, ref in gf.outputs]
 
 
@@ -103,21 +111,23 @@ def _plan_for(gf: GraphFunction) -> _Plan:
     return plan
 
 
-def _bind_inputs(gf: GraphFunction, values: Sequence) -> None:
-    from .state import Variable
-
+def _bind_inputs(gf: GraphFunction, values: Sequence) -> list:
+    """Check ``values`` against the placeholders and return their slot
+    values: a tensor's array, a variable itself."""
     if len(values) != len(gf.inputs):
         raise InputMismatch(
             f"{gf.name} takes {len(gf.inputs)} inputs "
             f"(including captures), got {len(values)}"
         )
+    raw = []
     for ph, v in zip(gf.inputs, values):
-        if ph.is_variable_ref or isinstance(v, Variable):
+        if ph.is_variable_ref:
             if not isinstance(v, Variable):
                 raise InputMismatch(
                     f"{gf.name}: input {ph.name!r} expects a variable"
                 )
             what = "variable bound to"
+            raw.append(v)
         else:
             if not isinstance(v, Tensor):
                 raise InputMismatch(
@@ -129,12 +139,14 @@ def _bind_inputs(gf: GraphFunction, values: Sequence) -> None:
                     f"{gf.name}: symbolic tensor passed for {ph.name!r}"
                 )
             what = "input"
+            raw.append(v._array)
         if not matches_spec(v.dtype, v.shape, ph.dtype, ph.shape):
             raise InputMismatch(
                 f"{gf.name}: {what} {ph.name!r} is "
                 f"{v.dtype.value}{list(v.shape)}, expected "
                 f"{ph.dtype.value}{list(ph.shape)}"
             )
+    return raw
 
 
 def execute_graph(
@@ -149,39 +161,52 @@ def execute_graph(
     """
     rt = get_runtime()
     plan = _plan_for(gf)
-    _bind_inputs(gf, inputs)
-    buffers: List = [None] * plan.n_slots
-    buffers[: plan.n_inputs] = inputs
-    for s, t in plan.const_prefill:
-        buffers[s] = t
-
+    buffers = list(plan.prefill)
+    buffers[: plan.n_inputs] = _bind_inputs(gf, inputs)
     if env is not None:
-        exec_device = env.device
+        device = env.device
         libraries = (gf.library,) + env.libraries
     else:
-        exec_device = current_context().scope_device() or rt.devices[0].name
+        device = current_context().scope_device() or rt.devices[0].name
         libraries = (gf.library,)
-    shared_env = KernelEnv(device=exec_device, libraries=libraries)
+    # Each slot's Tensor (or variable), made at most once per call.
+    tensors = list(plan.constants)
+    tensors[: plan.n_inputs] = inputs
+    envs: Dict = {}  # pinned device (None: the call's) -> KernelEnv
     multi_device = len(rt.devices) > 1
 
-    for instr in plan.instrs:
-        if instr.device is None:
-            node_env = shared_env
-        else:
-            node_env = KernelEnv(device=instr.device, libraries=libraries)
-        ins = [buffers[s] for s in instr.in_slots]
+    def tensor(s: int):
+        t = tensors[s]
+        if t is None:
+            t = tensors[s] = _wrap(buffers[s], plan.slot_device[s] or device)
+        return t
+
+    for kind, fn, attrs, a, b, out, info in plan.steps:
         if multi_device:
-            ins = move_to(node_env.device, ins, rt.stats)
+            # Count the copies eager placement would make to run the node on
+            # its device; a Tensor node gets the moved tensors.
+            moved = move_to(info[2] or device, [tensor(s) for s in info[3]], rt.stats)
         try:
-            outs = instr.kernel(instr.attrs, ins, node_env)
+            if kind == 2:
+                buffers[out] = fn(attrs, buffers[a], buffers[b])
+            elif kind == 1:
+                buffers[out] = fn(attrs, buffers[a])
+            elif kind == 0:
+                buffers[out] = fn(attrs)
+            else:
+                node_env = envs.get(info[2])
+                if node_env is None:
+                    node_env = envs[info[2]] = KernelEnv(info[2] or device, libraries)
+                ins = moved if multi_device else [tensor(s) for s in info[3]]
+                for s, t in zip(info[4], fn(attrs, ins, node_env)):
+                    buffers[s] = t.raw()
+                    tensors[s] = t
         except _PASSTHROUGH:
             raise
         except Exception as e:
-            raise KernelError(f"node {instr.node_idx} ({instr.op}): {e}") from e
-        for s, out in zip(instr.out_slots, outs):
-            buffers[s] = out
+            raise KernelError(f"node {info[0]} ({info[1]}): {e}") from e
 
-    return [buffers[s] for _, s in plan.output_slots]
+    return [tensor(s) for _, s in plan.output_slots]
 
 
 def execute(

@@ -17,7 +17,6 @@ bit-identical to unfolded ones.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -38,13 +37,6 @@ FUNCTION_ATTRS = {
 
 # Ops whose first input must be a variable-reference placeholder.
 VARIABLE_OPS = ("read_variable", "assign_variable", "assign_add_variable")
-
-_name_counter = itertools.count()
-
-
-def fresh_name(base: str) -> str:
-    return f"{base}__{next(_name_counter)}"
-
 
 @dataclass(frozen=True)
 class Placeholder:

@@ -1,22 +1,33 @@
 """Kernels and shape/dtype inference for the built-in op set.
 
-Every op has one ``infer`` rule and one kernel, and both execution modes use
-both. The ``infer`` rule is the op's only validator: given the input
-(dtype, shape) specs, possibly with wildcard (``None``) dims, and the attrs,
-it returns the output specs or raises ``KernelError`` (``ShapeMismatch`` for
-a variable assignment). Eager dispatch runs it before every kernel call;
-graph building runs it when it records a node, and decoding a graph runs it
-again for every node. A kernel therefore trusts its inputs and only
-computes.
+Every op has one ``infer`` rule, and both execution modes use it. The rule
+is the op's only validator: given the input (dtype, shape) specs, possibly
+with wildcard (``None``) dims, and the attrs, it returns the output specs or
+raises ``KernelError`` (``ShapeMismatch`` for a variable assignment). Eager
+dispatch runs it before every kernel call; graph building runs it when it
+records a node, and decoding a graph runs it again for every node. What
+runs after it trusts its inputs and only computes.
 
-A kernel takes ``(attrs, inputs, env)`` and returns a list of output
-tensors. ``env`` supplies the target device and the library chain for
-resolving function-valued attrs; pure math kernels ignore everything except
-the device. Eager dispatch and the graph executor call the same kernels,
-which is what makes eager and staged results bit-identical. Kernels are
-deterministic for fixed inputs (reductions use numpy's fixed accumulation
-order); the only nondeterminism comes from the runtime RNG stream consumed
-by the stateful random ops.
+The math of every pure op (and of ``random_normal``) is one
+``compute(attrs, *arrays) -> array`` in ``COMPUTE``. The graph executor
+calls it on raw arrays; eager dispatch calls it through the one adapter
+``_tensor_kernel``, which unwraps the input tensors and wraps the result.
+Both modes thus run the same math on the same arrays, and stay
+bit-identical as long as a compute returns
+
+* its op's output dtype (``reduce_sum`` of int32 accumulates in int32, not
+  numpy's int64, so a staged consumer sees eager's wrapped-around value);
+* a C-contiguous array, the layout eager's wrap gives (``transpose`` copies:
+  a reduction or BLAS call over a strided view may round differently). A
+  0-d result may be a numpy scalar; wrapping makes it a 0-d array.
+
+The other ops keep a Tensor-level kernel, ``(attrs, inputs, env)`` to a
+list of tensors, because they need more than arrays: the variable ops take
+a ``Variable``, ``dropout`` has two outputs, ``constant`` hands out its
+value, and ``call_function``, ``cond``, ``while_loop`` and ``host_call``
+re-enter the executor or the host with tensors and resolve function attrs
+through the ``KernelEnv``. Kernels are deterministic for fixed inputs; the
+only nondeterminism is the runtime RNG stream, drawn in node order.
 
 What a kernel still checks is what ``infer`` could not see:
 
@@ -40,7 +51,7 @@ import numpy as np
 
 from . import dtypes
 from .devices import DeviceName
-from .dtypes import DType, SymShape
+from .dtypes import _FROM_NP, DType, SymShape
 from .errors import (
     BroadcastIncompatible,
     KernelError,
@@ -70,15 +81,19 @@ class KernelEnv:
         raise MissingFunction(f"no graph function named {name_or_fn!r} in scope")
 
 
-def _wrap(arr: np.ndarray, dtype: DType, env: KernelEnv) -> Tensor:
-    # asarray(order="C") rather than ascontiguousarray: the latter turns
-    # 0-d arrays into 1-d ones. Copies exactly when the kernel produced a
-    # non-contiguous or wrong-dtype view; contiguous views of existing
-    # tensor buffers are safe to share (the base is immutable).
-    out = np.asarray(arr, dtype=dtype.np_dtype, order="C")
+def _wrap(arr, device: DeviceName) -> Tensor:
+    """A compute's result as a read-only tensor on ``device``.
+
+    ``asarray(order="C")`` turns a numpy scalar (what a ufunc returns for
+    0-d inputs) into a 0-d array and copies nothing else: the ``compute``
+    contract already gives the output dtype and a C-contiguous layout.
+    Contiguous views of existing tensor buffers are safe to share (the base
+    is immutable).
+    """
+    out = np.asarray(arr, order="C")
     if out.flags.writeable:
         out.flags.writeable = False
-    return Tensor(dtype, out.shape, env.device, array=out)
+    return Tensor(_FROM_NP[out.dtype], out.shape, device, array=out)
 
 
 def _check_dtypes(op: str, floats_only: bool, dt: DType,
@@ -106,7 +121,7 @@ def _broadcast(op: str, a: SymShape, b: SymShape) -> SymShape:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise and linear-algebra kernels
+# Elementwise and linear algebra
 # ---------------------------------------------------------------------------
 
 
@@ -119,28 +134,12 @@ def _binary_infer(op, floats_only=False):
     return infer
 
 
-def _binary_kernel(np_fn):
-    def kernel(attrs, inputs, env):
-        a, b = inputs
-        return [_wrap(np_fn(a.raw(), b.raw()), a.dtype, env)]
-
-    return kernel
-
-
 def _unary_infer(op, floats_only=False):
     def infer(attrs, in_specs, env=None):
         _check_dtypes(op, floats_only, in_specs[0][0])
         return [in_specs[0]]
 
     return infer
-
-
-def _unary_kernel(np_fn):
-    def kernel(attrs, inputs, env):
-        (x,) = inputs
-        return [_wrap(np_fn(x.raw()), x.dtype, env)]
-
-    return kernel
 
 
 def _div_np(a, b):
@@ -194,30 +193,15 @@ def _rank2(op, shape: SymShape):
     return shape
 
 
-def _matmul_kernel(attrs, inputs, env):
-    a, b = inputs
-    return [_wrap(np.matmul(a.raw(), b.raw()), a.dtype, env)]
-
-
 def _transpose_infer(attrs, in_specs, env=None):
     dt, shape = in_specs[0]
     _rank2("transpose", shape)
     return [(dt, (shape[1], shape[0]))]
 
 
-def _transpose_kernel(attrs, inputs, env):
-    (x,) = inputs
-    return [_wrap(x.raw().T, x.dtype, env)]
-
-
 def _greater_infer(attrs, in_specs, env=None):
     _check_dtypes("greater", False, in_specs[0][0], in_specs[1][0])
     return [(DType.boolean, _broadcast("greater", in_specs[0][1], in_specs[1][1]))]
-
-
-def _greater_kernel(attrs, inputs, env):
-    a, b = inputs
-    return [_wrap(np.greater(a.raw(), b.raw()), DType.boolean, env)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +226,6 @@ def _reshape_infer(attrs, in_specs, env=None):
     return [(dt, target)]
 
 
-def _reshape_kernel(attrs, inputs, env):
-    (x,) = inputs
-    return [_wrap(x.raw().reshape(attrs["shape"]), x.dtype, env)]
-
-
 def _broadcast_to_infer(attrs, in_specs, env=None):
     dt, shape = in_specs[0]
     target = _known_target("broadcast_to", attrs["shape"])
@@ -259,11 +238,6 @@ def _broadcast_to_infer(attrs, in_specs, env=None):
     return [(dt, target)]
 
 
-def _broadcast_to_kernel(attrs, inputs, env):
-    (x,) = inputs
-    return [_wrap(np.broadcast_to(x.raw(), attrs["shape"]).copy(), x.dtype, env)]
-
-
 def _eye_infer(attrs, in_specs, env=None):
     n = attrs["size"]
     dt = attrs["dtype"]
@@ -272,11 +246,6 @@ def _eye_infer(attrs, in_specs, env=None):
     if n < 0:
         raise KernelError(f"eye size must be non-negative, got {n}")
     return [(dt, (n, n))]
-
-
-def _eye_kernel(attrs, inputs, env):
-    n, dt = attrs["size"], attrs["dtype"]
-    return [_wrap(np.eye(n, dtype=dt.np_dtype), dt, env)]
 
 
 def _constant_infer(attrs, in_specs, env=None):
@@ -293,12 +262,6 @@ def _constant_kernel(attrs, inputs, env):
 
 def _identity_infer(attrs, in_specs, env=None):
     return [in_specs[0]]
-
-
-def _identity_kernel(attrs, inputs, env):
-    # Fresh handle over the same buffer: tapes track values by object
-    # identity, so an op must never return its own input object.
-    return [to_device(inputs[0], env.device)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +294,8 @@ def _reduce_infer(op, floats_only):
     return infer
 
 
-def _reduce_kernel(np_fn):
-    def kernel(attrs, inputs, env):
-        (x,) = inputs
-        axes = attrs.get("axes")
-        keepdims = attrs.get("keepdims", False)
-        axis = tuple(axes) if axes is not None else None
-        out = np_fn(x.raw(), axis=axis, keepdims=keepdims)
-        return [_wrap(out, x.dtype, env)]
-
-    return kernel
-
-
 # ---------------------------------------------------------------------------
-# Stateful kernels: randomness and variables
+# Stateful ops: randomness and variables
 # ---------------------------------------------------------------------------
 
 
@@ -353,14 +304,6 @@ def _random_normal_infer(attrs, in_specs, env=None):
     if not dt.is_float:
         raise KernelError("random_normal produces float tensors")
     return [(dt, _known_target("random_normal", attrs["shape"]))]
-
-
-def _random_normal_kernel(attrs, inputs, env):
-    from .runtime import get_runtime
-
-    shape, dt = tuple(attrs["shape"]), attrs["dtype"]
-    arr = get_runtime().draw(lambda rng: rng.standard_normal(shape))
-    return [_wrap(arr, dt, env)]
 
 
 def _dropout_infer(attrs, in_specs, env=None):
@@ -380,7 +323,7 @@ def _dropout_kernel(attrs, inputs, env):
     keep = 1.0 - rate
     draws = get_runtime().draw(lambda rng: rng.random(x.shape))
     mask = (draws >= rate).astype(x.dtype.np_dtype) / x.dtype.np_dtype.type(keep)
-    return [_wrap(x.raw() * mask, x.dtype, env), _wrap(mask, x.dtype, env)]
+    return [_wrap(x.raw() * mask, env.device), _wrap(mask, env.device)]
 
 
 def _variable_of(inputs, op):
@@ -541,31 +484,101 @@ def _host_call_kernel(attrs, inputs, env):
 
 
 # ---------------------------------------------------------------------------
-# Tables
+# Computes and tables
 # ---------------------------------------------------------------------------
 
+
+def _binary(np_fn):
+    return lambda attrs, a, b: np_fn(a, b)
+
+
+def _unary(np_fn):
+    return lambda attrs, x: np_fn(x)
+
+
+def _reduce(np_fn):
+    def compute(attrs, x):
+        axes = attrs.get("axes")
+        return np_fn(x, axis=None if axes is None else tuple(axes),
+                     keepdims=attrs.get("keepdims", False))
+
+    return compute
+
+
+def _sum_np(x, axis, keepdims):
+    # Accumulate in the input dtype: numpy sums int32 as int64, and a
+    # staged consumer would then see the unwrapped value. ``np.sum`` is this
+    # reduction behind a few microseconds of Python.
+    return np.add.reduce(x, axis=axis, keepdims=keepdims, dtype=x.dtype)
+
+
+def _broadcast_to(attrs, x):
+    # A C-contiguous copy of the broadcast, without the Python overhead of
+    # ``np.broadcast_to(...).copy()``. ``infer`` checked the ranks.
+    out = np.empty(attrs["shape"], dtype=x.dtype)
+    out[...] = x
+    return out
+
+
+def _random_normal(attrs):
+    from .runtime import get_runtime
+
+    shape = tuple(attrs["shape"])
+    arr = get_runtime().draw(lambda rng: rng.standard_normal(shape))
+    return arr.astype(attrs["dtype"].np_dtype, copy=False)
+
+
+# The math of every pure op (and of random_normal, whose draws node order
+# already sequences): ``compute(attrs, *arrays)`` returns one array.
+COMPUTE: Dict[str, Callable] = {
+    # The adapter and the executor's edges wrap a fresh Tensor: tapes track
+    # values by identity, so an op never returns its input object.
+    "identity": lambda attrs, x: x,
+    "add": _binary(np.add),
+    "sub": _binary(np.subtract),
+    "mul": _binary(np.multiply),
+    "div": _binary(_div_np),
+    "neg": _unary(np.negative),
+    "exp": _unary(_exp_np),
+    "log": _unary(_log_np),
+    "softplus": _unary(_softplus_np),
+    "relu": _unary(_relu_np),
+    "step_positive": _unary(_step_positive_np),
+    "matmul": _binary(np.matmul),
+    # A C-contiguous copy, as eager wraps it: a matmul or reduction of the
+    # result must see the same layout in both modes.
+    "transpose": lambda attrs, x: x.T.copy(),
+    "greater": _binary(np.greater),
+    "reshape": lambda attrs, x: x.reshape(attrs["shape"]),
+    "broadcast_to": _broadcast_to,
+    "reduce_sum": _reduce(_sum_np),
+    "reduce_mean": _reduce(_mean_np),
+    "eye": lambda attrs: np.eye(attrs["size"], dtype=attrs["dtype"].np_dtype),
+    "random_normal": _random_normal,
+}
+
+
+def _tensor_kernel(compute):
+    """The Tensor-level kernel of an op with a ``compute``: unwrap the
+    inputs, compute, wrap the result on the target device."""
+
+    def kernel(attrs, inputs, env):
+        # Unrolled for the common arities: eager dispatch runs this per op.
+        n = len(inputs)
+        if n == 2:
+            out = compute(attrs, inputs[0].raw(), inputs[1].raw())
+        elif n == 1:
+            out = compute(attrs, inputs[0].raw())
+        else:
+            out = compute(attrs, *[x.raw() for x in inputs])
+        return [_wrap(out, env.device)]
+
+    return kernel
+
+
 KERNELS: Dict[str, Callable] = {
+    **{op: _tensor_kernel(compute) for op, compute in COMPUTE.items()},
     "constant": _constant_kernel,
-    "identity": _identity_kernel,
-    "add": _binary_kernel(np.add),
-    "sub": _binary_kernel(np.subtract),
-    "mul": _binary_kernel(np.multiply),
-    "div": _binary_kernel(_div_np),
-    "neg": _unary_kernel(np.negative),
-    "exp": _unary_kernel(_exp_np),
-    "log": _unary_kernel(_log_np),
-    "softplus": _unary_kernel(_softplus_np),
-    "relu": _unary_kernel(_relu_np),
-    "step_positive": _unary_kernel(_step_positive_np),
-    "matmul": _matmul_kernel,
-    "transpose": _transpose_kernel,
-    "greater": _greater_kernel,
-    "reshape": _reshape_kernel,
-    "broadcast_to": _broadcast_to_kernel,
-    "reduce_sum": _reduce_kernel(np.sum),
-    "reduce_mean": _reduce_kernel(_mean_np),
-    "eye": _eye_kernel,
-    "random_normal": _random_normal_kernel,
     "dropout": _dropout_kernel,
     "read_variable": _read_variable_kernel,
     "assign_variable": _assign_kernel,

@@ -9,7 +9,10 @@ current execution context:
   same rule graph building runs, so both modes reject the same inputs with
   the same error), inputs are transparently moved to the resolved device,
   the kernel runs immediately, and the call is recorded on any active tape
-  watching one of its inputs;
+  watching one of its inputs. For an op with a ``compute`` the kernel is
+  the one adapter that unwraps the input arrays, runs the compute and wraps
+  the result, so eager runs the same math on the same arrays as a staged
+  graph does;
 * graph building: a node is appended to the open trace and symbolic outputs
   come back. No kernel runs (constants embed their value directly).
 

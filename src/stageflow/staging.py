@@ -32,6 +32,7 @@ from .errors import (
     DeadVariable,
     KernelError,
     MissingConcreteFunction,
+    NotDifferentiable,
     SignatureMismatch,
     StageflowError,
     StagingError,
@@ -404,7 +405,24 @@ def _call_with_tape(cf, inputs_all, watching) -> List[Tensor]:
         kept = [p for p, w in zip(float_pos, wanted) if w]
         return [(input_ids[p], g) for p, g in zip(kept, grads)]
 
+    def extras_backward(out_grads, needs):
+        raise NotDifferentiable(
+            f"{cf.name}: a gradient flows into an intermediate that the staged "
+            "call saved for its backward; higher-order gradients through a "
+            "staged call whose backward reads saved intermediates are not "
+            "supported"
+        )
+
+    # The staged backward reads the extras, so a tape that records that
+    # backward sees them as inputs. Recording them as outputs of the call's
+    # inputs makes a gradient flowing into one raise, where it would
+    # otherwise stop there as if they were constants. An extra that is an
+    # output or an input is that same object, and its gradient is exact.
+    known = set(input_ids).union(map(id, outs))
+    hidden = [e for e in extras if id(e) not in known]
     for t in watching:
+        if hidden:
+            t._record_custom("call_function_extras", inputs_all, hidden, (), extras_backward)
         t._record_custom("call_function", inputs_all, outs, saved_vals, backward)
     return outs
 

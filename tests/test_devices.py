@@ -159,3 +159,42 @@ class TestGraphPlacement:
         assert float(out[0]) == 12.0
         # x copied to ACCEL for the pinned mul, its result copied back for add
         assert after - before == 2
+
+    def test_pinned_node_in_staged_call_counts_eager_copies(self, accel_runtime):
+        def f(x):
+            with sf.device_scope(CPU0):
+                pinned = sf.mul(x, x)
+            return sf.add(pinned, 1.0)
+
+        pf = sf.stage(f)
+        x = sf.constant(3.0)
+        with sf.device_scope(ACCEL0):
+            pf(x)
+            before = accel_runtime.stats.snapshot()["transparent_copies"]
+            out = pf(x)
+            after = accel_runtime.stats.snapshot()["transparent_copies"]
+        assert float(out) == 10.0 and out.device.render() == ACCEL0
+        # x to ACCEL for the call, back to CPU for the pinned mul; the mul's
+        # result and the constant 1.0 (made on CPU) to ACCEL for the add.
+        assert after - before == 4
+
+    def test_tensor_nodes_in_graphs_count_eager_copies(self, accel_runtime):
+        v = sf.Variable([1.0, 2.0])
+
+        def g(x):
+            with sf.device_scope(ACCEL0):
+                r = v.read_value() * x
+            v.assign(r)
+            return r + x, x
+
+        pg = sf.stage(g)
+        x = sf.constant([2.0, 3.0])
+        pg(x)
+        before = accel_runtime.stats.snapshot()["transparent_copies"]
+        r, same = pg(x)
+        after = accel_runtime.stats.snapshot()["transparent_copies"]
+        np.testing.assert_array_equal(r.numpy(), [6.0, 21.0])
+        assert r.device.render() == CPU0 and same is x
+        # Variable read and x to ACCEL for the pinned mul; its result back
+        # to CPU, once for assign and once for the add.
+        assert after - before == 4

@@ -402,3 +402,112 @@ class TestSerialization:
             gf, inputs, _ = random_graph(seed, max_nodes=20, with_dead=2)
             opt = optimize(gf)
             assert opt.structurally_equal(deserialize(serialize(opt)))
+
+
+def _eager_replay(gf, inputs):
+    """The outputs of ``gf`` with every node run through eager dispatch."""
+    from stageflow.ops import dispatch
+
+    n_in = len(gf.inputs)
+    values = {(i, 0): x for i, x in enumerate(inputs)}
+    for j, node in enumerate(gf.nodes):
+        if node.op == "constant":
+            outs = [node.attrs["value"]]
+        else:
+            outs = dispatch(node.op, [values[r] for r in node.inputs], node.attrs)
+        for k, out in enumerate(outs):
+            values[(n_in + j, k)] = out
+    return [values[ref] for _, ref in gf.outputs]
+
+
+def _assert_edge_tensor(t, dtype):
+    arr = t.raw()
+    assert type(arr) is np.ndarray  # a 0-d result too, never a numpy scalar
+    assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert t.dtype is dtype and arr.dtype == dtype.np_dtype
+    assert t.shape == arr.shape
+
+
+class TestRawArrayPlans:
+    """Plans run each op's compute on raw arrays; Tensors only at the edges."""
+
+    def test_random_graphs_bit_equal_to_eager_replay(self):
+        for seed in range(40):
+            gf, inputs, _ = random_graph(seed, max_nodes=25)
+            got = sf.execute(gf, inputs)
+            want = _eager_replay(gf, inputs)
+            for (_, (vid, k)), g, w in zip(gf.outputs, got, want):
+                spec = gf.nodes[vid - len(gf.inputs)].out_specs[k]
+                _assert_edge_tensor(g, spec[0])
+                assert g.raw().tobytes() == w.raw().tobytes(), seed
+
+    def test_every_compute_matches_eager_at_the_edges(self):
+        def f(x, n, w):
+            t = sf.ops.dispatch("transpose", [x])[0]
+            total = sf.reduce_sum(x)  # 0-d
+            return [
+                sf.matmul(t, sf.exp(x)),  # a matmul of a transposed operand
+                # Summing a strided view rounds differently from summing the
+                # C-contiguous copy eager makes.
+                sf.reduce_sum(sf.ops.dispatch("transpose", [w])[0], axes=(1,)),
+                total,
+                sf.reduce_mean(sf.softplus(x), axes=(0,), keepdims=True),
+                sf.reshape(sf.relu(sf.neg(x)), (2, 3)),
+                sf.broadcast_to(sf.reduce_sum(x, axes=(1,)), (2, 3)),
+                sf.greater(total, sf.log(sf.exp(x))),
+                sf.div(sf.sub(x, 1.0), sf.add(x, 2.0)),
+                sf.reduce_sum(n),  # int32, 0-d
+                sf.ops.dispatch("step_positive", [x])[0],
+                sf.ops.dispatch("identity", [n])[0],
+            ]
+
+        x = sf.constant(np.linspace(-1.5, 2.0, 6, dtype=np.float32).reshape(3, 2))
+        n = sf.constant(np.array([[1, -2], [3, 4]], dtype=np.int32))
+        w = sf.constant(np.random.default_rng(0).standard_normal((300, 2)).astype(np.float32))
+        eager = f(x, n, w)
+        staged = sf.stage(f)(x, n, w)
+        for e, s in zip(eager, staged):
+            _assert_edge_tensor(s, e.dtype)
+            assert s.shape == e.shape
+            assert s.raw().tobytes() == e.raw().tobytes()
+
+    def test_int32_sum_wraps_around_as_eager(self):
+        def f(x):
+            return sf.greater(sf.reduce_sum(x),
+                              sf.reduce_sum(sf.reshape(x, (3, 1)), axes=(1,)))
+
+        x = sf.constant(np.array([2**30] * 3, dtype=np.int32))
+        eager = f(x).numpy().tolist()
+        assert sf.stage(f)(x).numpy().tolist() == eager == [False, False, False]
+
+    def test_input_output_is_the_same_object(self):
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, (2,))
+        (y,) = b.add_node("identity", [x], {}, None, [(sf.float32, (2,))])
+        gf = b.finalize("passthrough", [x, y, y], ["x", "y", "y_again"])
+        xv = sf.constant([1.0, 2.0])
+        out = sf.execute(gf, [xv])
+        assert out[0] is xv
+        assert out[1] is not xv and out[1] is out[2]
+        assert out[1].raw().tobytes() == xv.raw().tobytes()
+
+    def test_variable_for_a_tensor_placeholder_is_rejected(self):
+        # numpy would run a compute on a Variable object, through its Python
+        # operators; only variable-reference placeholders take variables.
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, (2,))
+        (y,) = b.add_node("neg", [x], {}, None, [(sf.float32, (2,))])
+        gf = b.finalize("negate", [y], ["y"])
+        with pytest.raises(InputMismatch, match="expects a tensor, got Variable"):
+            sf.execute(gf, [sf.Variable([1.0, 2.0])])
+
+    def test_folding_runs_the_computes(self):
+        b = GraphBuilder()
+        big = sf.constant(np.array([2**30] * 3, dtype=np.int32))
+        (c,) = b.add_node("constant", [], {"value": big}, None, [(sf.int32, (3,))])
+        (s,) = b.add_node("reduce_sum", [c], {}, None, [(sf.int32, ())])
+        gf = b.finalize("folded", [s], ["s"])
+        (node,) = optimize(gf).nodes
+        value = node.attrs["value"]
+        _assert_edge_tensor(value, sf.int32)
+        assert value.raw().tobytes() == sf.reduce_sum(big).raw().tobytes()

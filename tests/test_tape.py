@@ -7,6 +7,7 @@ from stageflow.errors import (
     ConsumedTape,
     InactiveTape,
     NonNestedEnd,
+    NotDifferentiable,
     NonScalarTarget,
     UnwatchedSource,
 )
@@ -557,3 +558,101 @@ class TestStagedBackwardMask:
         assert [name for name, _ in bwd.outputs] == ["grad_u"]
         assert "host_call" in bwd.op_counts()
         assert len(calls) == 1
+
+
+def _nested_second_order(f, x, other=(), outer=sf.reduce_sum):
+    """d/dx of outer(g), where g = d f(x, *other) / dx, by nested tapes."""
+    with sf.Tape() as t1:
+        t1.watch(x)
+        with sf.Tape() as t2:
+            t2.watch(x)
+            y = f(x, *other)
+        g = t2.gradient(y, x)
+        s = outer(g)
+    return t1.gradient(s, x)
+
+
+class TestStagedSecondOrder:
+    """A second-order gradient through a staged call whose backward reads
+    saved intermediates raises instead of treating them as constants."""
+
+    def test_cube_raises(self):
+        cube = lambda v: sf.reduce_sum(v * v * v)  # noqa: E731
+        x = sf.constant([1.0, 2.0])
+        assert _nested_second_order(cube, x).numpy().tolist() == [6.0, 12.0]
+        with pytest.raises(NotDifferentiable):
+            _nested_second_order(sf.stage(cube), x)
+
+    def test_saved_exp_raises(self):
+        fn = lambda u, v: sf.reduce_sum(u * v * sf.exp(u))  # noqa: E731
+        a = sf.constant(np.array([0.3, -1.2, 2.0], np.float32))
+        b = sf.constant(np.array([1.5, 0.25, -0.75], np.float32))
+        sum_sq = lambda g: sf.reduce_sum(g * g)  # noqa: E731
+        eager = _nested_second_order(fn, a, (b,), sum_sq).numpy()
+        np.testing.assert_allclose(eager, [24.5, -0.0018, 737.1], rtol=1e-2)
+        with pytest.raises(NotDifferentiable):
+            _nested_second_order(sf.stage(fn), a, (b,), sum_sq)
+
+    def test_square_saves_only_its_input_and_stays_right(self):
+        square = lambda v: sf.reduce_sum(v * v)  # noqa: E731
+        x = sf.constant([1.0, 2.0])
+        staged = _nested_second_order(sf.stage(square), x)
+        assert staged.numpy().tolist() == [2.0, 2.0]
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_first_order_unchanged(self, persistent):
+        cube = lambda v: sf.reduce_sum(v * v * v)  # noqa: E731
+        f = sf.stage(cube)
+        x = sf.constant([1.0, 2.0])
+        with sf.Tape(persistent=persistent) as t:
+            t.watch(x)
+            y = f(x)
+            inside = t.gradient(y, x)  # the tape records its own backward
+        with sf.Tape() as t:
+            t.watch(x)
+            y = f(x)
+        after = t.gradient(y, x)
+        with sf.Tape() as t:
+            t.watch(x)
+            y = cube(x)
+        eager = t.gradient(y, x)
+        assert inside.numpy().tobytes() == after.numpy().tobytes() == eager.numpy().tobytes()
+        assert after.numpy().tolist() == [3.0, 12.0]
+
+    def test_first_order_under_another_tape_for_logging(self):
+        # An outer tape watches x while an inner tape takes a gradient that
+        # is only logged; the outer loss does not depend on it.
+        cube = lambda v: sf.reduce_sum(v * v * v)  # noqa: E731
+        x = sf.constant([1.0, 2.0])
+
+        def run(f):
+            with sf.Tape() as t1:
+                t1.watch(x)
+                with sf.Tape() as t2:
+                    t2.watch(x)
+                    y = f(x)
+                g = t2.gradient(y, x)
+                norm = sf.reduce_sum(g * g)
+                loss = y * 2.0
+            return g, norm, t1.gradient(loss, x)
+
+        eager = run(cube)
+        staged = run(sf.stage(cube))
+        for e, s in zip(eager, staged):
+            assert e.numpy().tobytes() == s.numpy().tobytes()
+        assert staged[2].numpy().tolist() == [6.0, 24.0]
+
+    def test_second_order_on_one_persistent_tape_raises(self):
+        cube = lambda v: sf.reduce_sum(v * v * v)  # noqa: E731
+        x = sf.constant([1.0, 2.0])
+
+        def run(f):
+            with sf.Tape(persistent=True) as t:
+                t.watch(x)
+                g = t.gradient(f(x), x)
+                s = sf.reduce_sum(g)
+            return t.gradient(s, x)
+
+        assert run(cube).numpy().tolist() == [6.0, 12.0]
+        with pytest.raises(NotDifferentiable):
+            run(sf.stage(cube))

@@ -211,6 +211,14 @@ def test_wildcard_misfit_raises_kernel_error(fn, signature, args):
         sf.stage(fn, signature=signature)(*args)
 
 
+def test_wildcard_misfit_names_node_and_op():
+    staged = sf.stage(lambda x, y: x * y + y,
+                      signature=[(sf.float32, (None,)), (sf.float32, (None,))])
+    assert staged(f32(3), f32(3)).shape == (3,)
+    with pytest.raises(KernelError, match=r"^node 0 \(mul\): "):
+        staged(f32(4), f32(3))
+
+
 def test_cond_predicate_size_checked_at_run_time():
     def branch(p, x):
         return sf.cond(p, lambda v: v * 2.0, lambda v: v, [x])
