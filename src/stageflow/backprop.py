@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from .errors import StagingError
 from .gradients import GradContext, zeros_for
-from .graph import GraphFunction, Node, prune
+from .graph import GraphFunction, Node, add_to_library, prune
 from .ops import add, dispatch, get_op_def
 from .runtime import get_runtime
 
@@ -212,16 +212,9 @@ def _diff_host_call(gf, node, out_grads, saved_value, accumulate):
 
 def _assemble_forward_variant(gf, needed, call_rewrites) -> GraphFunction:
     library = dict(gf.library)
-    rewrite_names: Dict[int, str] = {}
-    for idx, c_fwd in call_rewrites.items():
-        name = c_fwd.name
-        if name in library and library[name] is not c_fwd:
-            v = 1
-            while f"{name}_v{v}" in library:
-                v += 1
-            name = f"{name}_v{v}"
-        library[name] = c_fwd
-        rewrite_names[idx] = name
+    rewrite_names = {
+        idx: add_to_library(library, c_fwd) for idx, c_fwd in call_rewrites.items()
+    }
 
     nodes = []
     for i, node in enumerate(gf.nodes):

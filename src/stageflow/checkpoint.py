@@ -11,23 +11,26 @@ matched payloads. Matching is local: it depends only on the two graphs being
 walked, never on anything else in the program, and it is insensitive to the
 order in which sibling attributes were created.
 
-File format "SCK1": magic, version u32, then a string table, the skeleton
-(nodes with sorted named edges and a payload kind), and payload records
-keyed by "/"-joined edge paths from the root.
+File format "SCK1", framed as ``wire`` lays out (magic, version, string
+table), then two sections: the skeleton (node count u32; per node its path
+id, payload kind u8 and name-sorted edges as (name id u32, child node id
+u32)), and the payload records (count u32; per record, sorted by path: the
+"/"-joined edge path id from the root, then a ``wire`` tensor with its u32
+byte length, or the tag 0xFF, rank 0 and a u32-length opaque blob).
 """
 from __future__ import annotations
 
+import io
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .dtypes import DTYPE_TAGS, TAG_DTYPES
+from . import wire
 from .errors import StorageError
-from .serial import ByteReader, ByteWriter, StringTable
 from .state import Trackable, Variable
-from .tensor import Tensor, tensor_from_host
+from .tensor import Tensor
 
 MAGIC = b"SCK1"
 VERSION = 1
@@ -80,8 +83,6 @@ def _payload_of(obj) -> Tuple[int, Optional[Union[Tensor, bytes]]]:
     if isinstance(obj, Variable):
         return _P_TENSOR, obj.snapshot()
     if isinstance(obj, np.ndarray):
-        import io
-
         buf = io.BytesIO()
         np.save(buf, obj, allow_pickle=False)
         return _P_OPAQUE, buf.getvalue()
@@ -210,11 +211,9 @@ def _apply_payload(node, payload, obj, path, parent, edge_name, report) -> None:
         if parent is None:
             report.conflicts.append((path, "cannot rebind a root blob"))
             return
-        import io
-
         try:
             restored = np.load(io.BytesIO(payload), allow_pickle=False)
-        except ValueError as e:
+        except Exception as e:  # hostile bytes fail in many ways
             report.conflicts.append((path, f"undecodable blob: {e}"))
             return
         setattr(parent, edge_name, restored)
@@ -235,93 +234,54 @@ def _apply_payload(node, payload, obj, path, parent, edge_name, report) -> None:
 
 
 def _encode(ckpt: Checkpoint) -> bytes:
-    table = StringTable()
-    for node in ckpt.nodes:
-        table.intern(node.path)
-        for name, _ in node.edges:
-            table.intern(name)
+    table = wire.StringTable()
+    skeleton, payloads = wire.ByteWriter(table), wire.ByteWriter(table)
 
-    strings = ByteWriter()
-    strings.u32(len(table.strings))
-    for s in table.strings:
-        b = s.encode("utf-8")
-        strings.u32(len(b))
-        strings.raw(b)
-
-    skeleton = ByteWriter()
     skeleton.u32(len(ckpt.nodes))
     for node in ckpt.nodes:
-        skeleton.u32(table.intern(node.path))
+        skeleton.string(node.path)
         skeleton.u8(node.payload_kind)
         skeleton.u32(len(node.edges))
         for name, child in node.edges:
-            skeleton.u32(table.intern(name))
+            skeleton.string(name)
             skeleton.u32(child)
 
-    payloads = ByteWriter()
     payloads.u32(len(ckpt.payloads))
     for path in sorted(ckpt.payloads):
         value = ckpt.payloads[path]
-        payloads.u32(table.intern(path))
+        payloads.string(path)
         if isinstance(value, Tensor):
-            payloads.u8(DTYPE_TAGS[value.dtype])
-            payloads.u16(len(value.shape))
-            for d in value.shape:
-                payloads.i64(d)
-            raw = value.raw().tobytes()
-            payloads.u32(len(raw))
-            payloads.raw(raw)
+            wire.write_tensor(payloads, value, sized=True)
         else:
             payloads.u8(_OPAQUE_TAG)
-            payloads.u16(0)
-            payloads.u32(len(value))
-            payloads.raw(value)
+            payloads.u16(0)  # rank
+            payloads.blob(value)
 
-    w = ByteWriter()
-    w.raw(MAGIC)
-    w.u32(VERSION)
-    for section in (strings, skeleton, payloads):
-        body = section.getvalue()
-        w.u32(len(body))
-        w.raw(body)
-    return w.getvalue()
+    return wire.pack(MAGIC, VERSION, table, (skeleton, payloads))
 
 
 def _decode(data: bytes) -> Checkpoint:
-    r = ByteReader(data)
     try:
-        if r.raw(4) != MAGIC:
-            raise StorageError("not a checkpoint file (bad magic)")
-        version = r.u32()
-        if version != VERSION:
-            raise StorageError(f"checkpoint version {version} is unsupported")
-        sr = ByteReader(r.raw(r.u32()))
-        strings = [sr.raw(sr.u32()).decode("utf-8") for _ in range(sr.u32())]
-        kr = ByteReader(r.raw(r.u32()))
+        kr, pr = wire.unpack(data, MAGIC, VERSION, 2)
         nodes = []
         for _ in range(kr.u32()):
-            path = strings[kr.u32()]
+            path = kr.string()
             kind = kr.u8()
-            edges = tuple(
-                (strings[kr.u32()], kr.u32()) for _ in range(kr.u32())
-            )
+            edges = tuple((kr.string(), kr.u32()) for _ in range(kr.u32()))
             nodes.append(CheckpointNode(edges=edges, payload_kind=kind, path=path))
-        pr = ByteReader(r.raw(r.u32()))
+        if not nodes:
+            raise StorageError("checkpoint has no root node")
+        if any(child >= len(nodes) for node in nodes for _, child in node.edges):
+            raise StorageError("checkpoint edge points past the skeleton")
         payloads: Dict[str, Union[Tensor, bytes]] = {}
         for _ in range(pr.u32()):
-            path = strings[pr.u32()]
+            path = pr.string()
             tag = pr.u8()
-            rank = pr.u16()
             if tag == _OPAQUE_TAG:
-                payloads[path] = bytes(pr.raw(pr.u32()))
+                pr.u16()  # rank
+                payloads[path] = bytes(pr.blob())
             else:
-                dtype = TAG_DTYPES.get(tag)
-                if dtype is None:
-                    raise StorageError(f"bad payload dtype tag {tag}")
-                dims = tuple(pr.i64() for _ in range(rank))
-                raw = pr.raw(pr.u32())
-                arr = np.frombuffer(raw, dtype=dtype.np_dtype)
-                payloads[path] = tensor_from_host(arr, dims, dtype)
+                payloads[path] = wire.read_tensor(pr, wire.dtype_of(tag), sized=True)
         return Checkpoint(nodes, payloads)
     except StorageError:
         raise

@@ -233,6 +233,19 @@ class GraphBuilder:
         return GraphFunction(name, self.placeholders, nodes, outputs, library)
 
 
+def add_to_library(library: Dict[str, GraphFunction], gf: GraphFunction) -> str:
+    """Add ``gf`` under its name, or ``name_v{i}`` with the first free ``i``
+    when another function holds the name; returns the name used."""
+    name = gf.name
+    if name in library and library[name] is not gf:
+        i = 1
+        while f"{name}_v{i}" in library:
+            i += 1
+        name = f"{name}_v{i}"
+    library[name] = gf
+    return name
+
+
 # ---------------------------------------------------------------------------
 # Statefulness, reachability, and the optimizer passes
 # ---------------------------------------------------------------------------

@@ -40,7 +40,9 @@ from .errors import (
     UnencodableArgument,
     VariableCreationError,
 )
-from .graph import FUNCTION_ATTRS, GraphBuilder, GraphFunction, optimize
+from .graph import (
+    FUNCTION_ATTRS, GraphBuilder, GraphFunction, add_to_library, optimize,
+)
 from .kernels import KernelEnv
 from .ops import dispatch, input_spec, _as_operand
 from .runtime import current_context, get_runtime
@@ -172,16 +174,8 @@ class TraceState:
     def add_library_function(self, gf: GraphFunction) -> str:
         key = id(gf)
         name = self._lib_names.get(key)
-        if name is not None:
-            return name
-        name = gf.name
-        if name in self.library and self.library[name] is not gf:
-            i = 1
-            while f"{name}_v{i}" in self.library:
-                i += 1
-            name = f"{name}_v{i}"
-        self.library[name] = gf
-        self._lib_names[key] = name
+        if name is None:
+            name = self._lib_names[key] = add_to_library(self.library, gf)
         return name
 
     # -- node recording ----------------------------------------------------------

@@ -1,0 +1,207 @@
+"""The shared layout of the byte containers (SGF1 graphs, SCK1 checkpoints).
+
+Every container is little-endian: a 4-byte magic, a format version u32, then
+length-prefixed sections (u32 byte length + body). Section 0 is always the
+string table (count u32; entries u32 length + utf-8; id 0 is always the
+empty string, so 0 can mean "none"); the format's own sections follow in
+its fixed order and refer to strings by u32 id.
+
+Writers intern strings in first-use order while they fill their sections,
+and ``pack`` writes the table only after them (placing it first), so equal
+inputs give equal bytes and every string a section uses is in the table.
+
+Shapes are rank u16 then dims i64 (-1 = wildcard). Tensors are a dtype tag
+u8, a shape, then the raw row-major payload, which a "sized" tensor (SCK1)
+prefixes with its u32 byte length.
+
+Malformed input raises ``CorruptGraph`` (``FormatVersionMismatch`` for a
+version the runtime does not read); each format maps these to its own error
+contract.
+"""
+from __future__ import annotations
+
+import math
+import struct
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
+
+from .dtypes import DTYPE_TAGS, TAG_DTYPES, DType
+from .errors import CorruptGraph, FormatVersionMismatch
+from .tensor import Tensor, tensor_from_host
+
+_U8, _U16, _U32, _I64, _F64 = (
+    struct.Struct(f) for f in ("<B", "<H", "<I", "<q", "<d")
+)
+
+
+class StringTable:
+    """Deterministic first-use interning; id 0 is the empty string."""
+
+    def __init__(self):
+        self._ids: Dict[str, int] = {"": 0}
+        self.strings: List[str] = [""]
+
+    def intern(self, s: str) -> int:
+        sid = self._ids.get(s)
+        if sid is None:
+            sid = len(self.strings)
+            self._ids[s] = sid
+            self.strings.append(s)
+        return sid
+
+
+class ByteWriter:
+    def __init__(self, table: Optional[StringTable] = None):
+        self._parts: List[bytes] = []
+        self.table = table
+
+    def u8(self, v: int):
+        self._parts.append(_U8.pack(v))
+
+    def u16(self, v: int):
+        self._parts.append(_U16.pack(v))
+
+    def u32(self, v: int):
+        self._parts.append(_U32.pack(v))
+
+    def i64(self, v: int):
+        self._parts.append(_I64.pack(v))
+
+    def f64(self, v: float):
+        self._parts.append(_F64.pack(v))
+
+    def raw(self, b: bytes):
+        self._parts.append(b)
+
+    def blob(self, b: bytes):
+        """u32 byte length, then the bytes."""
+        self.u32(len(b))
+        self.raw(b)
+
+    def string(self, s: str):
+        """The id of ``s`` in the container's string table, as u32."""
+        self._parts.append(_U32.pack(self.table.intern(s)))
+
+    def getvalue(self) -> bytes:
+        return b"".join(self._parts)
+
+
+class ByteReader:
+    def __init__(self, data: bytes, strings: Sequence[str] = ()):
+        self._data = data
+        self._pos = 0
+        self.strings = strings
+
+    def _take(self, field: struct.Struct):
+        try:
+            v = field.unpack_from(self._data, self._pos)[0]
+        except struct.error:
+            raise CorruptGraph("truncated container") from None
+        self._pos += field.size
+        return v
+
+    def u8(self) -> int:
+        return self._take(_U8)
+
+    def u16(self) -> int:
+        return self._take(_U16)
+
+    def u32(self) -> int:
+        return self._take(_U32)
+
+    def i64(self) -> int:
+        return self._take(_I64)
+
+    def f64(self) -> float:
+        return self._take(_F64)
+
+    def raw(self, n: int) -> bytes:
+        if self._pos + n > len(self._data):
+            raise CorruptGraph("truncated container")
+        b = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return b
+
+    def blob(self) -> bytes:
+        return self.raw(self.u32())
+
+    def string(self) -> str:
+        i = self.u32()
+        if i >= len(self.strings):
+            raise CorruptGraph(f"string id {i} out of range")
+        return self.strings[i]
+
+
+def pack(magic: bytes, version: int, table: StringTable,
+         sections: Sequence[ByteWriter]) -> bytes:
+    """Header, the string table, then ``sections``, each length-prefixed."""
+    strings = ByteWriter()
+    strings.u32(len(table.strings))
+    for s in table.strings:
+        strings.blob(s.encode("utf-8"))
+    w = ByteWriter()
+    w.raw(magic)
+    w.u32(version)
+    for section in (strings, *sections):
+        w.blob(section.getvalue())
+    return w.getvalue()
+
+
+def unpack(data: bytes, magic: bytes, version: int,
+           n_sections: int) -> List[ByteReader]:
+    """Check the header and return a reader per section after the string
+    table; each reader resolves string ids against that table."""
+    r = ByteReader(data)
+    if r.raw(len(magic)) != magic:
+        raise CorruptGraph(f"not a {magic.decode()} container (bad magic)")
+    found = r.u32()
+    if found != version:
+        raise FormatVersionMismatch(
+            f"{magic.decode()} version {found}, this runtime reads {version}"
+        )
+    sr = ByteReader(r.blob())
+    strings = [sr.blob().decode("utf-8") for _ in range(sr.u32())]
+    return [ByteReader(r.blob(), strings) for _ in range(n_sections)]
+
+
+def write_shape(w: ByteWriter, shape) -> None:
+    w.u16(len(shape))
+    for d in shape:
+        w.i64(-1 if d is None else d)
+
+
+def read_shape(r: ByteReader):
+    dims = [r.i64() for _ in range(r.u16())]
+    return tuple(None if d == -1 else d for d in dims)
+
+
+def dtype_of(tag: int) -> DType:
+    dtype = TAG_DTYPES.get(tag)
+    if dtype is None:
+        raise CorruptGraph(f"bad dtype tag {tag}")
+    return dtype
+
+
+def write_tensor(w: ByteWriter, t: Tensor, sized: bool = False) -> None:
+    """Dtype tag, shape, then the payload (length-prefixed if ``sized``)."""
+    w.u8(DTYPE_TAGS[t.dtype])
+    write_shape(w, t.shape)
+    payload = t.raw().tobytes()
+    if sized:
+        w.blob(payload)
+    else:
+        w.raw(payload)
+
+
+def read_tensor(r: ByteReader, dtype: DType, sized: bool = False) -> Tensor:
+    """The shape and payload after a tensor's dtype tag."""
+    shape = read_shape(r)
+    if any(d is None or d < 0 for d in shape):
+        raise CorruptGraph("stored tensors need concrete non-negative dims")
+    nbytes = math.prod(shape) * dtype.width
+    payload = r.blob() if sized else r.raw(nbytes)
+    if len(payload) != nbytes:
+        raise CorruptGraph("tensor payload does not match its shape")
+    arr = np.frombuffer(payload, dtype=dtype.np_dtype)
+    return tensor_from_host(arr, shape, dtype)

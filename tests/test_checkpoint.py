@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stageflow as sf
+from stageflow.checkpoint import CheckpointNode
 from stageflow.errors import StorageError
 
 
@@ -79,6 +80,29 @@ class TestSaveFormat:
     def test_unwritable_path(self):
         with pytest.raises(StorageError):
             sf.save(Net(), "/nonexistent-dir/x.ck")
+
+    def test_hand_built_checkpoint_round_trips(self):
+        # Payload paths need not be node paths: every string the sections
+        # use must still land in the string table.
+        ck = sf.Checkpoint(
+            [CheckpointNode(edges=(("v", 1),), payload_kind=0, path=""),
+             CheckpointNode(edges=(), payload_kind=1, path="v")],
+            {"v": sf.constant([1.0, 2.0]), "extra/blob": b"\x00state"},
+        )
+        back = sf.Checkpoint.from_bytes(ck.to_bytes())
+        assert back.nodes == ck.nodes
+        assert back.payloads["extra/blob"] == b"\x00state"
+        np.testing.assert_array_equal(back.payloads["v"].numpy(), [1.0, 2.0])
+        assert back.to_bytes() == ck.to_bytes()
+
+    def test_dangling_edge_is_storage_error(self):
+        ck = sf.Checkpoint(
+            [CheckpointNode(edges=(("v", 5),), payload_kind=0, path="")], {}
+        )
+        with pytest.raises(StorageError):
+            sf.Checkpoint.from_bytes(ck.to_bytes())
+        with pytest.raises(StorageError):
+            sf.Checkpoint.from_bytes(sf.Checkpoint([], {}).to_bytes())
 
     def test_corrupt_file(self, tmp_path):
         p = tmp_path / "bad.ck"
