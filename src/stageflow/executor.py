@@ -1,22 +1,33 @@
 """Dataflow execution of graph functions.
 
 A graph compiles once (lazily, cached on the GraphFunction) into a flat
-plan: one step per non-constant node, value slots instead of refs,
-constants preloaded. Execution walks the plan in order on the calling
+plan: one step per distinct non-constant value, value slots instead of
+refs, constants preloaded. Execution walks the plan in order on the calling
 thread, with no host recursion and no thread pool; nested graphs (calls,
 branches, loop bodies) run the same way, inline in their node's kernel.
+
+The plan compiler numbers values (global value numbering): a constant or a
+pure compute node that computes a value the plan already has gets no step
+and no slot of its own. So each distinct pure computation runs once per
+call, e.g. the force a staged leapfrog recomputes at each step boundary.
+This lives in the plan, not in the graph IR: backward graphs are derived
+from the graph as recorded, and a derivation from merged nodes would sum
+upstream gradients before propagating them, ``(g1 + g2) * c`` where eager
+computes ``g1 * c + g2 * c``, which is not bit-identical. The backward
+graphs run through plans too, so they are deduplicated the same way.
 
 Slots hold raw arrays. Every node passed its op's ``infer`` rule when it was
 recorded or decoded, so a node with a ``compute`` (``kernels.COMPUTE``) runs
 it on the arrays directly. Tensors are made only at the graph's edges: the
 inputs are unwrapped once, after binding; each output is wrapped once,
 read-only and C-contiguous, on its node's device (an output that is an
-input or a constant comes back as that object); and a node without a
-compute (a variable op, ``dropout``, ``call_function``, ``cond``,
-``while_loop``, ``host_call`` or a custom op) gets Tensors, each slot
-wrapped at most once per call, and a ``KernelEnv`` made once per call and
-pinned device. With several devices, each node counts the transparent
-copies eager placement would make for it.
+input or a constant comes back as that object, and outputs that share a
+slot come back as one object); and a node without a compute (a variable
+op, ``dropout``, ``call_function``, ``cond``, ``while_loop``,
+``host_call`` or a custom op) gets Tensors, each slot wrapped at most once
+per call, and a ``KernelEnv`` made once per call and pinned device. With
+several devices, each step counts the transparent copies eager placement
+would make for its node (a merged node runs no step and makes no copies).
 
 Ordering: data edges, plus one program-order chain through all stateful
 nodes. The chain is what the per-variable ordering contract requires (it is
@@ -52,13 +63,21 @@ _PASSTHROUGH = (CallbackError, SignatureViolation, DeadVariable, MissingFunction
 
 
 class _Plan:
-    """A graph compiled to steps over slots.
+    """A graph compiled to steps over slots, one step per distinct value.
 
     A step is ``(kind, fn, attrs, a, b, out, info)``. A compute node has
     its arity (0, 1 or 2) as ``kind``, its compute as ``fn``, its input
     slots as ``a``/``b`` and its output slot as ``out``; a Tensor node has
     kind -1 and its kernel as ``fn``. ``info`` is ``(node index, op, pinned
     device, input slots, output slots)``.
+
+    Value numbering: a constant, or a node whose op has a compute and is
+    not stateful, that computes what an earlier node already computes gets
+    no step and no slot; its outputs alias the earlier node's slot. A
+    constant's value number is its dtype, shape, raw bytes and devices (by
+    bytes, so ``0.0`` and ``-0.0`` stay apart); a compute node's is its op,
+    attrs, input slots (themselves value numbers) and pinned device. Every
+    other node (stateful, variable, call and custom ops) always gets a step.
     """
 
     __slots__ = ("n_inputs", "prefill", "constants", "slot_device", "steps",
@@ -74,6 +93,8 @@ class _Plan:
         self.prefill: List = [None] * n_in
         self.constants: List = [None] * n_in
         self.slot_device: List = [None] * n_in
+        numbered: Dict[tuple, int] = {}  # value number -> its slot
+        pure: Dict[str, bool] = {}  # op -> has a compute and is not stateful
 
         def slot(ref) -> int:  # a graph only refers to earlier values
             vid, out_idx = ref
@@ -81,25 +102,49 @@ class _Plan:
 
         self.steps: List[tuple] = []
         for j, node in enumerate(gf.nodes):
+            op, attrs, device = node.op, node.attrs, node.device
+            if op == "constant":
+                value = attrs["value"]
+                arr = value.raw()
+                key = (value.dtype, arr.shape, arr.tobytes(), value.device, device)
+            else:
+                in_slots = tuple(slot(r) for r in node.inputs)
+                compute = COMPUTE.get(op)
+                key = None
+                if compute is not None:
+                    is_pure = pure.get(op)
+                    if is_pure is None:
+                        is_pure = pure[op] = not get_op_def(op).stateful
+                    if is_pure:
+                        key = (op, tuple(sorted(attrs.items())) if attrs else (),
+                               in_slots, device)
+            if key is not None:
+                try:
+                    hit = numbered.get(key)
+                except TypeError:  # an unhashable attr of a hand-built node
+                    hit = key = None
+                if hit is not None:
+                    first.append(hit)
+                    continue
             out = len(self.prefill)
             first.append(out)
+            if key is not None:
+                numbered[key] = out
             n_out = len(node.out_specs)
             self.prefill += [None] * n_out
             self.constants += [None] * n_out
-            self.slot_device += [node.device] * n_out
-            if node.op == "constant":
-                self.constants[out] = node.attrs["value"]
-                self.prefill[out] = node.attrs["value"].raw()
+            self.slot_device += [device] * n_out
+            if op == "constant":
+                self.constants[out] = value
+                self.prefill[out] = arr
                 continue
-            in_slots = tuple(slot(r) for r in node.inputs)
-            info = (j, node.op, node.device, in_slots, tuple(range(out, out + n_out)))
-            compute = COMPUTE.get(node.op)
+            info = (j, op, device, in_slots, tuple(range(out, out + n_out)))
             if compute is None:
-                kernel = get_op_def(node.op).kernel
-                self.steps.append((-1, kernel, node.attrs, None, None, None, info))
+                kernel = get_op_def(op).kernel
+                self.steps.append((-1, kernel, attrs, None, None, None, info))
             else:
                 a, b = (in_slots + (None, None))[:2]
-                self.steps.append((len(in_slots), compute, node.attrs, a, b, out, info))
+                self.steps.append((len(in_slots), compute, attrs, a, b, out, info))
         self.output_slots = [(name, slot(ref)) for name, ref in gf.outputs]
 
 

@@ -40,8 +40,9 @@ VERSION = 1
 
 _VAR_REF_BIT = 0x80
 
-_A_INT, _A_FLOAT, _A_BOOL, _A_STRING, _A_DTYPE, _A_SHAPE, _A_FUNCTION, \
-    _A_TENSOR, _A_INT_LIST, _A_NONE = range(1, 11)
+# Attr tags. Tag 7 is unused; function names travel as strings.
+_A_INT, _A_FLOAT, _A_BOOL, _A_STRING, _A_DTYPE, _A_SHAPE = range(1, 7)
+_A_TENSOR, _A_INT_LIST, _A_NONE = range(8, 11)
 
 
 def serialize(gf: GraphFunction) -> bytes:

@@ -432,6 +432,15 @@ class PolymorphicFunction:
             self._sig = inspect.signature(fn)
         except (TypeError, ValueError):
             self._sig = None
+        # The parameter names when every parameter is plain positional: a
+        # call passing exactly one argument per name binds without inspect.
+        plain = (inspect.Parameter.POSITIONAL_ONLY,
+                 inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        self._plain_names = None
+        if self._sig is not None and all(
+            p.kind in plain for p in self._sig.parameters.values()
+        ):
+            self._plain_names = tuple(self._sig.parameters)
         self.pinned_signature = _check_signature(signature)
         self._cache: Dict[TraceKey, ConcreteFunction] = {}
         self._cache_lock = threading.Lock()
@@ -481,6 +490,9 @@ class PolymorphicFunction:
         Variadic parameters expand one entry per element, so every tensor
         argument gets its own placeholder and trace-key slot.
         """
+        names = self._plain_names
+        if names is not None and not kwargs and len(args) == len(names):
+            return [(name, v, "pos") for name, v in zip(names, args)]
         if self._sig is None:
             if kwargs:
                 raise StagingError(f"{self._name} does not accept keyword arguments")

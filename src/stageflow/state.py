@@ -18,7 +18,7 @@ from typing import Dict, Iterator, Optional, Sequence
 import numpy as np
 
 from .dtypes import DType
-from .errors import ShapeMismatch, StagingError
+from .errors import ShapeMismatch, StagingError, StorageError
 from .tensor import Tensor, coerce, constant as _constant
 
 _uid = itertools.count()
@@ -222,4 +222,13 @@ class SequenceIterator(Trackable):
         return np.int64(self._cursor).tobytes()
 
     def _restore_state(self, payload: bytes) -> None:
-        self._cursor = int(np.frombuffer(payload, dtype=np.int64)[0])
+        if len(payload) != 8:
+            raise StorageError(
+                f"iterator state is {len(payload)} bytes, expected an 8-byte cursor"
+            )
+        cursor = int(np.frombuffer(payload, dtype=np.int64)[0])
+        if not 0 <= cursor <= len(self._items):
+            raise StorageError(
+                f"iterator cursor {cursor} is outside 0..{len(self._items)}"
+            )
+        self._cursor = cursor

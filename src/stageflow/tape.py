@@ -143,25 +143,35 @@ class Tape:
     def _maybe_record(self, op_def, inputs, outputs, attrs) -> None:
         if self._tracked.isdisjoint(map(id, inputs)):
             return
-        self._record(
-            TapeEntry(op_def.name, tuple(map(id, inputs)),
-                      tuple(map(id, outputs)), tuple(inputs),
-                      tuple(outputs), op_def=op_def, attrs=attrs)
+        output_ids = tuple(map(id, outputs))
+        self.entries.append(
+            TapeEntry(op_def.name, tuple(map(id, inputs)), output_ids,
+                      tuple(inputs), tuple(outputs), op_def=op_def, attrs=attrs)
         )
+        self._tracked.update(output_ids)
 
     def _record_custom(self, op, inputs, outputs, saved, backward) -> None:
         """Record a function-call entry with a prebuilt backward closure
         mapping upstream output gradients and the ``needs`` mask to
-        ``(input identity, gradient)`` contributions."""
-        self._record(
-            TapeEntry(op, tuple(map(id, inputs)),
-                      tuple(map(id, outputs)), tuple(saved),
+        ``(input identity, gradient)`` contributions.
+
+        A staged call can return one of its inputs, or one object at several
+        output positions. The gradient reaching that object is already
+        accumulated where it is an input or at its first position, so the
+        other positions get the output id ``None`` and no upstream gradient.
+        """
+        input_ids = tuple(map(id, inputs))
+        seen = set(input_ids)
+        output_ids = []
+        for y in outputs:
+            oid = id(y)
+            output_ids.append(None if oid in seen else oid)
+            seen.add(oid)
+        self.entries.append(
+            TapeEntry(op, input_ids, tuple(output_ids), tuple(saved),
                       tuple(outputs), backward=backward)
         )
-
-    def _record(self, entry: TapeEntry) -> None:
-        self.entries.append(entry)
-        self._tracked.update(entry.output_ids)
+        self._tracked.update(oid for oid in output_ids if oid is not None)
 
     # -- differentiation ---------------------------------------------------------
 

@@ -14,6 +14,7 @@ Shapes are rank u16 then dims i64 (-1 = wildcard). Tensors are a dtype tag
 u8, a shape, then the raw row-major payload, which a "sized" tensor (SCK1)
 prefixes with its u32 byte length.
 
+A container ends with its last section: trailing bytes are malformed.
 Malformed input raises ``CorruptGraph`` (``FormatVersionMismatch`` for a
 version the runtime does not read); each format maps these to its own error
 contract.
@@ -162,7 +163,10 @@ def unpack(data: bytes, magic: bytes, version: int,
         )
     sr = ByteReader(r.blob())
     strings = [sr.blob().decode("utf-8") for _ in range(sr.u32())]
-    return [ByteReader(r.blob(), strings) for _ in range(n_sections)]
+    sections = [ByteReader(r.blob(), strings) for _ in range(n_sections)]
+    if r._pos != len(data):
+        raise CorruptGraph(f"{len(data) - r._pos} bytes after the last section")
+    return sections
 
 
 def write_shape(w: ByteWriter, shape) -> None:

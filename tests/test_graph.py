@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 import stageflow as sf
+from stageflow.devices import DeviceName
 from stageflow.errors import (
     CorruptGraph,
     FormatVersionMismatch,
     InputMismatch,
+    KernelError,
     MissingFunction,
     NotSerializable,
 )
+from stageflow.executor import _plan_for
 from stageflow.graph import (
     GraphBuilder,
     GraphFunction,
+    Node,
     _rebuild,
     constant_fold,
     node_is_stateful,
@@ -511,3 +515,164 @@ class TestRawArrayPlans:
         value = node.attrs["value"]
         _assert_edge_tensor(value, sf.int32)
         assert value.raw().tobytes() == sf.reduce_sum(big).raw().tobytes()
+
+
+def _with_duplicates(gf, rng):
+    """``gf`` with a second copy of about half its nodes (and of its last
+    node) spliced in after the first. Later nodes read either copy of a
+    value, and every copy of an output value is an output. A constant's copy
+    holds an equal but distinct tensor."""
+    n_in = len(gf.inputs)
+    copies = {}  # ref in gf -> its refs in the new graph
+    nodes = []
+
+    def pick(ref):
+        options = copies.get(ref, [ref])  # placeholders keep their ids
+        return options[int(rng.integers(len(options)))]
+
+    for j, node in enumerate(gf.nodes):
+        n_copies = 2 if rng.random() < 0.5 or j == len(gf.nodes) - 1 else 1
+        for _ in range(n_copies):
+            attrs = node.attrs
+            if node.op == "constant":
+                attrs = {"value": sf.constant(node.attrs["value"].numpy().copy())}
+            vid = n_in + len(nodes)
+            nodes.append(Node(node.op, tuple(pick(r) for r in node.inputs), attrs,
+                              node.device, node.out_specs))
+            for k in range(len(node.out_specs)):
+                copies.setdefault((n_in + j, k), []).append((vid, k))
+    outputs = [(f"{name}_{i}", ref)
+               for name, out in gf.outputs
+               for i, ref in enumerate(copies.get(out, [out]))]
+    return GraphFunction(gf.name + "_dup", gf.inputs, nodes, outputs)
+
+
+def _leapfrog(n_steps, step=0.1):
+    half = step / 2.0
+
+    def force(q):
+        with sf.Tape() as tape:
+            tape.watch(q)
+            u = sf.mul(sf.reduce_sum(sf.mul(q, q)), 0.5)
+        return tape.gradient(u, q)
+
+    def trajectory(q, p):
+        for _ in range(n_steps):
+            p = sf.sub(p, sf.mul(force(q), half))
+            q = sf.add(q, sf.mul(p, step))
+            p = sf.sub(p, sf.mul(force(q), half))
+        return q, p
+
+    return trajectory
+
+
+def _steps(gf):
+    return len(_plan_for(gf).steps)
+
+
+class TestValueNumbering:
+    """A plan runs each distinct pure computation once; the graph keeps
+    every node."""
+
+    def test_duplicated_random_graphs_bit_equal_to_eager_replay(self):
+        rng = np.random.default_rng(11)
+        for seed in range(40):
+            gf, inputs, _ = random_graph(seed, max_nodes=25)
+            dup = _with_duplicates(gf, rng)
+            got = sf.execute(dup, inputs)
+            want = _eager_replay(dup, inputs)
+            assert len(got) == len(want) == len(dup.outputs) > len(gf.outputs)
+            for g, w in zip(got, want):
+                _assert_edge_tensor(g, sf.float64)
+                assert g.raw().tobytes() == w.raw().tobytes(), seed
+            computes = [n for n in dup.nodes if n.op != "constant"]
+            assert _steps(dup) <= _steps(gf) < len(computes), seed
+
+    def test_random_normal_nodes_never_merge(self):
+        b = GraphBuilder()
+        attrs = {"shape": (4,), "dtype": sf.float64}
+        (r1,) = b.add_node("random_normal", [], attrs, None, [(sf.float64, (4,))])
+        (r2,) = b.add_node("random_normal", [], attrs, None, [(sf.float64, (4,))])
+        (n1,) = b.add_node("neg", [r1], {}, None, [(sf.float64, (4,))])
+        (n2,) = b.add_node("neg", [r2], {}, None, [(sf.float64, (4,))])
+        gf = b.finalize("two_draws", [n1, n2], ["a", "b"])
+        a, c = sf.execute(gf, [])
+        assert a.numpy().tobytes() != c.numpy().tobytes()
+        assert _steps(gf) == 4
+
+    def test_reads_around_an_assign_never_merge(self):
+        b = GraphBuilder()
+        v = b.add_placeholder("v", sf.float32, (2,), is_variable_ref=True)
+        (r1,) = b.add_node("read_variable", [v], {}, None, [(sf.float32, (2,))])
+        (n1,) = b.add_node("neg", [r1], {}, None, [(sf.float32, (2,))])
+        b.add_node("assign_variable", [v, n1], {}, None, [])
+        (r2,) = b.add_node("read_variable", [v], {}, None, [(sf.float32, (2,))])
+        (n2,) = b.add_node("neg", [r2], {}, None, [(sf.float32, (2,))])
+        gf = b.finalize("read_assign_read", [n1, n2], ["before", "after"])
+        before, after = sf.execute(gf, [], [sf.Variable([1.0, 2.0])])
+        assert before.numpy().tolist() == [-1.0, -2.0]
+        assert after.numpy().tolist() == [1.0, 2.0]
+        assert _steps(gf) == 5
+
+    def test_signed_zeros_stay_apart(self):
+        b = GraphBuilder()
+        refs = []
+        for value in (0.0, -0.0, 0.0, -0.0):
+            (c,) = b.add_node("constant", [], {"value": sf.constant(value)}, None,
+                              [(sf.float64, ())])
+            (n,) = b.add_node("neg", [c], {}, None, [(sf.float64, ())])
+            refs += [c, n]
+        gf = b.finalize("zeros", refs, [f"o{i}" for i in range(len(refs))])
+        got = [float(t) for t in sf.execute(gf, [])]
+        assert [str(v) for v in got] == ["0.0", "-0.0", "-0.0", "0.0"] * 2
+        assert _steps(gf) == 2
+
+    def test_failing_duplicate_names_the_first_occurrence(self):
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, (None,))
+        y = b.add_placeholder("y", sf.float32, (None,))
+        spec = [(sf.float32, (None,))]
+        (n0,) = b.add_node("neg", [x], {}, None, spec)
+        (m0,) = b.add_node("mul", [n0, y], {}, None, spec)
+        (n1,) = b.add_node("neg", [x], {}, None, spec)
+        (m1,) = b.add_node("mul", [n1, y], {}, None, spec)
+        gf = b.finalize("misfit", [m0, m1], ["a", "b"])
+        assert _steps(gf) == 2
+        with pytest.raises(KernelError, match=r"^node 1 \(mul\): "):
+            sf.execute(gf, [sf.constant(np.ones(4, np.float32)),
+                            sf.constant(np.ones(3, np.float32))])
+
+    def test_a_node_pinned_elsewhere_is_not_merged(self, accel_runtime):
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, ())
+        accel = DeviceName.parse("/job:local/task:0/device:ACCEL:0")
+        (m0,) = b.add_node("mul", [x, x], {}, None, [(sf.float32, ())])
+        (m1,) = b.add_node("mul", [x, x], {}, accel, [(sf.float32, ())])
+        gf = b.finalize("two_devices", [m0, m1], ["cpu", "accel"])
+        cpu, acc = sf.execute(gf, [sf.constant(3.0)])
+        assert float(cpu) == float(acc) == 9.0
+        assert cpu.device != acc.device and acc.device == accel
+        assert _steps(gf) == 2
+
+    def test_unhashable_attr_gets_its_own_step(self):
+        # The builder does not canonicalize attrs: a list shape is no key.
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, (6,))
+        refs = [b.add_node("reshape", [x], {"shape": [3, 2]}, None,
+                           [(sf.float32, (3, 2))])[0] for _ in range(2)]
+        gf = b.finalize("list_shape", refs, ["a", "b"])
+        a, c = sf.execute(gf, [sf.constant(np.arange(6, dtype=np.float32))])
+        assert a.shape == c.shape == (3, 2) and a is not c
+        assert _steps(gf) == 2
+
+    def test_staged_leapfrog_runs_at_most_75_steps(self):
+        rng = np.random.default_rng(0)
+        q0 = sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
+        p0 = sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
+        eager = _leapfrog(10)
+        staged = sf.stage(eager)
+        for e, s in zip(eager(q0, p0), staged(q0, p0)):
+            assert e.numpy().tobytes() == s.numpy().tobytes()
+        (cf,) = staged.cached_functions()
+        assert len(cf.graph.nodes) == 170  # the graph keeps every node
+        assert _steps(cf.graph) <= 75

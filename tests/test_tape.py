@@ -306,6 +306,60 @@ class TestStagedGradients:
         assert stats.snapshot()["derived_traces"] == n
 
 
+def _identity(v):
+    return v
+
+
+def _twice(v):
+    return v, v
+
+
+def _self_and_square(v):
+    return v, v * v
+
+
+def _one_square_twice(v):
+    y = v * v
+    return y, y
+
+
+def _two_equal_squares(v):
+    return v * v, v * v  # one value after value numbering
+
+
+class TestStagedAliasedOutputs:
+    """A staged call whose outputs alias its inputs or each other gets the
+    gradient eager gets, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "fn, want",
+        [
+            (_identity, [1.0, 1.0]),
+            (_twice, [4.0, 4.0]),
+            (_self_and_square, [7.0, 13.0]),
+            (_one_square_twice, [8.0, 16.0]),
+            (_two_equal_squares, [8.0, 16.0]),
+        ],
+    )
+    def test_matches_eager(self, fn, want):
+        x = sf.constant([1.0, 2.0])
+
+        def grad(f):
+            with sf.Tape() as t:
+                t.watch(x)
+                out = f(x)
+                if isinstance(out, tuple):
+                    a, b = out
+                    loss = sf.add(sf.reduce_sum(a), sf.mul(sf.reduce_sum(b), 3.0))
+                else:
+                    loss = sf.reduce_sum(out)
+            return t.gradient(loss, x).numpy()
+
+        eager, staged = grad(fn), grad(sf.stage(fn))
+        assert eager.tolist() == want
+        assert staged.tobytes() == eager.tobytes()
+
+
 def _trajectory(n_steps, step):
     """Leapfrog steps with the force taken by a nested tape."""
     half = step / 2.0

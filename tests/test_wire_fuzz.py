@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stageflow as sf
-from stageflow.errors import CorruptGraph, StageflowError
+from stageflow.errors import CorruptGraph, StageflowError, StorageError
 
 # 1-4 single-byte overwrites at positions given as fractions of the blob.
 mutations = st.lists(
@@ -71,7 +71,44 @@ class TestGoldenBytes:
         )
 
 
+_PADDING = [b"\x00", b"xx", b"garbage", b"\x00" * 4]
+
+
 class TestWireFuzz:
+    @pytest.mark.parametrize("pad", _PADDING + [None])
+    def test_padded_sgf1_is_corrupt_graph(self, pad):
+        blob = _graph_blob()
+        with pytest.raises(CorruptGraph, match="after the last section"):
+            sf.deserialize(blob + (blob if pad is None else pad))
+
+    @pytest.mark.parametrize("pad", _PADDING + [None])
+    def test_padded_sck1_is_storage_error(self, pad):
+        blob = sf.save(_Model()).to_bytes()
+        with pytest.raises(StorageError, match="after the last section"):
+            sf.Checkpoint.from_bytes(blob + (blob if pad is None else pad))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [np.int64(-1).tobytes(), np.int64(-9).tobytes(), np.int64(4).tobytes(),
+         np.int32(1).tobytes(), np.int64(1).tobytes() + b"\x00", b""],
+    )
+    def test_bad_iterator_cursor_is_a_conflict(self, payload):
+        ckpt = sf.save(_Model())
+        ckpt.payloads["data"] = payload
+        ckpt = sf.Checkpoint.from_bytes(ckpt.to_bytes())
+        model = _Model()
+        report = sf.restore(model, ckpt)
+        assert [path for path, _ in report.conflicts] == ["data"]
+        assert list(model.data) == [1, 2, 3]
+
+    @pytest.mark.parametrize("cursor, rest", [(0, [1, 2, 3]), (2, [3]), (3, [])])
+    def test_iterator_cursor_in_range_restores(self, cursor, rest):
+        ckpt = sf.save(_Model())
+        ckpt.payloads["data"] = np.int64(cursor).tobytes()
+        model = _Model()
+        assert sf.restore(model, ckpt).conflicts == []
+        assert list(model.data) == rest
+
     def test_bad_utf8_is_corrupt_graph(self):
         blob = _graph_blob()
         # Magic, version, section length, string count, then string 0 (the
