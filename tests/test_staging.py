@@ -73,41 +73,6 @@ class TestTraceCache:
         with pytest.raises(UnencodableArgument):
             infer_trace_key([object()])
 
-
-def _positional(a, b, /, c, scale=2.0):
-    return sf.mul(sf.add(a, b), c)
-
-
-class TestBindFastPath:
-    """A call with one positional argument per plain parameter binds from
-    the cached names; every other call binds through ``inspect``."""
-
-    def test_same_entries_and_keys_as_inspect(self):
-        fast = sf.stage(_positional)
-        slow = sf.stage(_positional)
-        slow._plain_names = None  # force the inspect path
-        x, y = sf.constant([1.0, 2.0]), sf.constant(np.ones((2, 2)))
-        for args in [(x, x, x, 3.0), (x, y, True, None), (y, 1, "s", x)]:
-            assert fast._bind(args, {}) == slow._bind(args, {})
-            assert fast.trace_key_for(*args) == slow.trace_key_for(*args)
-        # Fewer arguments (a default applies) or a keyword take inspect.
-        assert fast._bind((x, x, x), {}) == slow._bind((x, x, x), {})
-        assert fast._bind((x, x), {"c": x}) == slow._bind((x, x), {"c": x})
-
-    @pytest.mark.parametrize(
-        "args, kwargs, message",
-        [
-            ((1,), {}, "missing a required argument: 'b'"),
-            ((1, 2, 3), {}, "too many positional arguments"),
-            ((1,), {"c": 1}, "missing a required argument: 'b'"),
-            ((1, 2), {"a": 1}, "multiple values for argument 'a'"),
-        ],
-    )
-    def test_wrong_arity_raises_staging_error(self, args, kwargs, message):
-        pf = sf.stage(lambda a, b: sf.add(a, b))
-        with pytest.raises(StagingError, match=f"^staged_lambda: {message}$"):
-            pf(*args, **kwargs)
-
     def test_dropout_boolean_specialization(self):
         def lossy_matmul(w, x, training=True):
             outputs = sf.matmul(w, x)
@@ -159,6 +124,41 @@ class TestBindFastPath:
             t.join()
         assert not errors
         assert pf.cache_size == 1 and pf.trace_count == 1
+
+
+def _positional(a, b, /, c, scale=2.0):
+    return sf.mul(sf.add(a, b), c)
+
+
+class TestBindFastPath:
+    """A call with one positional argument per plain parameter binds from
+    the cached names; every other call binds through ``inspect``."""
+
+    def test_same_entries_and_keys_as_inspect(self):
+        fast = sf.stage(_positional)
+        slow = sf.stage(_positional)
+        slow._plain_names = None  # force the inspect path
+        x, y = sf.constant([1.0, 2.0]), sf.constant(np.ones((2, 2)))
+        for args in [(x, x, x, 3.0), (x, y, True, None), (y, 1, "s", x)]:
+            assert fast._bind(args, {}) == slow._bind(args, {})
+            assert fast.trace_key_for(*args) == slow.trace_key_for(*args)
+        # Fewer arguments (a default applies) or a keyword take inspect.
+        assert fast._bind((x, x, x), {}) == slow._bind((x, x, x), {})
+        assert fast._bind((x, x), {"c": x}) == slow._bind((x, x), {"c": x})
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((1,), {}, "missing a required argument: 'b'"),
+            ((1, 2, 3), {}, "too many positional arguments"),
+            ((1,), {"c": 1}, "missing a required argument: 'b'"),
+            ((1, 2), {"a": 1}, "multiple values for argument 'a'"),
+        ],
+    )
+    def test_wrong_arity_raises_staging_error(self, args, kwargs, message):
+        pf = sf.stage(lambda a, b: sf.add(a, b))
+        with pytest.raises(StagingError, match=f"^staged_lambda: {message}$"):
+            pf(*args, **kwargs)
 
 
 class TestPinnedSignature:
