@@ -22,7 +22,7 @@ import numpy as np
 from .dtypes import DType
 from .errors import StagingError
 from .ops import (
-    add, broadcast_to, dispatch, div, exp, matmul, mul, neg, reduce_sum, reshape,
+    add, broadcast_to, dispatch, div, exp, mul, neg, reduce_sum, reshape,
 )
 from .tensor import Tensor, tensor_from_host
 
@@ -173,14 +173,39 @@ def _grad_relu(ctx):
     return [mul(ctx.out_grad(), gate)]
 
 
+def _matmul(a, b, ta: bool, tb: bool) -> Tensor:
+    """``a @ b`` with either operand read transposed; only a True attr is
+    set, as a forward ``matmul`` has none."""
+    attrs = {}
+    if ta:
+        attrs["transpose_a"] = True
+    if tb:
+        attrs["transpose_b"] = True
+    return dispatch("matmul", [a, b], attrs)[0]
+
+
 def _grad_matmul(ctx):
+    """The four transpose cases, as TensorFlow's ``_MatMulGrad`` writes
+    them; none dispatches a ``transpose``. With ``G`` the upstream gradient:
+
+    * ``C = A B``:     ``dA = G B^T``,     ``dB = A^T G``;
+    * ``C = A B^T``:   ``dA = G B``,       ``dB = G^T A``;
+    * ``C = A^T B``:   ``dA = B G^T``,     ``dB = A G``;
+    * ``C = A^T B^T``: ``dA = B^T G^T``,   ``dB = G^T A^T``.
+    """
     up = ctx.out_grad()
-    ta = dispatch("transpose", [ctx.input(0)])[0] if ctx.needs(1) else None
-    tb = dispatch("transpose", [ctx.input(1)])[0] if ctx.needs(0) else None
-    return [
-        None if tb is None else matmul(up, tb),
-        None if ta is None else matmul(ta, up),
-    ]
+    ta = ctx.attrs.get("transpose_a", False)
+    tb = ctx.attrs.get("transpose_b", False)
+    ga = gb = None
+    # Each gradient touches only the other operand: a staged backward
+    # exports just the forward values its rules read.
+    if ctx.needs(0):
+        b = ctx.input(1)
+        ga = _matmul(b, up, tb, True) if ta else _matmul(up, b, False, not tb)
+    if ctx.needs(1):
+        a = ctx.input(0)
+        gb = _matmul(up, a, True, ta) if tb else _matmul(a, up, not ta, False)
+    return [ga, gb]
 
 
 def _grad_transpose(ctx):

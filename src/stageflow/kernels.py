@@ -17,9 +17,21 @@ bit-identical as long as a compute returns
 
 * its op's output dtype (``reduce_sum`` of int32 accumulates in int32, not
   numpy's int64, so a staged consumer sees eager's wrapped-around value);
-* a C-contiguous array, the layout eager's wrap gives (``transpose`` copies:
-  a reduction or BLAS call over a strided view may round differently). A
-  0-d result may be a numpy scalar; wrapping makes it a 0-d array.
+* a C-contiguous array, the layout eager's wrap gives (a reduction or BLAS
+  call over a strided view may round differently, so ``transpose`` copies).
+  A 0-d result may be a numpy scalar; wrapping makes it a 0-d array.
+
+``matmul`` reads a transposed operand through its ``transpose_a`` or
+``transpose_b`` attr as a ``.T`` view of the C-contiguous input, so its
+gradient copies nothing; both modes pass it the same view. With inner dim 1
+it is an outer product, which numpy's matmul runs several times slower
+than ``multiply``. So it computes ``multiply`` and then adds ``0.0`` in
+place: each output is one product either way, and the add turns the
+``-0.0`` of e.g. ``-1 * 0`` into matmul's ``0.0`` (matmul sums onto
+``+0``), so the bytes equal ``np.matmul``'s, infs and NaNs included. The
+one exception is a product of two NaNs with different bits: IEEE 754
+leaves open which comes out, and OpenBLAS's float64 kernels do not pick
+the same one in every tile of one output.
 
 The other ops keep a Tensor-level kernel, ``(attrs, inputs, env)`` to a
 list of tensors, because they need more than arrays: the variable ops take
@@ -175,6 +187,22 @@ def _mean_np(x, axis=None, keepdims=False):
         return np.sum(x, axis=axis, keepdims=keepdims) / 0
 
 
+def _matmul_np(attrs, a, b):
+    if attrs:
+        if attrs.get("transpose_a"):
+            a = a.T
+        if attrs.get("transpose_b"):
+            b = b.T
+    if a.shape[1] == 1 and b.shape[0] == 1:
+        # An outer product: one product per output, as matmul computes it
+        # (see the module docstring). A wildcard misfit goes to matmul,
+        # which raises.
+        out = np.multiply(a, b)
+        out += 0.0
+        return out
+    return np.matmul(a, b)
+
+
 def _step_positive_np(x):
     return np.greater(x, 0).astype(x.dtype)
 
@@ -182,6 +210,11 @@ def _step_positive_np(x):
 def _matmul_infer(attrs, in_specs, env=None):
     dt = _check_dtypes("matmul", True, in_specs[0][0], in_specs[1][0])
     (m, k1), (k2, n) = _rank2("matmul", in_specs[0][1]), _rank2("matmul", in_specs[1][1])
+    if attrs:
+        if attrs.get("transpose_a"):
+            m, k1 = k1, m
+        if attrs.get("transpose_b"):
+            k2, n = n, k2
     if k1 is not None and k2 is not None and k1 != k2:
         raise KernelError(f"matmul inner dims {k1} and {k2} differ")
     return [(dt, (m, n))]
@@ -544,7 +577,7 @@ COMPUTE: Dict[str, Callable] = {
     "softplus": _unary(_softplus_np),
     "relu": _unary(_relu_np),
     "step_positive": _unary(_step_positive_np),
-    "matmul": _binary(np.matmul),
+    "matmul": _matmul_np,
     # A C-contiguous copy, as eager wraps it: a matmul or reduction of the
     # result must see the same layout in both modes.
     "transpose": lambda attrs, x: x.T.copy(),

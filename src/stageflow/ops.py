@@ -21,7 +21,7 @@ they coerce plain Python values to tensors and call dispatch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,6 +58,14 @@ class OpDef:
     kernel: Callable
     infer: Callable
     gradient: Optional[Callable] = None
+    # Names of the required attrs, so a call without attrs canonicalizes
+    # without walking the schema.
+    required_attrs: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "required_attrs", tuple(
+            name for name, (_, required) in self.attr_schema.items() if required
+        ))
 
     @property
     def differentiable(self) -> bool:
@@ -128,7 +136,9 @@ def build_registry() -> OpRegistry:
     op("softplus", 1, 1)
     op("relu", 1, 1)
     op("step_positive", 1, 1)
-    op("matmul", 2, 1)
+    # Absent transpose attrs mean False; the gradient rule sets only True
+    # ones, so forward graphs keep their bytes.
+    op("matmul", 2, 1, transpose_a=(BOOL, False), transpose_b=(BOOL, False))
     op("transpose", 1, 1)
     op("greater", 2, 1)
     op("reshape", 1, 1, shape=SHAPE)
@@ -176,7 +186,7 @@ def kernel_table() -> List[OpDef]:
 
 
 def canonicalize_attrs(op_def: OpDef, attrs: Optional[dict]) -> Dict[str, Any]:
-    if not attrs and not op_def.attr_schema:
+    if not attrs and not op_def.required_attrs:
         return {}
     attrs = attrs or {}
     out: Dict[str, Any] = {}
@@ -186,8 +196,8 @@ def canonicalize_attrs(op_def: OpDef, attrs: Optional[dict]) -> Dict[str, Any]:
         value = attrs[name]
         kind, _ = op_def.attr_schema[name]
         out[name] = _check_attr(op_def.name, name, kind, value)
-    for name, (kind, required) in op_def.attr_schema.items():
-        if required and name not in out:
+    for name in op_def.required_attrs:
+        if name not in out:
             raise AttrMismatch(f"{op_def.name}: missing required attr {name!r}")
     return out
 

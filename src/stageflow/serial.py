@@ -12,10 +12,12 @@ sections that follow, in fixed order, are:
 * nested library (count u32; name id + u32 byte length + a complete nested
   container, sorted by name).
 
-Tensor-valued attrs use the ``wire`` tensor encoding. Node output specs are
-not stored; they are re-inferred on load. The top-level function's own name
-has no slot in the container (nested names live in the library), so a
-round-trip preserves everything except it.
+Tensor-valued attrs use the ``wire`` tensor encoding. On load a node's
+attrs are checked against its op's attr schema, as dispatch checks them, so
+an unknown name or a value of the wrong kind is ``CorruptGraph``. Node
+output specs are not stored; they are re-inferred on load. The top-level
+function's own name has no slot in the container (nested names live in the
+library), so a round-trip preserves everything except it.
 
 Graphs that reference host callbacks are not serializable; callbacks are
 registry ids with no portable meaning.
@@ -26,9 +28,10 @@ from typing import Dict, List, Tuple
 
 from .devices import DeviceName
 from .dtypes import DTYPE_TAGS, DType
-from .errors import CorruptGraph, NotSerializable, StageflowError
+from .errors import AttrMismatch, CorruptGraph, NotSerializable, StageflowError
 from .graph import GraphFunction, Node, Placeholder
 from .kernels import KernelEnv, infer_out_specs
+from .ops import canonicalize_attrs, get_op_def
 from .tensor import Tensor
 from .wire import (
     ByteReader, ByteWriter, StringTable, dtype_of, pack, read_shape,
@@ -199,6 +202,10 @@ def _decode(data: bytes, name: str) -> GraphFunction:
         for _ in range(nr.u32()):
             attr_name = nr.string()
             attrs[attr_name] = _attr_from_wire(nr)
+        try:
+            attrs = canonicalize_attrs(get_op_def(op), attrs)
+        except AttrMismatch as e:
+            raise CorruptGraph(f"node {len(nodes)}: {e}") from None
         device = nr.string()
         try:
             in_specs = [specs[vid][out_idx] for vid, out_idx in inputs]

@@ -3,6 +3,8 @@ import pytest
 
 import stageflow as sf
 from stageflow.backprop import backward_for, get_forward_backward
+from stageflow.executor import _plan_for
+from stageflow.kernels import COMPUTE
 from stageflow.errors import (
     ConsumedTape,
     InactiveTape,
@@ -430,8 +432,9 @@ class TestBackwardTowardSources:
             np.testing.assert_array_equal(e, s)
 
     def test_mlp_step_skips_input_gradients(self):
-        # The x-side of the first matmul (its transpose and matmul) and the
-        # negation for the target y have no source to reach.
+        # The x-side matmul of the first layer's gradient and the negation
+        # for the target y have no source to reach. The matmul gradients
+        # read transposed operands by attr and dispatch no transpose.
         rng = np.random.default_rng(1)
         params, loss_fn = _mlp_loss_fn(rng)
         x = sf.constant(rng.standard_normal((8, 16)).astype(np.float32))
@@ -443,7 +446,7 @@ class TestBackwardTowardSources:
         t.gradient(loss, params)
         counts = stats.snapshot()["eager_op_counts"]
         assert counts["matmul"] == 5
-        assert counts["transpose"] == 3
+        assert counts.get("transpose", 0) == 0
         assert "neg" not in counts
 
     def test_constant_operand_gets_no_gradient_op(self):
@@ -585,8 +588,8 @@ class TestStagedBackwardMask:
         assert list(graph._bwd_by_mask) == [wanted]
         full = get_forward_backward(graph)[1].graph.op_counts()
         masked = backward_for(graph, wanted).graph.op_counts()
-        assert (full["matmul"], full["transpose"], full["neg"]) == (4, 4, 1)
-        assert (masked["matmul"], masked["transpose"]) == (3, 3)
+        assert (full["matmul"], full.get("transpose", 0), full["neg"]) == (4, 0, 1)
+        assert (masked["matmul"], masked.get("transpose", 0)) == (3, 0)
         assert "neg" not in masked
 
     def test_pruned_backward_still_runs_host_call(self):
@@ -710,3 +713,150 @@ class TestStagedSecondOrder:
         assert run(cube).numpy().tolist() == [6.0, 12.0]
         with pytest.raises(NotDifferentiable):
             run(sf.stage(cube))
+
+
+# The eager/staged tolerance of the benchmark's gate, for results whose
+# staged derivation may sum in another order than eager's tape.
+TOL_MODES = 1e-6
+_TRANSPOSES = [(False, False), (False, True), (True, False), (True, True)]
+
+
+def _transpose_attrs(ta, tb):
+    """Only True attrs, as the gradient rule sets them."""
+    return {k: True for k, on in (("transpose_a", ta), ("transpose_b", tb)) if on}
+
+
+def _matmul_t(a, b, ta, tb):
+    return sf.dispatch("matmul", [a, b], _transpose_attrs(ta, tb))[0]
+
+
+def _operands(rng, m, k, n, ta, tb, dtype=np.float64):
+    """Stored operands of ``op(A) @ op(B)`` for an (m, k) @ (k, n) product."""
+    a = rng.uniform(-1.0, 1.0, (k, m) if ta else (m, k)).astype(dtype)
+    b = rng.uniform(-1.0, 1.0, (n, k) if tb else (k, n)).astype(dtype)
+    return a, b
+
+
+class TestTransposedMatmul:
+    """``matmul`` with ``transpose_a``/``transpose_b``: the gradient rule's
+    four cases, eager against staged, the compute's contract and its exact
+    inner-dim-1 product."""
+
+    @pytest.mark.parametrize("ta, tb", _TRANSPOSES)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gradients_match_central_differences(self, ta, tb, k):
+        rng = np.random.default_rng(31)
+        arrays = list(_operands(rng, 2, k, 4, ta, tb))
+        weights = rng.uniform(0.5, 1.5, (2, 4))
+
+        def loss(arrs):
+            out = _matmul_t(sf.constant(arrs[0]), sf.constant(arrs[1]), ta, tb)
+            return float(np.sum(out.numpy() * weights))
+
+        a, b = (sf.constant(x) for x in arrays)
+        with sf.Tape() as t:
+            t.watch(a)
+            t.watch(b)
+            y = sf.reduce_sum(sf.mul(_matmul_t(a, b, ta, tb), sf.constant(weights)))
+        grads = t.gradient(y, [a, b])
+        for i, g in enumerate(grads):
+            assert g.shape == arrays[i].shape
+            fd = central_diff(loss, arrays, i, h=1e-3)
+            assert max_rel_err(g.numpy(), fd, floor=1e-6) < 1e-6, (i, ta, tb)
+
+    @pytest.mark.parametrize("ta, tb", _TRANSPOSES)
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_eager_matches_staged_bit_exactly(self, ta, tb, k):
+        rng = np.random.default_rng(32)
+        a, b = (sf.constant(x) for x in _operands(rng, 6, k, 3, ta, tb, np.float32))
+
+        def fn(u, v):
+            return sf.reduce_sum(sf.softplus(_matmul_t(u, v, ta, tb)))
+
+        def run(f):
+            with sf.Tape() as t:
+                t.watch(a)
+                t.watch(b)
+                y = f(a, b)
+            return [y] + t.gradient(y, [a, b])
+
+        stats = sf.get_runtime().stats
+        stats.reset()
+        eager = run(fn)
+        assert stats.snapshot()["eager_op_counts"].get("transpose", 0) == 0
+        staged_fn = sf.stage(fn)
+        staged = run(staged_fn)
+        for e, s in zip(eager, staged):
+            assert e.numpy().tobytes() == s.numpy().tobytes()
+        bwd = get_forward_backward(staged_fn.cached_functions()[0].graph)[1].graph
+        assert "transpose" not in bwd.op_counts()
+
+    @pytest.mark.parametrize("ta, tb", _TRANSPOSES)
+    def test_second_order_eager_matches_staged(self, ta, tb):
+        rng = np.random.default_rng(33)
+        a, b = (sf.constant(x) for x in _operands(rng, 3, 4, 2, ta, tb))
+
+        def second_order(u, v):
+            with sf.Tape() as t1:
+                t1.watch(u)
+                with sf.Tape() as t2:
+                    t2.watch(u)
+                    t2.watch(v)
+                    y = sf.reduce_sum(sf.softplus(_matmul_t(u, v, ta, tb)))
+                gu, gv = t2.gradient(y, [u, v])
+                s = sf.add(sf.reduce_sum(sf.mul(gu, gu)), sf.reduce_sum(gv))
+            return t1.gradient(s, u)
+
+        eager = second_order(a, b).numpy()
+        staged = sf.stage(second_order)(a, b).numpy()
+        assert eager.shape == a.shape and np.any(eager != 0.0)
+        assert max_rel_err(staged, eager, floor=1e-12) <= TOL_MODES
+
+    @pytest.mark.parametrize("ta, tb", _TRANSPOSES)
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_compute_returns_op_dtype_c_contiguous(self, ta, tb, k, dtype):
+        rng = np.random.default_rng(34)
+        a, b = _operands(rng, 5, k, 3, ta, tb, dtype)
+        attrs = {"transpose_a": ta, "transpose_b": tb}
+        out = COMPUTE["matmul"](attrs, a, b)
+        assert out.dtype == dtype and out.shape == (5, 3)
+        assert out.flags.c_contiguous
+        want = np.matmul(a.T if ta else a, b.T if tb else b)
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ta, tb", _TRANSPOSES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inner_dim_one_is_byte_equal_to_numpy_matmul(self, ta, tb, dtype):
+        # -1 * 0 is -0.0 as a product but 0.0 from matmul; inf * 0 is NaN.
+        # One NaN operand: which of two different NaNs a product keeps is
+        # left open by IEEE 754, and BLAS tiles differ on it.
+        specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan,
+                             2.5, -3e-39, 1e30], dtype=dtype)
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            m, n = (int(d) for d in rng.integers(1, 12, size=2))
+            a = rng.choice(specials, (1, m) if ta else (m, 1))
+            b = rng.choice(specials, (n, 1) if tb else (1, n))
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = COMPUTE["matmul"](_transpose_attrs(ta, tb), a, b)
+                want = np.matmul(a.T if ta else a, b.T if tb else b)
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_value_numbering_keeps_transposes_apart(self):
+        def fn(u, v):
+            return (sf.matmul(u, v), _matmul_t(u, v, False, True),
+                    _matmul_t(u, v, False, True))
+
+        rng = np.random.default_rng(36)
+        a, b = (sf.constant(rng.standard_normal((3, 3))) for _ in range(2))
+        staged = sf.stage(fn)
+        plain, t1, t2 = staged(a, b)
+        graph = staged.cached_functions()[0].graph
+        assert graph.op_counts()["matmul"] == 3
+        assert len(_plan_for(graph).steps) == 2
+        a_np, b_np = a.numpy(), b.numpy()
+        assert plain.numpy().tobytes() == np.matmul(a_np, b_np).tobytes()
+        assert t1.numpy().tobytes() == t2.numpy().tobytes()
+        assert t1.numpy().tobytes() == np.matmul(a_np, b_np.T).tobytes()

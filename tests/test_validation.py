@@ -60,6 +60,10 @@ REJECTIONS = [
     ("matmul-mixed-dtypes", sf.matmul, lambda: [f32(2, 2), f64(2, 2)], KernelError),
     ("matmul-rank-1", sf.matmul, lambda: [f32(2), f32(2, 2)], KernelError),
     ("matmul-inner-dims", sf.matmul, lambda: [f32(2, 3), f32(4, 2)], KernelError),
+    ("matmul-transposed-inner-dims", op("matmul", {"transpose_a": True}),
+     lambda: [f32(2, 3), f32(4, 2)], KernelError),
+    ("matmul-int-transpose-attr", op("matmul", {"transpose_a": 1}),
+     lambda: [f32(2, 2), f32(2, 2)], AttrMismatch),
     ("transpose-rank-3", op("transpose"), lambda: [f32(2, 2, 2)], KernelError),
     ("greater-mixed-dtypes", sf.greater, lambda: [f32(1), f64(1)], KernelError),
     ("greater-boolean", sf.greater,
@@ -196,6 +200,9 @@ WILDCARD_MISFITS = [
      [f32(4), f32(3)]),
     ("matmul", sf.matmul, [(sf.float32, (2, None)), (sf.float32, (3, 2))],
      [f32(2, 4), f32(3, 2)]),
+    # Inner dims 1 and 3: an outer product must not broadcast them.
+    ("matmul-transposed", op("matmul", {"transpose_b": True}),
+     [(sf.float32, (3, None)), (sf.float32, (2, None))], [f32(3, 1), f32(2, 3)]),
     ("reshape", lambda x: sf.reshape(x, (2, 3)), [(sf.float32, (None,))], [f32(5)]),
     ("broadcast_to", lambda x: sf.broadcast_to(x, (2, 3)), [(sf.float32, (None,))],
      [f32(4)]),
@@ -203,11 +210,12 @@ WILDCARD_MISFITS = [
 
 
 @pytest.mark.parametrize(
-    "fn, signature, args", [w[1:] for w in WILDCARD_MISFITS],
+    "name, fn, signature, args", WILDCARD_MISFITS,
     ids=[w[0] for w in WILDCARD_MISFITS],
 )
-def test_wildcard_misfit_raises_kernel_error(fn, signature, args):
-    with pytest.raises(KernelError):
+def test_wildcard_misfit_raises_kernel_error(name, fn, signature, args):
+    op_name = name.split("-")[0]
+    with pytest.raises(KernelError, match=rf"^node \d+ \({op_name}\): "):
         sf.stage(fn, signature=signature)(*args)
 
 

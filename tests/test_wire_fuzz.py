@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import stageflow as sf
 from stageflow.errors import CorruptGraph, StageflowError, StorageError
+from stageflow.graph import GraphBuilder
 
 # 1-4 single-byte overwrites at positions given as fractions of the blob.
 mutations = st.lists(
@@ -115,6 +116,33 @@ class TestWireFuzz:
         # empty string, length only); string 1's bytes start at byte 24.
         with pytest.raises(CorruptGraph):
             sf.deserialize(blob[:24] + b"\xff" + blob[25:])
+
+    @pytest.mark.parametrize("attrs, match", [
+        ({"bogus": 7}, "unexpected attr 'bogus'"),
+        ({"transpose_a": 1}, "transpose_a must be a bool"),
+    ])
+    def test_attrs_outside_the_op_schema_are_corrupt_graph(self, attrs, match):
+        # The builder takes any attrs, and the wire encodes them; decoding
+        # checks them against the op's schema.
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, (2, 2))
+        (y,) = b.add_node("matmul", [x, x], attrs, None, [(sf.float32, (2, 2))])
+        blob = sf.serialize(b.finalize("hostile", [y], ["y"]))
+        with pytest.raises(CorruptGraph, match=rf"^node 0: matmul.*{match}"):
+            sf.deserialize(blob)
+
+    def test_transposed_matmul_round_trips(self):
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, (2, 3))
+        (y,) = b.add_node("matmul", [x, x], {"transpose_a": True}, None,
+                          [(sf.float32, (3, 3))])
+        blob = sf.serialize(b.finalize("gram", [y], ["y"]))
+        gf = sf.deserialize(blob)
+        assert gf.nodes[0].attrs == {"transpose_a": True}
+        assert sf.serialize(gf) == blob
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        (out,) = sf.execute(gf, [sf.constant(arr)])
+        assert out.numpy().tobytes() == (arr.T @ arr).tobytes()
 
     @_settings
     @given(edits=mutations)
