@@ -269,6 +269,7 @@ def _decode(data: bytes) -> Checkpoint:
             kind = kr.u8()
             edges = tuple((kr.string(), kr.u32()) for _ in range(kr.u32()))
             nodes.append(CheckpointNode(edges=edges, payload_kind=kind, path=path))
+        kr.end("the skeleton")
         if not nodes:
             raise StorageError("checkpoint has no root node")
         if any(child >= len(nodes) for node in nodes for _, child in node.edges):
@@ -282,6 +283,7 @@ def _decode(data: bytes) -> Checkpoint:
                 payloads[path] = bytes(pr.blob())
             else:
                 payloads[path] = wire.read_tensor(pr, wire.dtype_of(tag), sized=True)
+        pr.end("the payloads")
         return Checkpoint(nodes, payloads)
     except StorageError:
         raise

@@ -115,8 +115,8 @@ def matches_spec(dtype: DType, shape: Sequence[int], want_dtype: DType,
                  want_shape: Sequence[Optional[int]]) -> bool:
     """Whether a concrete (dtype, shape) fits a spec: the same dtype, the
     same rank, and every dim the spec knows (not ``None``) equal."""
-    return (
-        dtype is want_dtype
-        and len(shape) == len(want_shape)
+    return dtype is want_dtype and (
+        shape == want_shape  # the common case, without a per-dim loop
+        or len(shape) == len(want_shape)
         and all(w is None or s == w for s, w in zip(shape, want_shape))
     )

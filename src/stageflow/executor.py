@@ -17,17 +17,28 @@ computes ``g1 * c + g2 * c``, which is not bit-identical. The backward
 graphs run through plans too, so they are deduplicated the same way.
 
 Slots hold raw arrays. Every node passed its op's ``infer`` rule when it was
-recorded or decoded, so a node with a ``compute`` (``kernels.COMPUTE``) runs
-it on the arrays directly. Tensors are made only at the graph's edges: the
-inputs are unwrapped once, after binding; each output is wrapped once,
-read-only and C-contiguous, on its node's device (an output that is an
-input or a constant comes back as that object, and outputs that share a
-slot come back as one object); and a node without a compute (a variable
-op, ``dropout``, ``call_function``, ``cond``, ``while_loop``,
-``host_call`` or a custom op) gets Tensors, each slot wrapped at most once
-per call, and a ``KernelEnv`` made once per call and pinned device. With
-several devices, each step counts the transparent copies eager placement
-would make for its node (a merged node runs no step and makes no copies).
+recorded or decoded, so a step trusts its inputs and only computes. A step
+is one of two kinds:
+
+* a compute step (a node whose op has a ``compute`` in ``kernels.COMPUTE``)
+  calls a function of its input arrays: for an attr-free elementwise op
+  (``add``, ``mul``, ``exp``, ...) its array function itself
+  (``kernels.ARRAY_FUNCTIONS``), with no wrapper between the plan and numpy;
+  for any other op its compute with the node's attrs bound. Eager runs the
+  same function on the same arrays, so the bytes agree;
+* a Tensor step (a variable op, ``dropout``, ``call_function``, ``cond``,
+  ``while_loop``, ``host_call`` or a custom op) calls its kernel with
+  Tensors, each slot wrapped at most once per call, and a ``KernelEnv``
+  per pinned device, made at the first Tensor step that needs it.
+
+Tensors are made only at the graph's edges and for Tensor steps: the inputs
+are unwrapped once, after binding; each output is wrapped once, read-only
+and C-contiguous, on its node's device (an output that is an input or a
+constant comes back as that object, and outputs that share a slot come back
+as one object). So a plan of compute steps makes no Tensor and no
+``KernelEnv`` between its edges. With several devices, each step
+counts the transparent copies eager placement would make for its node (a
+merged node runs no step and makes no copies).
 
 Ordering: data edges, plus one program-order chain through all stateful
 nodes. The chain is what the per-variable ordering contract requires (it is
@@ -39,8 +50,10 @@ without a wire field.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
+from . import kernels
 from .dtypes import matches_spec
 from .errors import (
     CallbackError,
@@ -53,7 +66,8 @@ from .errors import (
     StageflowError,
 )
 from .graph import GraphFunction, Node
-from .kernels import COMPUTE, KernelEnv, _wrap
+from .kernels import ARRAY_FUNCTIONS, COMPUTE, KernelEnv, _wrap
+from .ops import get_op_def, placement_target
 from .runtime import current_context, get_runtime
 from .state import Variable
 from .tensor import Tensor, move_to
@@ -65,11 +79,14 @@ _PASSTHROUGH = (CallbackError, SignatureViolation, DeadVariable, MissingFunction
 class _Plan:
     """A graph compiled to steps over slots, one step per distinct value.
 
-    A step is ``(kind, fn, attrs, a, b, out, info)``. A compute node has
-    its arity (0, 1 or 2) as ``kind``, its compute as ``fn``, its input
-    slots as ``a``/``b`` and its output slot as ``out``; a Tensor node has
-    kind -1 and its kernel as ``fn``. ``info`` is ``(node index, op, pinned
-    device, input slots, output slots)``.
+    A step is ``(kind, fn, a, b, out, info)``. A compute node has its arity
+    (0, 1 or 2) as ``kind``, its input slots as ``a``/``b`` and its output
+    slot as ``out``; ``fn`` takes the input arrays: the array function
+    itself for an attr-free elementwise op (``kernels.ARRAY_FUNCTIONS``),
+    else the op's compute with the node's attrs bound. A Tensor node has
+    kind -1 and ``fn`` is its kernel with the attrs bound, taking
+    ``(inputs, env)``. ``info`` is ``(node index, op, pinned device, input
+    slots, output slots)``.
 
     Value numbering: a constant, or a node whose op has a compute and is
     not stateful, that computes what an earlier node already computes gets
@@ -84,8 +101,6 @@ class _Plan:
                  "output_slots")
 
     def __init__(self, gf: GraphFunction):
-        from .ops import get_op_def
-
         n_in = self.n_inputs = len(gf.inputs)
         first: List[int] = []  # each node's first output slot
         # Per slot: a constant's array and tensor, and the device of a
@@ -140,12 +155,13 @@ class _Plan:
                 continue
             info = (j, op, device, in_slots, tuple(range(out, out + n_out)))
             if compute is None:
-                kernel = get_op_def(op).kernel
-                self.steps.append((-1, kernel, attrs, None, None, None, info))
+                kernel = partial(get_op_def(op).kernel, attrs)
+                self.steps.append((-1, kernel, None, None, None, info))
             else:
+                fn = ARRAY_FUNCTIONS.get(compute) or partial(compute, attrs)
                 a, b = (in_slots + (None, None))[:2]
-                self.steps.append((len(in_slots), compute, attrs, a, b, out, info))
-        self.output_slots = [(name, slot(ref)) for name, ref in gf.outputs]
+                self.steps.append((len(in_slots), fn, a, b, out, info))
+        self.output_slots = [slot(ref) for _, ref in gf.outputs]
 
 
 def _plan_for(gf: GraphFunction) -> _Plan:
@@ -210,40 +226,37 @@ def execute_graph(
     buffers[: plan.n_inputs] = _bind_inputs(gf, inputs)
     if env is not None:
         device = env.device
-        libraries = (gf.library,) + env.libraries
     else:
         device = current_context().scope_device() or rt.devices[0].name
-        libraries = (gf.library,)
-    # Each slot's Tensor (or variable), made at most once per call.
-    tensors = list(plan.constants)
-    tensors[: plan.n_inputs] = inputs
-    envs: Dict = {}  # pinned device (None: the call's) -> KernelEnv
+    tensors: Dict[int, object] = {}  # slot -> its Tensor, made once per call
+    envs = None  # pinned device (None: the call's) -> KernelEnv
     multi_device = len(rt.devices) > 1
 
-    def tensor(s: int):
-        t = tensors[s]
-        if t is None:
-            t = tensors[s] = _wrap(buffers[s], plan.slot_device[s] or device)
-        return t
-
-    for kind, fn, attrs, a, b, out, info in plan.steps:
+    for kind, fn, a, b, out, info in plan.steps:
         if multi_device:
             # Count the copies eager placement would make to run the node on
             # its device; a Tensor node gets the moved tensors.
-            moved = move_to(info[2] or device, [tensor(s) for s in info[3]], rt.stats)
+            moved = move_to(info[2] or device, [
+                _tensor(s, tensors, plan, inputs, buffers, device) for s in info[3]
+            ], rt.stats)
         try:
             if kind == 2:
-                buffers[out] = fn(attrs, buffers[a], buffers[b])
+                buffers[out] = fn(buffers[a], buffers[b])
             elif kind == 1:
-                buffers[out] = fn(attrs, buffers[a])
+                buffers[out] = fn(buffers[a])
             elif kind == 0:
-                buffers[out] = fn(attrs)
+                buffers[out] = fn()
             else:
+                if envs is None:
+                    envs = {}
                 node_env = envs.get(info[2])
                 if node_env is None:
+                    libraries = (gf.library,) + (env.libraries if env is not None else ())
                     node_env = envs[info[2]] = KernelEnv(info[2] or device, libraries)
-                ins = moved if multi_device else [tensor(s) for s in info[3]]
-                for s, t in zip(info[4], fn(attrs, ins, node_env)):
+                ins = moved if multi_device else [
+                    _tensor(s, tensors, plan, inputs, buffers, device) for s in info[3]
+                ]
+                for s, t in zip(info[4], fn(ins, node_env)):
                     buffers[s] = t.raw()
                     tensors[s] = t
         except _PASSTHROUGH:
@@ -251,7 +264,25 @@ def execute_graph(
         except Exception as e:
             raise KernelError(f"node {info[0]} ({info[1]}): {e}") from e
 
-    return [tensor(s) for _, s in plan.output_slots]
+    return [_tensor(s, tensors, plan, inputs, buffers, device) for s in plan.output_slots]
+
+
+def _tensor(s: int, tensors: Dict, plan: _Plan, inputs: Sequence, buffers: list, device):
+    """Slot ``s`` as a Tensor (or variable), made at most once per call: an
+    input or a constant is that object, any other slot's array is wrapped
+    on its node's device."""
+    t = tensors.get(s)
+    if t is None:
+        t = inputs[s] if s < plan.n_inputs else plan.constants[s]
+        if t is None:
+            t = _wrap(buffers[s], plan.slot_device[s] or device)
+        tensors[s] = t
+    return t
+
+
+# The control-flow kernels run their graphs through this module, which
+# imports ``kernels``: bind the entry point there once.
+kernels.execute_graph = execute_graph
 
 
 def execute(
@@ -261,8 +292,6 @@ def execute(
     workers: Optional[int] = None,
 ) -> List[Tensor]:
     """Run a graph function directly (inputs, then captured values)."""
-    from .ops import placement_target
-
     all_inputs = list(inputs) + list(captured)
     env = KernelEnv(device=placement_target(all_inputs, current_context()))
     return execute_graph(gf, all_inputs, env=env, workers=workers)
@@ -270,8 +299,6 @@ def execute(
 
 def run_node_for_folding(node: Node, inputs: Sequence[Tensor], library) -> List[Tensor]:
     """Evaluate one stateless node on constant inputs (constant folding)."""
-    from .ops import get_op_def
-
     rt = get_runtime()
     op_def = get_op_def(node.op)
     env = KernelEnv(device=rt.devices[0].name, libraries=(library,))

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .devices import DeviceName
 from .dtypes import DType, SymShape
 from .errors import CorruptGraph, KernelError
-from .ops import get_op_def
+from .runtime import get_runtime
 from .tensor import Tensor
 
 Ref = Tuple[int, int]  # (value id, output index)
@@ -77,6 +77,7 @@ class GraphFunction:
             f.serializable for f in self.library.values()
         )
         self._validate()
+        self._output_specs = tuple(self.spec_of(ref) for _, ref in self.outputs)
         self._plan = None  # compiled executor plan, set lazily
         self._fwd_bwd = None  # derived (forward variant, backward fn), set lazily
         self._bwd_by_mask: Dict[Tuple[bool, ...], Any] = {}  # backward_for's cache
@@ -106,7 +107,9 @@ class GraphFunction:
                     "input placeholder as its first input"
                 )
         for _, (vid, out_idx) in self.outputs:
-            if vid < 0 or vid >= n_in + len(self.nodes):
+            if vid < 0 or vid >= n_in + len(self.nodes) or (
+                vid >= n_in and out_idx >= len(self.nodes[vid - n_in].out_specs)
+            ):
                 raise CorruptGraph(f"{self.name}: dangling output reference")
 
     # -- introspection ---------------------------------------------------------
@@ -120,7 +123,9 @@ class GraphFunction:
 
     @property
     def output_specs(self) -> List[Tuple[DType, SymShape]]:
-        return [self.spec_of(ref) for _, ref in self.outputs]
+        """The outputs' (dtype, shape) specs, computed once; each call gets
+        its own list."""
+        return list(self._output_specs)
 
     def op_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -260,7 +265,7 @@ def node_is_stateful(node: Node, library: Dict[str, GraphFunction]) -> bool:
             if callee is not None and graph_is_stateful(callee):
                 return True
         return False
-    return get_op_def(node.op).stateful
+    return get_runtime().registry.get(node.op).stateful
 
 
 def graph_is_stateful(gf: GraphFunction) -> bool:

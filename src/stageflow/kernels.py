@@ -12,6 +12,9 @@ The math of every pure op (and of ``random_normal``) is one
 ``compute(attrs, *arrays) -> array`` in ``COMPUTE``. The graph executor
 calls it on raw arrays; eager dispatch calls it through the one adapter
 ``_tensor_kernel``, which unwraps the input tensors and wraps the result.
+The computes of the attr-free elementwise ops only forward their arrays to
+one array function (``np.add``, ``_exp_np``, ...); ``ARRAY_FUNCTIONS`` maps
+each such compute to its array function, which a plan calls directly.
 Both modes thus run the same math on the same arrays, and stay
 bit-identical as long as a compute returns
 
@@ -69,7 +72,12 @@ from .errors import (
     KernelError,
     MissingFunction,
     ShapeMismatch,
+    UnknownOp,
 )
+from .escape import callback_signature, run_callback
+from .graph import GraphFunction
+from .runtime import get_runtime
+from .state import Variable
 from .tensor import Tensor, to_device
 
 Spec = Tuple[DType, SymShape]
@@ -83,8 +91,6 @@ class KernelEnv:
     libraries: Tuple[Dict[str, Any], ...] = ()  # innermost library first
 
     def resolve_function(self, name_or_fn):
-        from .graph import GraphFunction
-
         if isinstance(name_or_fn, GraphFunction):
             return name_or_fn
         for lib in self.libraries:
@@ -349,8 +355,6 @@ def _dropout_infer(attrs, in_specs, env=None):
 
 
 def _dropout_kernel(attrs, inputs, env):
-    from .runtime import get_runtime
-
     (x,) = inputs
     rate = attrs["rate"]
     keep = 1.0 - rate
@@ -360,8 +364,6 @@ def _dropout_kernel(attrs, inputs, env):
 
 
 def _variable_of(inputs, op):
-    from .state import Variable
-
     v = inputs[0]
     if not isinstance(v, Variable):
         raise KernelError(f"{op} expects a variable as its first input")
@@ -417,7 +419,7 @@ def _call_function_infer(attrs, in_specs, env=None):
             f"call_function: {gf.name} takes {len(gf.inputs)} inputs, "
             f"got {len(in_specs)}"
         )
-    return list(gf.output_specs)
+    return gf.output_specs  # a fresh list
 
 
 def _resolve(fn_attr, env: Optional[KernelEnv]):
@@ -427,10 +429,12 @@ def _resolve(fn_attr, env: Optional[KernelEnv]):
 
 _NO_LIBRARY = KernelEnv(device=None)
 
+# The executor imports this module and runs the graphs of the control-flow
+# kernels below; it binds its ``execute_graph`` here when it is imported.
+execute_graph = None
+
 
 def _call_function_kernel(attrs, inputs, env):
-    from .executor import execute_graph
-
     gf = env.resolve_function(attrs["function"])
     return execute_graph(gf, inputs, env=env)
 
@@ -462,8 +466,6 @@ def _cond_infer(attrs, in_specs, env=None):
 
 
 def _cond_kernel(attrs, inputs, env):
-    from .executor import execute_graph
-
     n_ops = attrs["n_operands"]
     n_then = attrs["n_then_captured"]
     pred = inputs[0]
@@ -488,8 +490,6 @@ def _while_infer(attrs, in_specs, env=None):
 
 
 def _while_kernel(attrs, inputs, env):
-    from .executor import execute_graph
-
     n_vars = attrs["n_vars"]
     n_cond = attrs["n_cond_captured"]
     cond_gf = env.resolve_function(attrs["loop_cond"])
@@ -505,14 +505,10 @@ def _while_kernel(attrs, inputs, env):
 
 
 def _host_call_infer(attrs, in_specs, env=None):
-    from .escape import callback_signature
-
     return list(callback_signature(attrs["callback"]))
 
 
 def _host_call_kernel(attrs, inputs, env):
-    from .escape import run_callback
-
     return run_callback(attrs["callback"], list(inputs))
 
 
@@ -521,12 +517,25 @@ def _host_call_kernel(attrs, inputs, env):
 # ---------------------------------------------------------------------------
 
 
+# compute -> the array function it only forwards its arrays to. These are
+# the attr-free elementwise ops; a plan calls the array function directly.
+ARRAY_FUNCTIONS: Dict[Callable, Callable] = {}
+
+
 def _binary(np_fn):
-    return lambda attrs, a, b: np_fn(a, b)
+    def compute(attrs, a, b):
+        return np_fn(a, b)
+
+    ARRAY_FUNCTIONS[compute] = np_fn
+    return compute
 
 
 def _unary(np_fn):
-    return lambda attrs, x: np_fn(x)
+    def compute(attrs, x):
+        return np_fn(x)
+
+    ARRAY_FUNCTIONS[compute] = np_fn
+    return compute
 
 
 def _reduce(np_fn):
@@ -554,8 +563,6 @@ def _broadcast_to(attrs, x):
 
 
 def _random_normal(attrs):
-    from .runtime import get_runtime
-
     shape = tuple(attrs["shape"])
     arr = get_runtime().draw(lambda rng: rng.standard_normal(shape))
     return arr.astype(attrs["dtype"].np_dtype, copy=False)
@@ -659,7 +666,5 @@ def infer_out_specs(op: str, attrs, in_specs, env: Optional[KernelEnv] = None):
     try:
         fn = INFERENCE[op]
     except KeyError:
-        from .errors import UnknownOp
-
         raise UnknownOp(f"no inference rule for op {op!r}") from None
     return fn(attrs, in_specs, env)

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import kernels as _k
-from .devices import DeviceName
+from .devices import DeviceName, resolve_device
 from .dtypes import DType, float32
 from .errors import (
     ArityMismatch,
@@ -38,6 +38,7 @@ from .errors import (
     SymbolicTensor,
     UnknownOp,
 )
+from .graph import GraphFunction
 from .runtime import ExecutionContext, current_context, get_runtime
 from .state import Variable
 from .tensor import Tensor, coerce, constant as _constant_tensor, move_to, to_device
@@ -245,8 +246,6 @@ def _check_attr(op: str, name: str, kind: str, value):
             raise AttrMismatch(f"{op}.{name} must be a concrete tensor")
         return value
     if kind == FUNCTION:
-        from .graph import GraphFunction
-
         if not isinstance(value, (str, GraphFunction)):
             raise AttrMismatch(f"{op}.{name} must name a graph function")
         return value
@@ -285,8 +284,6 @@ def placement_target(inputs: Sequence, ctx: ExecutionContext) -> DeviceName:
 
 def copy_to(t: Tensor, dst: Union[str, DeviceName]) -> Tensor:
     """Explicitly copy a tensor to a device (identity if already there)."""
-    from .devices import resolve_device
-
     name = resolve_device(dst)
     return t if t.device == name else to_device(t, name)
 
@@ -458,7 +455,7 @@ def dropout(x, rate: float) -> Tensor:
     return out
 
 
-def _install_tensor_operators() -> None:
+def _install_operators() -> None:
     def coerced(op):
         def method(self, other):
             return dispatch(op, [self, _as_operand(other, like=self)])[0]
@@ -483,5 +480,13 @@ def _install_tensor_operators() -> None:
     Tensor.__gt__ = coerced("greater")
     Tensor.__neg__ = lambda self: dispatch("neg", [self])[0]
 
+    # Arithmetic on a variable reads it first (the binary wrappers do), which
+    # also auto-watches it on active tapes.
+    for name, fn in (("add", add), ("sub", sub), ("mul", mul),
+                     ("truediv", div), ("matmul", matmul)):
+        setattr(Variable, f"__{name}__", fn)
+        setattr(Variable, f"__r{name}__", lambda self, other, fn=fn: fn(other, self))
+    Variable.__neg__ = lambda self: -self.read_value()
 
-_install_tensor_operators()
+
+_install_operators()

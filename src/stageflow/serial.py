@@ -32,6 +32,7 @@ from .errors import AttrMismatch, CorruptGraph, NotSerializable, StageflowError
 from .graph import GraphFunction, Node, Placeholder
 from .kernels import KernelEnv, infer_out_specs
 from .ops import canonicalize_attrs, get_op_def
+from .runtime import get_runtime
 from .tensor import Tensor
 from .wire import (
     ByteReader, ByteWriter, StringTable, dtype_of, pack, read_shape,
@@ -179,20 +180,23 @@ def _decode(data: bytes, name: str) -> GraphFunction:
         placeholders.append(
             Placeholder(pname, dtype, shape, bool(dt_byte & _VAR_REF_BIT))
         )
+    ir.end("the input table")
 
     outputs = []
     for _ in range(outr.u32()):
         oname = outr.string()
         outputs.append((oname, (outr.u32(), outr.u16())))
+    outr.end("the output table")
 
     library: Dict[str, GraphFunction] = {}
     for _ in range(lr.u32()):
         lname = lr.string()
         library[lname] = _decode(lr.blob(), lname)
+    lr.end("the library")
 
     # Rebuild node output specs by running inference in program order; the
     # library is decoded first so calls into it can be inferred.
-    env = KernelEnv(device=_default_device(), libraries=(library,))
+    env = KernelEnv(device=get_runtime().devices[0].name, libraries=(library,))
     specs: List[Tuple] = [[(ph.dtype, ph.shape)] for ph in placeholders]
     nodes: List[Node] = []
     for _ in range(nr.u32()):
@@ -217,11 +221,6 @@ def _decode(data: bytes, name: str) -> GraphFunction:
         nodes.append(Node(op, inputs, attrs,
                           DeviceName.parse(device) if device else None, out_specs))
         specs.append(out_specs)
+    nr.end("the node table")
 
     return GraphFunction(name, placeholders, nodes, outputs, library)
-
-
-def _default_device():
-    from .runtime import get_runtime
-
-    return get_runtime().devices[0].name

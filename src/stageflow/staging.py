@@ -23,9 +23,9 @@ import itertools
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .backprop import backward_for, get_forward_backward
 from .devices import DeviceName
 from .dtypes import DType, matches_spec
 from .errors import (
@@ -40,11 +40,12 @@ from .errors import (
     UnencodableArgument,
     VariableCreationError,
 )
+from .gradients import zeros_for
 from .graph import (
     FUNCTION_ATTRS, GraphBuilder, GraphFunction, add_to_library, optimize,
 )
 from .kernels import KernelEnv
-from .ops import dispatch, input_spec, _as_operand
+from .ops import _as_operand, _notify_tapes, dispatch, input_spec
 from .runtime import current_context, get_runtime
 from .state import Variable
 from .tensor import SymbolicRef, Tensor, count_open_trace
@@ -199,8 +200,6 @@ class TraceState:
         ]
         ctx = current_context()
         if ctx.tapes:
-            from .ops import _notify_tapes
-
             _notify_tapes(op_def, inputs, outs, norm_attrs, ctx)
         return outs
 
@@ -216,9 +215,22 @@ class TraceState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TraceKey:
-    encoding: Tuple
+    """A trace cache key: an argument encoding, hashed once."""
+
+    __slots__ = ("encoding", "_hash")
+
+    def __init__(self, encoding: Tuple):
+        self.encoding = encoding
+        self._hash = hash(encoding)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceKey):
+            return NotImplemented
+        return self._hash == other._hash and self.encoding == other.encoding
 
     def __repr__(self) -> str:
         return f"TraceKey{self.encoding!r}"
@@ -298,6 +310,8 @@ class ConcreteFunction:
             else:
                 self._captured.append(("tensor", value, None))
         self._read_var_positions = self._find_read_positions()
+        # Only a float output can carry a gradient back to the inputs.
+        self.differentiable = any(dt.is_float for dt, _ in graph.output_specs)
 
     def _find_read_positions(self) -> Tuple[int, ...]:
         # Graph validation makes input 0 of a read_variable a placeholder.
@@ -369,16 +383,12 @@ def call_concrete(cf: ConcreteFunction, explicit: Sequence) -> List[Tensor]:
             for t in active_tapes
             if any(id(x) in t._tracked for x in inputs_all)
         ]
-    differentiable = any(dt.is_float for dt, _ in cf.graph.output_specs)
-    if watching and differentiable:
+    if watching and cf.differentiable:
         return _call_with_tape(cf, inputs_all, watching)
     return dispatch("call_function", inputs_all, {"function": cf.graph})
 
 
 def _call_with_tape(cf, inputs_all, watching) -> List[Tensor]:
-    from .backprop import backward_for, get_forward_backward
-    from .gradients import zeros_for
-
     fwd, _, saved_desc, float_pos = get_forward_backward(cf.graph)
     outs_all = dispatch("call_function", inputs_all, {"function": fwd})
     m = len(cf.graph.outputs)

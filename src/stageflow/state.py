@@ -19,6 +19,7 @@ import numpy as np
 
 from .dtypes import DType
 from .errors import ShapeMismatch, StagingError, StorageError
+from .runtime import current_context
 from .tensor import Tensor, coerce, constant as _constant
 
 _uid = itertools.count()
@@ -45,8 +46,6 @@ class Variable:
         self.device = init.device
         self._lock = threading.Lock()
         self._storage = _read_only(init.raw().copy())
-        from .runtime import current_context
-
         ctx = current_context()
         if ctx.traces:
             ctx.traces[-1].created_variables.append(self)
@@ -79,19 +78,13 @@ class Variable:
     # -- dispatched API -------------------------------------------------------
 
     def read_value(self) -> Tensor:
-        from .ops import dispatch
-
-        return dispatch("read_variable", [self])[0]
+        return _ops.dispatch("read_variable", [self])[0]
 
     def assign(self, value) -> None:
-        from .ops import dispatch
-
-        dispatch("assign_variable", [self, self._coerce(value)])
+        _ops.dispatch("assign_variable", [self, self._coerce(value)])
 
     def assign_add(self, value) -> None:
-        from .ops import dispatch
-
-        dispatch("assign_add_variable", [self, self._coerce(value)])
+        _ops.dispatch("assign_add_variable", [self, self._coerce(value)])
 
     def _coerce(self, value) -> Tensor:
         if isinstance(value, Tensor):
@@ -115,35 +108,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def variable_create(initial: Tensor) -> Variable:
     return Variable(initial)
-
-
-def _install_variable_operators() -> None:
-    # Arithmetic on a variable reads it first, which also auto-watches it on
-    # active tapes.
-    def fwd(op):
-        def method(self, other):
-            from .ops import _binary
-
-            return _binary(op)(self, other)
-
-        return method
-
-    def rev(op):
-        def method(self, other):
-            from .ops import _binary
-
-            return _binary(op)(other, self)
-
-        return method
-
-    for name, op in (("add", "add"), ("sub", "sub"), ("mul", "mul"),
-                     ("truediv", "div"), ("matmul", "matmul")):
-        setattr(Variable, f"__{name}__", fwd(op))
-        setattr(Variable, f"__r{name}__", rev(op))
-    Variable.__neg__ = lambda self: -self.read_value()
-
-
-_install_variable_operators()
 
 
 class Trackable:
@@ -232,3 +196,8 @@ class SequenceIterator(Trackable):
                 f"iterator cursor {cursor} is outside 0..{len(self._items)}"
             )
         self._cursor = cursor
+
+
+# ``ops`` imports Variable from this module (and installs the variable
+# operators), so the module is bound here, once the class exists.
+from . import ops as _ops

@@ -14,7 +14,9 @@ Shapes are rank u16 then dims i64 (-1 = wildcard). Tensors are a dtype tag
 u8, a shape, then the raw row-major payload, which a "sized" tensor (SCK1)
 prefixes with its u32 byte length.
 
-A container ends with its last section: trailing bytes are malformed.
+A container ends with its last section, and each section with its last
+field: trailing bytes are malformed (a decoder calls ``ByteReader.end``
+after each of its sections).
 Malformed input raises ``CorruptGraph`` (``FormatVersionMismatch`` for a
 version the runtime does not read); each format maps these to its own error
 contract.
@@ -133,6 +135,11 @@ class ByteReader:
             raise CorruptGraph(f"string id {i} out of range")
         return self.strings[i]
 
+    def end(self, what: str) -> None:
+        """Check that the reader consumed its data; ``what`` names the end."""
+        if self._pos != len(self._data):
+            raise CorruptGraph(f"{len(self._data) - self._pos} bytes after {what}")
+
 
 def pack(magic: bytes, version: int, table: StringTable,
          sections: Sequence[ByteWriter]) -> bytes:
@@ -163,9 +170,9 @@ def unpack(data: bytes, magic: bytes, version: int,
         )
     sr = ByteReader(r.blob())
     strings = [sr.blob().decode("utf-8") for _ in range(sr.u32())]
+    sr.end("the string table")
     sections = [ByteReader(r.blob(), strings) for _ in range(n_sections)]
-    if r._pos != len(data):
-        raise CorruptGraph(f"{len(data) - r._pos} bytes after the last section")
+    r.end("the last section")
     return sections
 
 

@@ -299,3 +299,23 @@ def build_mlp(rng, in_dim=16, hidden=32, out_dim=1):
                       params["b2"].read_value())
 
     return params, forward
+
+
+def leapfrog(n_steps, step=0.1):
+    """A leapfrog integrator of ``n_steps`` steps, the force by a nested tape."""
+    half = step / 2.0
+
+    def force(q):
+        with sf.Tape() as tape:
+            tape.watch(q)
+            u = sf.mul(sf.reduce_sum(sf.mul(q, q)), 0.5)
+        return tape.gradient(u, q)
+
+    def trajectory(q, p):
+        for _ in range(n_steps):
+            p = sf.sub(p, sf.mul(force(q), half))
+            q = sf.add(q, sf.mul(p, step))
+            p = sf.sub(p, sf.mul(force(q), half))
+        return q, p
+
+    return trajectory

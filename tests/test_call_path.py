@@ -1,0 +1,165 @@
+"""Warm calls do no work that is the same on every call: no stageflow frame
+runs an import statement, and call metadata is computed once per graph and
+handed out as copies."""
+import builtins
+import sys
+
+import numpy as np
+import pytest
+
+import stageflow as sf
+from stageflow.dtypes import matches_spec
+from stageflow.kernels import infer_out_specs
+
+from helpers import build_mlp, leapfrog
+
+
+def _stageflow_imports(fn):
+    """The modules imported by import statements in stageflow frames while
+    ``fn`` runs."""
+    seen = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__", "").startswith("stageflow"):
+            seen.append(name)
+        return real_import(name, *args, **kwargs)
+
+    builtins.__import__ = counting_import
+    try:
+        fn()
+    finally:
+        builtins.__import__ = real_import
+    return seen
+
+
+def _eager_mul():
+    x = sf.constant(np.ones((3, 2), np.float32))
+    return lambda: sf.mul(x, x)
+
+
+def _eager_variable_ops():
+    v = sf.Variable(np.ones((3, 2), np.float32))
+    one = sf.constant(np.ones((3, 2), np.float32))
+
+    def run():
+        v.read_value()
+        v.assign_add(one)
+
+    return run
+
+
+def _staged_leapfrog():
+    rng = np.random.default_rng(5)
+    q, p = (sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
+            for _ in range(2))
+    trajectory = sf.stage(leapfrog(10))
+    return lambda: trajectory(q, p)
+
+
+def _taped_staged_mlp():
+    rng = np.random.default_rng(6)
+    params, forward = build_mlp(rng)
+    loss = sf.stage(lambda x: sf.reduce_sum(forward(x)))
+    x = sf.constant(rng.standard_normal((8, 16)).astype(np.float32))
+
+    def run():
+        with sf.Tape() as tape:
+            y = loss(x)
+        tape.gradient(y, list(params.values()))
+
+    return run
+
+
+@pytest.mark.parametrize("make", [
+    _eager_mul, _eager_variable_ops, _staged_leapfrog, _taped_staged_mlp,
+])
+def test_warm_hot_path_runs_no_import(make):
+    run = make()
+    run()  # the first call traces, derives and plans
+    assert _stageflow_imports(run) == []
+
+
+def test_import_counter_sees_a_stageflow_import():
+    # The guard itself: a function-local import in a stageflow module counts.
+    namespace = {"__name__": "stageflow.probe"}
+    exec("def probe():\n    from stageflow import errors\n", namespace)
+    assert _stageflow_imports(namespace["probe"]) == ["stageflow"]
+
+
+class TestCachedCallMetadata:
+    def _graph(self):
+        f = sf.stage(lambda x: (x * 2.0, sf.reduce_sum(x)))
+        x = sf.constant(np.ones((2, 3), np.float32))
+        f(x)
+        (cf,) = f.cached_functions()
+        return f, x, cf.graph
+
+    def test_mutating_output_specs_does_not_change_the_graph(self):
+        f, x, gf = self._graph()
+        want = [(sf.float32, (2, 3)), (sf.float32, ())]
+        specs = gf.output_specs
+        assert specs == want
+        specs[0] = (sf.int32, (7,))
+        specs.append((sf.float64, ()))
+        assert gf.output_specs == want
+        first, total = f(x)
+        assert first.shape == (2, 3) and total.shape == ()
+
+    def test_mutating_call_function_infer_does_not_change_the_graph(self):
+        f, x, gf = self._graph()
+        want = [(sf.float32, (2, 3)), (sf.float32, ())]
+        in_specs = [(sf.float32, (2, 3))]
+        inferred = infer_out_specs("call_function", {"function": gf}, in_specs)
+        assert inferred == want
+        inferred.clear()
+        assert infer_out_specs("call_function", {"function": gf}, in_specs) == want
+        assert gf.output_specs == want
+        first, total = f(x)
+        assert first.shape == (2, 3) and total.shape == ()
+
+    def test_trace_key_equality_hash_and_repr(self):
+        a, b = sf.TraceKey(("a",)), sf.TraceKey(("a",))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != sf.TraceKey(("b",)) and a != ("a",)
+        assert repr(a) == "TraceKey('a',)"
+        assert a.encoding == ("a",)
+
+    def test_int32_outputs_skip_the_taped_path(self):
+        f = sf.stage(lambda n: sf.reduce_sum(n))
+        n = sf.constant(np.array([1, 2, 3], np.int32))
+        with sf.Tape() as tape:
+            tape.watch(n)
+            total = f(n)
+        assert total.numpy().tolist() == 6
+        (cf,) = f.cached_functions()
+        assert cf.differentiable is False
+        assert cf.graph._fwd_bwd is None  # no forward variant was derived
+        assert tape.entries == []
+
+    def test_float_outputs_take_the_taped_path(self):
+        f = sf.stage(lambda x: sf.reduce_sum(x * x))
+        x = sf.constant([1.0, 2.0])
+        with sf.Tape() as tape:
+            tape.watch(x)
+            y = f(x)
+        (cf,) = f.cached_functions()
+        assert cf.differentiable is True
+        assert [e.op for e in tape.entries] == ["call_function"]
+        assert tape.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("dtype, shape, spec_dtype, spec_shape, fits", [
+    (sf.float32, (2, 3), sf.float32, (2, 3), True),
+    (sf.float32, (2, 3), sf.float32, (None, 3), True),
+    (sf.float32, (), sf.float32, (), True),
+    (sf.float32, (2, 3), sf.float32, [2, 3], True),
+    (sf.float32, (2, 3), sf.float32, (2, 4), False),
+    (sf.float32, (2, 3), sf.float32, (2, 3, 1), False),
+    (sf.float32, (2, 3), sf.float32, (None,), False),
+    (sf.float32, (2, 3), sf.float64, (2, 3), False),
+])
+def test_matches_spec(dtype, shape, spec_dtype, spec_shape, fits):
+    assert matches_spec(dtype, shape, spec_dtype, spec_shape) is fits

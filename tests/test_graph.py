@@ -24,10 +24,11 @@ from stageflow.graph import (
     optimize,
     prune,
 )
+from stageflow.kernels import ARRAY_FUNCTIONS, COMPUTE
 from stageflow.runtime import RuntimeOptions, init_runtime
 from stageflow.serial import deserialize, serialize
 
-from helpers import random_graph
+from helpers import leapfrog, random_graph
 
 
 def _simple_graph(extra_dead=False):
@@ -432,6 +433,43 @@ def _assert_edge_tensor(t, dtype):
     assert t.shape == arr.shape
 
 
+# The attr-free elementwise ops: (arity, dtypes their infer rule accepts).
+_FLOATS = (sf.float32, sf.float64)
+_ARRAY_OPS = {
+    "add": (2, _FLOATS + (sf.int32,)),
+    "sub": (2, _FLOATS + (sf.int32,)),
+    "mul": (2, _FLOATS + (sf.int32,)),
+    "div": (2, _FLOATS),
+    "greater": (2, _FLOATS + (sf.int32,)),
+    "neg": (1, _FLOATS + (sf.int32,)),
+    "exp": (1, _FLOATS),
+    "log": (1, _FLOATS),
+    "softplus": (1, _FLOATS),
+    "relu": (1, _FLOATS),
+    "step_positive": (1, _FLOATS),
+}
+
+# Equal shapes, a broadcast, and 0-d operands (numpy returns a scalar).
+_OPERAND_SHAPES = {
+    1: [((4, 8),), ((),)],
+    2: [((4, 8), (4, 8)), ((4, 8), (8,)), ((), (3,))],
+}
+
+
+def _elementwise_operand(rng, shape, dtype):
+    """Random values of ``shape`` with the edge cases of elementwise math
+    (signed zeros, infs, NaN, overflow and underflow) mixed in."""
+    size = int(np.prod(shape))
+    if dtype is sf.int32:
+        special = np.array([0, -1, 2**31 - 1, -2**31], np.int64)
+        values = rng.integers(-2**31, 2**31, size=size)
+    else:
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e30, 89.0, 710.0])
+        values = rng.standard_normal(size) * 3
+    values[: min(size, len(special))] = special[:size]
+    return rng.permutation(values).astype(dtype.np_dtype).reshape(shape)
+
+
 class TestRawArrayPlans:
     """Plans run each op's compute on raw arrays; Tensors only at the edges."""
 
@@ -505,6 +543,48 @@ class TestRawArrayPlans:
         with pytest.raises(InputMismatch, match="expects a tensor, got Variable"):
             sf.execute(gf, [sf.Variable([1.0, 2.0])])
 
+    def test_array_steps_are_the_attr_free_elementwise_ops(self):
+        ops = {op for op, compute in COMPUTE.items() if compute in ARRAY_FUNCTIONS}
+        assert ops == set(_ARRAY_OPS)
+
+    @pytest.mark.parametrize("op", sorted(_ARRAY_OPS))
+    def test_direct_array_steps_bit_equal_to_eager_replay(self, op):
+        arity, dtypes = _ARRAY_OPS[op]
+        rng = np.random.default_rng(sorted(_ARRAY_OPS).index(op))
+        for dtype in dtypes:
+            for shapes in _OPERAND_SHAPES[arity]:
+                arrays = [_elementwise_operand(rng, shape, dtype) for shape in shapes]
+                b = GraphBuilder()
+                refs = [b.add_placeholder(f"x{i}", dtype, arr.shape)
+                        for i, arr in enumerate(arrays)]
+                out_shape = np.broadcast_shapes(*[arr.shape for arr in arrays])
+                out_dtype = sf.boolean if op == "greater" else dtype
+                (y,) = b.add_node(op, refs, {}, None, [(out_dtype, out_shape)])
+                gf = b.finalize(op, [y], ["y"])
+                (step,) = _plan_for(gf).steps
+                assert step[1] is ARRAY_FUNCTIONS[COMPUTE[op]]  # no compute wrapper
+                inputs = [sf.constant(arr) for arr in arrays]
+                with np.errstate(all="ignore"):
+                    (got,) = sf.execute(gf, inputs)
+                    (want,) = _eager_replay(gf, inputs)
+                _assert_edge_tensor(got, out_dtype)
+                assert got.shape == want.shape == out_shape
+                assert got.raw().tobytes() == want.raw().tobytes(), (dtype, shapes)
+
+    @pytest.mark.parametrize("op", sorted(op for op, (n, _) in _ARRAY_OPS.items() if n == 2))
+    def test_failing_direct_step_raises_kernel_error(self, op):
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, (None,))
+        y = b.add_placeholder("y", sf.float32, (None,))
+        (n,) = b.add_node("neg", [x], {}, None, [(sf.float32, (None,))])
+        out_dtype = sf.boolean if op == "greater" else sf.float32
+        (z,) = b.add_node(op, [n, y], {}, None, [(out_dtype, (None,))])
+        gf = b.finalize("misfit", [z], ["z"])
+        with pytest.raises(KernelError, match=rf"^node 1 \({op}\): ") as info:
+            sf.execute(gf, [sf.constant(np.ones(4, np.float32)),
+                            sf.constant(np.ones(3, np.float32))])
+        assert isinstance(info.value.__cause__, ValueError)  # numpy's
+
     def test_folding_runs_the_computes(self):
         b = GraphBuilder()
         big = sf.constant(np.array([2**30] * 3, dtype=np.int32))
@@ -545,25 +625,6 @@ def _with_duplicates(gf, rng):
                for name, out in gf.outputs
                for i, ref in enumerate(copies.get(out, [out]))]
     return GraphFunction(gf.name + "_dup", gf.inputs, nodes, outputs)
-
-
-def _leapfrog(n_steps, step=0.1):
-    half = step / 2.0
-
-    def force(q):
-        with sf.Tape() as tape:
-            tape.watch(q)
-            u = sf.mul(sf.reduce_sum(sf.mul(q, q)), 0.5)
-        return tape.gradient(u, q)
-
-    def trajectory(q, p):
-        for _ in range(n_steps):
-            p = sf.sub(p, sf.mul(force(q), half))
-            q = sf.add(q, sf.mul(p, step))
-            p = sf.sub(p, sf.mul(force(q), half))
-        return q, p
-
-    return trajectory
 
 
 def _steps(gf):
@@ -669,7 +730,7 @@ class TestValueNumbering:
         rng = np.random.default_rng(0)
         q0 = sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
         p0 = sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
-        eager = _leapfrog(10)
+        eager = leapfrog(10)
         staged = sf.stage(eager)
         for e, s in zip(eager(q0, p0), staged(q0, p0)):
             assert e.numpy().tobytes() == s.numpy().tobytes()

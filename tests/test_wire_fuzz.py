@@ -75,6 +75,18 @@ class TestGoldenBytes:
 _PADDING = [b"\x00", b"xx", b"garbage", b"\x00" * 4]
 
 
+def _pad_section(blob: bytes, index: int, pad: bytes = b"\x00\x00") -> bytes:
+    """``blob`` with section ``index`` (0 is the string table) padded by
+    ``pad``, and its length prefix fixed up to cover the padding."""
+    pos = 8  # magic, version
+    for _ in range(index):
+        pos += 4 + int.from_bytes(blob[pos:pos + 4], "little")
+    n = int.from_bytes(blob[pos:pos + 4], "little")
+    end = pos + 4 + n
+    return (blob[:pos] + (n + len(pad)).to_bytes(4, "little")
+            + blob[pos + 4:end] + pad + blob[end:])
+
+
 class TestWireFuzz:
     @pytest.mark.parametrize("pad", _PADDING + [None])
     def test_padded_sgf1_is_corrupt_graph(self, pad):
@@ -87,6 +99,20 @@ class TestWireFuzz:
         blob = sf.save(_Model()).to_bytes()
         with pytest.raises(StorageError, match="after the last section"):
             sf.Checkpoint.from_bytes(blob + (blob if pad is None else pad))
+
+    @pytest.mark.parametrize("section", range(5))
+    def test_padded_sgf1_section_is_corrupt_graph(self, section):
+        # The string table, then the input, node, output and library tables.
+        blob = _pad_section(_graph_blob(), section)
+        with pytest.raises(CorruptGraph, match="2 bytes after the "):
+            sf.deserialize(blob)
+
+    @pytest.mark.parametrize("section", range(3))
+    def test_padded_sck1_section_is_storage_error(self, section):
+        # The string table, then the skeleton and the payloads.
+        blob = _pad_section(sf.save(_Model()).to_bytes(), section)
+        with pytest.raises(StorageError, match="2 bytes after the "):
+            sf.Checkpoint.from_bytes(blob)
 
     @pytest.mark.parametrize(
         "payload",
