@@ -12,6 +12,15 @@ inputs, two derived functions are built from it and cached:
   input, built by running the per-op gradient rules in reverse over the
   forward graph inside a new trace.
 
+Derivation runs only toward float inputs. One forward pass marks the values
+a float input reaches through differentiable nodes; the reverse pass skips
+every node that no float input reaches, and tells each rule which of its
+inputs are reached (``GradContext.needs``), as the eager tape does. So no
+gradient toward a constant is recorded, and the forward variant saves only
+the values that the needed gradients read. A rule computes a needed
+gradient with the same ops either way, so the gradients are bit-identical
+to a derivation toward every input.
+
 The tape entry for the call stores the saved values, so computing the
 gradient of a staged forward pass executes the staged backward function —
 no eager math runs in the backward pass of a staged computation.
@@ -29,12 +38,16 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .errors import StagingError
+from .escape import backward_callback_for
 from .gradients import GradContext, zeros_for
 from .graph import GraphFunction, Node, add_to_library, prune
 from .ops import add, dispatch, get_op_def
 from .runtime import get_runtime
 
 SavedDesc = Tuple  # ("input", placeholder index) | ("extra", fwd extra index)
+
+# Ops whose gradients are derived from their callee or callback.
+_DERIVED = ("call_function", "host_call")
 
 
 def get_forward_backward(gf: GraphFunction):
@@ -54,8 +67,6 @@ def backward_for(gf: GraphFunction, wanted: Tuple[bool, ...]):
         return bwd_cf
     cf = gf._bwd_by_mask.get(wanted)
     if cf is None:
-        from .staging import ConcreteFunction
-
         full = bwd_cf.graph
         outputs = [o for o, w in zip(full.outputs, wanted) if w]
         pruned = prune(GraphFunction(
@@ -63,17 +74,32 @@ def backward_for(gf: GraphFunction, wanted: Tuple[bool, ...]):
         ))
         cf = gf._bwd_by_mask.setdefault(
             wanted,
-            ConcreteFunction(pruned, bwd_cf.materialize_captured(), "list"),
+            _staging.ConcreteFunction(pruned, bwd_cf.materialize_captured(), "list"),
         )
     return cf
 
 
-def _build(gf: GraphFunction):
-    from .staging import ConcreteFunction, TraceState, call_concrete
+def _float_reach(gf: GraphFunction, op_defs) -> List[bool]:
+    """Per value id: does a float input reach it through nodes that carry
+    gradients? ``op_defs`` holds each node's OpDef (None for calls and host
+    calls, whose gradients are derived, not looked up)."""
+    reached = [ph.dtype.is_float for ph in gf.inputs]
+    for node, op_def in zip(gf.nodes, op_defs):
+        reached.append(
+            (op_def is None or op_def.gradient is not None)
+            and any(reached[vid] for vid, _ in node.inputs)
+        )
+    return reached
 
+
+def _build(gf: GraphFunction):
     rt = get_runtime()
     n_in = len(gf.inputs)
-    ts = TraceState(gf.name + "_bwd")
+    ts = _staging.TraceState(gf.name + "_bwd")
+    op_defs = [
+        None if node.op in _DERIVED else get_op_def(node.op) for node in gf.nodes
+    ]
+    reached = _float_reach(gf, op_defs)
 
     needed: List[Tuple[int, int]] = []  # forward refs exported by the variant
     needed_index: Dict[Tuple[int, int], int] = {}
@@ -87,8 +113,10 @@ def _build(gf: GraphFunction):
         return aug_specs.get(ref) or gf.spec_of(ref)
 
     def accumulate(ref, g):
-        prev = grads.get(ref)
-        grads[ref] = g if prev is None else add(prev, g)
+        # A value no float input reaches passes its gradient nowhere.
+        if reached[ref[0]]:
+            prev = grads.get(ref)
+            grads[ref] = g if prev is None else add(prev, g)
 
     with ts.open():
         # Backward inputs, part 1: one upstream-gradient placeholder per
@@ -123,32 +151,31 @@ def _build(gf: GraphFunction):
             return sym
 
         for i in range(len(gf.nodes) - 1, -1, -1):
-            node = gf.nodes[i]
             vid = n_in + i
+            if not reached[vid]:
+                continue
+            node = gf.nodes[i]
             out_grads = [grads.get((vid, j)) for j in range(len(node.out_specs))]
             if all(g is None for g in out_grads):
                 continue
             if node.op == "call_function":
                 _diff_call_node(
                     gf, node, vid, out_grads, saved_value, accumulate,
-                    call_rewrites, aug_specs, i, call_concrete,
+                    call_rewrites, aug_specs, i,
                 )
             elif node.op == "host_call":
                 _diff_host_call(gf, node, out_grads, saved_value, accumulate)
             else:
-                op_def = get_op_def(node.op)
-                if op_def.gradient is None:
-                    continue  # non-differentiable; contributes nothing
-                in_specs = [gf.spec_of(r) for r in node.inputs]
                 gctx = GradContext(
                     node.attrs,
                     input_fn=lambda k, _n=node: saved_value(_n.inputs[k]),
                     output_fn=lambda k, _v=vid: saved_value((_v, k)),
-                    in_specs=in_specs,
+                    in_specs=[gf.spec_of(r) for r in node.inputs],
                     out_specs=list(node.out_specs),
                     out_grads=out_grads,
+                    needs=[reached[r[0]] for r in node.inputs],
                 )
-                for ref, g in zip(node.inputs, op_def.gradient(gctx)):
+                for ref, g in zip(node.inputs, op_defs[i].gradient(gctx)):
                     if g is not None:
                         accumulate(ref, g)
 
@@ -165,7 +192,7 @@ def _build(gf: GraphFunction):
             out_names.append(f"grad_{ph.name}")
 
     bwd_gf = ts.finalize(out_refs, out_names)
-    bwd_cf = ConcreteFunction(bwd_gf, ts.capture_values, "list")
+    bwd_cf = _staging.ConcreteFunction(bwd_gf, ts.capture_values, "list")
 
     fwd_gf = _assemble_forward_variant(gf, needed, call_rewrites)
     rt.stats.count_derived_trace()
@@ -174,7 +201,7 @@ def _build(gf: GraphFunction):
 
 def _diff_call_node(
     gf, node, vid, out_grads, saved_value, accumulate, call_rewrites,
-    aug_specs, node_idx, call_concrete,
+    aug_specs, node_idx,
 ):
     callee = gf.library[node.attrs["function"]]
     c_fwd, c_bwd_cf, c_desc, c_float = get_forward_backward(callee)
@@ -191,14 +218,12 @@ def _diff_call_node(
             args.append(saved_value(node.inputs[d[1]]))
         else:
             args.append(saved_value((vid, m + d[1])))
-    results = call_concrete(c_bwd_cf, args)
+    results = _staging.call_concrete(c_bwd_cf, args)
     for pos, g in zip(c_float, results):
         accumulate(node.inputs[pos], g)
 
 
 def _diff_host_call(gf, node, out_grads, saved_value, accumulate):
-    from .escape import backward_callback_for
-
     in_specs = tuple(gf.spec_of(r) for r in node.inputs)
     bwd_id, float_in = backward_callback_for(node.attrs["callback"], in_specs)
     args = [saved_value(r) for r in node.inputs]
@@ -237,3 +262,8 @@ def _assemble_forward_variant(gf, needed, call_rewrites) -> GraphFunction:
         (f"saved_{k}", ref) for k, ref in enumerate(needed)
     ]
     return GraphFunction(gf.name + "_fwd", gf.inputs, nodes, outputs, library)
+
+
+# ``staging`` imports this module, and derivation traces the backward and
+# calls concrete functions: the module is bound here, once it is complete.
+from . import staging as _staging  # noqa: E402

@@ -68,9 +68,13 @@ class DeviceName:
 
 
 def as_device_name(value: Union[str, DeviceName]) -> DeviceName:
+    """``value`` as a DeviceName; a malformed name raises UnknownDevice."""
     if isinstance(value, DeviceName):
         return value
-    return DeviceName.parse(value)
+    try:
+        return DeviceName.parse(value)
+    except ValueError as e:
+        raise UnknownDevice(str(e)) from None
 
 
 class Device:
@@ -94,17 +98,14 @@ def default_devices(accelerators: int) -> List[Device]:
 
 
 def list_devices() -> List[DeviceName]:
-    from .runtime import get_runtime
-
-    return [d.name for d in get_runtime().devices]
+    return [d.name for d in _runtime.get_runtime().devices]
 
 
 def resolve_device(name: Union[str, DeviceName]) -> DeviceName:
-    """Validate that a name refers to a live device and return it."""
-    from .runtime import get_runtime
-
+    """Validate that a name refers to a live device and return it; a
+    malformed or unknown name raises UnknownDevice."""
     dn = as_device_name(name)
-    for d in get_runtime().devices:
+    for d in _runtime.get_runtime().devices:
         if d.name == dn:
             return dn
     raise UnknownDevice(f"no such device: {dn.render()}")
@@ -117,12 +118,15 @@ def device_scope(name: Union[str, DeviceName]):
     Scopes nest; the innermost wins. Node-level device overrides recorded
     inside graph functions beat the caller's scope.
     """
-    from .runtime import current_context
-
     dn = resolve_device(name)
-    ctx = current_context()
+    ctx = _runtime.current_context()
     ctx.device_scopes.append(dn)
     try:
         yield dn
     finally:
         ctx.device_scopes.pop()
+
+
+# ``runtime`` imports this module for the device list: the module is bound
+# here, once the names it needs from this one exist.
+from . import runtime as _runtime  # noqa: E402

@@ -123,10 +123,8 @@ def run_callback(cb_id: int, inputs: List[Tensor]) -> List[Tensor]:
 
 def host_call(cb: HostCallback, inputs: Sequence) -> List[Tensor]:
     """Invoke a registered callback; stages as a stateful graph node."""
-    from .ops import _as_operand, dispatch
-
-    return dispatch(
-        "host_call", [_as_operand(x) for x in inputs], {"callback": cb.id}
+    return _ops.dispatch(
+        "host_call", [_ops._as_operand(x) for x in inputs], {"callback": cb.id}
     )
 
 
@@ -149,8 +147,6 @@ def backward_callback_for(cb_id: int, in_specs: Tuple) -> Tuple[int, Tuple[int, 
         float_pos = tuple(i for i, (dt, _) in enumerate(in_specs) if dt.is_float)
 
         def vjp_fn(*args):
-            from .tape import Tape
-
             xs, gs = list(args[:n]), list(args[n:])
             tape = Tape()
             with tape:
@@ -165,6 +161,11 @@ def backward_callback_for(cb_id: int, in_specs: Tuple) -> Tuple[int, Tuple[int, 
         return hit
 
 
+# ``tape`` imports this module (through ``ops``); it binds its ``Tape`` class
+# here when it is imported.
+Tape = None
+
+
 @contextmanager
 def escape_trace():
     """Pause the innermost trace; dispatches inside run eagerly.
@@ -177,3 +178,8 @@ def escape_trace():
         yield
     finally:
         ctx.escape_depth -= 1
+
+
+# ``ops`` imports this module (through ``kernels``): the module is bound here,
+# once the names ``kernels`` needs from this one exist.
+from . import ops as _ops  # noqa: E402

@@ -53,7 +53,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from . import kernels
+from . import graph, kernels
 from .dtypes import matches_spec
 from .errors import (
     CallbackError,
@@ -308,3 +308,8 @@ def run_node_for_folding(node: Node, inputs: Sequence[Tensor], library) -> List[
         raise
     except Exception as e:
         raise KernelError(f"folding {node.op}: {e}") from e
+
+
+# ``graph`` folds constants through this function, and this module imports
+# ``graph``: bind it there once.
+graph.run_node_for_folding = run_node_for_folding

@@ -13,7 +13,12 @@ The optimizer lives here too: ``prune`` removes stateless nodes that no
 output (and no retained stateful node) depends on, and ``constant_fold``
 evaluates stateless nodes whose inputs are all constants. Both preserve
 semantics exactly; kernels are deterministic, so folded graphs are
-bit-identical to unfolded ones.
+bit-identical to unfolded ones. ``optimize`` prunes first, so no dead node
+is folded, then folds. Folding drops the constants it leaves without a
+consumer, so the result is the graph that folding first and pruning after
+gives. Each pass hands back the graph itself when it changes nothing, and
+otherwise builds one new graph that reuses every node whose inputs did not
+move.
 """
 from __future__ import annotations
 
@@ -201,11 +206,10 @@ class GraphBuilder:
         device: Optional[DeviceName],
         out_specs: Sequence[Tuple[DType, SymShape]],
     ):
-        self.nodes.append(
-            dict(op=op, inputs=list(inputs), attrs=dict(attrs), device=device,
-                 out_specs=tuple(out_specs))
-        )
-        idx = len(self.nodes) - 1
+        """Append a node; the builder keeps ``attrs`` itself, not a copy, so
+        the caller must not change it afterwards."""
+        idx = len(self.nodes)
+        self.nodes.append((op, inputs, attrs, device, tuple(out_specs)))
         return [("n", idx, j) for j in range(len(out_specs))]
 
     def finalize(
@@ -223,14 +227,8 @@ class GraphBuilder:
             return (n_in + bref[1], bref[2])
 
         nodes = [
-            Node(
-                op=n["op"],
-                inputs=tuple(to_ref(r) for r in n["inputs"]),
-                attrs=n["attrs"],
-                device=n["device"],
-                out_specs=n["out_specs"],
-            )
-            for n in self.nodes
+            Node(op, tuple([to_ref(r) for r in inputs]), attrs, device, out_specs)
+            for op, inputs, attrs, device, out_specs in self.nodes
         ]
         outputs = [
             (oname, to_ref(oref)) for oname, oref in zip(output_names, output_refs)
@@ -283,38 +281,41 @@ def _referenced_functions(nodes: Sequence[Node]) -> set:
 
 
 def _rebuild(
-    gf: GraphFunction, kept: List[int], replacements: Dict[Ref, Ref]
+    gf: GraphFunction, kept: Sequence[int], folded: Dict[int, List[Optional[Node]]]
 ) -> GraphFunction:
-    """Rebuild from a subset of node indices plus ref replacements.
+    """``gf`` with only the nodes at the indices ``kept``, in order.
 
-    ``replacements`` maps old refs to old refs (e.g. a folded node's output
-    to its new constant node); it is applied before renumbering.
+    A kept index in ``folded`` is replaced by its constant nodes, one per
+    output (``None`` for an output nothing reads). A kept node whose inputs
+    did not move is reused as it is.
     """
     n_in = len(gf.inputs)
-    new_id: Dict[int, int] = {}
-    for new_idx, old_idx in enumerate(kept):
-        new_id[n_in + old_idx] = n_in + new_idx
-
-    def remap(ref: Ref) -> Ref:
-        ref = replacements.get(ref, ref)
-        vid, out_idx = ref
-        if vid < n_in:
-            return ref
-        return (new_id[vid], out_idx)
-
-    nodes = [
-        Node(
-            op=gf.nodes[i].op,
-            inputs=tuple(remap(r) for r in gf.nodes[i].inputs),
-            attrs=gf.nodes[i].attrs,
-            device=gf.nodes[i].device,
-            out_specs=gf.nodes[i].out_specs,
-        )
-        for i in kept
-    ]
-    outputs = [(name, remap(ref)) for name, ref in gf.outputs]
-    lib_names = _referenced_functions(nodes)
-    library = {k: v for k, v in gf.library.items() if k in lib_names}
+    nodes: List[Node] = []
+    moved: Dict[Ref, Ref] = {}  # old ref -> new ref, for the refs that moved
+    for i in kept:
+        old_vid = n_in + i
+        consts = folded.get(i)
+        if consts is not None:
+            for j, const in enumerate(consts):
+                if const is not None:
+                    moved[(old_vid, j)] = (n_in + len(nodes), 0)
+                    nodes.append(const)
+            continue
+        node = gf.nodes[i]
+        if moved:
+            inputs = tuple([moved.get(r, r) for r in node.inputs])
+            if inputs != node.inputs:
+                node = Node(node.op, inputs, node.attrs, node.device, node.out_specs)
+        vid = n_in + len(nodes)
+        if vid != old_vid:
+            for j in range(len(node.out_specs)):
+                moved[(old_vid, j)] = (vid, j)
+        nodes.append(node)
+    outputs = [(name, moved.get(ref, ref)) for name, ref in gf.outputs]
+    library = gf.library
+    if library:
+        names = _referenced_functions(nodes)
+        library = {k: v for k, v in library.items() if k in names}
     return GraphFunction(gf.name, gf.inputs, nodes, outputs, library)
 
 
@@ -325,24 +326,28 @@ def prune(gf: GraphFunction) -> GraphFunction:
     is everything upstream of them. Idempotent; semantics-preserving.
     """
     n_in = len(gf.inputs)
-    keep = [False] * len(gf.nodes)
+    nodes = gf.nodes
+    keep = [False] * len(nodes)
     for _, (vid, _) in gf.outputs:
         if vid >= n_in:
             keep[vid - n_in] = True
     # Every consumer of node i comes after it, so a reverse walk settles
     # keep[i] before visiting i; a kept node needs no statefulness test.
-    for i in range(len(gf.nodes) - 1, -1, -1):
-        node = gf.nodes[i]
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
         if keep[i] or node_is_stateful(node, gf.library):
             keep[i] = True
             for vid, _ in node.inputs:
                 if vid >= n_in:
                     keep[vid - n_in] = True
-
-    kept = [i for i, k in enumerate(keep) if k]
-    if len(kept) == len(gf.nodes):
+    if all(keep):
         return gf
-    return _rebuild(gf, kept, {})
+    return _rebuild(gf, [i for i, k in enumerate(keep) if k], {})
+
+
+# ``executor`` imports this module and evaluates nodes for folding; it binds
+# its ``run_node_for_folding`` here when it is imported.
+run_node_for_folding = None
 
 
 def constant_fold(gf: GraphFunction) -> GraphFunction:
@@ -351,90 +356,58 @@ def constant_fold(gf: GraphFunction) -> GraphFunction:
     Folded nodes are replaced by constant nodes holding the eagerly computed
     values. A kernel failure during folding keeps the node untouched. Nodes
     are visited in topological order, so one pass reaches the fixpoint.
+    When anything folds, every constant left without a consumer is dropped,
+    so folding and pruning commute.
     """
-    from .executor import run_node_for_folding
-
     n_in = len(gf.inputs)
-    new_nodes: List[Node] = []
-    remap: Dict[Ref, Ref] = {}  # old ref -> new ref
-    const_vals: Dict[Ref, Tensor] = {}  # keyed by NEW ref
-    changed = False
-
-    def mapped(ref: Ref) -> Ref:
-        return remap.get(ref, ref)
-
+    const_vals: Dict[Ref, Tensor] = {}
+    folded_outs: Dict[int, List[Tensor]] = {}
     for i, node in enumerate(gf.nodes):
-        in_refs = [mapped(r) for r in node.inputs]
-        folded_outs = None
-        if node.op != "constant" and not node_is_stateful(node, gf.library) and all(
-            r in const_vals for r in in_refs
-        ):
-            try:
-                folded_outs = run_node_for_folding(
-                    node, [const_vals[r] for r in in_refs], gf.library
-                )
-            except KernelError:
-                folded_outs = None
-        if folded_outs is not None:
-            for j, value in enumerate(folded_outs):
-                new_nodes.append(
-                    Node(
-                        op="constant",
-                        inputs=(),
-                        attrs={"value": value},
-                        device=node.device,
-                        out_specs=((value.dtype, value.shape),),
-                    )
-                )
-                new_ref = (n_in + len(new_nodes) - 1, 0)
-                remap[(n_in + i, j)] = new_ref
-                const_vals[new_ref] = value
-            changed = True
-            continue
-        new_nodes.append(
-            Node(
-                op=node.op,
-                inputs=tuple(in_refs),
-                attrs=node.attrs,
-                device=node.device,
-                out_specs=node.out_specs,
-            )
-        )
-        new_vid = n_in + len(new_nodes) - 1
-        for j in range(len(node.out_specs)):
-            remap[(n_in + i, j)] = (new_vid, j)
         if node.op == "constant":
-            const_vals[(new_vid, 0)] = node.attrs["value"]
-
-    if not changed:
+            const_vals[(n_in + i, 0)] = node.attrs["value"]
+            continue
+        if not all(r in const_vals for r in node.inputs) or node_is_stateful(
+            node, gf.library
+        ):
+            continue
+        try:
+            outs = run_node_for_folding(
+                node, [const_vals[r] for r in node.inputs], gf.library
+            )
+        except KernelError:
+            continue
+        folded_outs[i] = outs
+        for j, value in enumerate(outs):
+            const_vals[(n_in + i, j)] = value
+    if not folded_outs:
         return gf
-    outputs = [(name, mapped(ref)) for name, ref in gf.outputs]
-    # Folding orphans the constant sources it consumed; drop any constant
-    # with no remaining consumers so folding and pruning commute.
-    used = {r[0] for n in new_nodes for r in n.inputs}
-    used |= {ref[0] for _, ref in outputs}
-    keep = [
-        i for i, n in enumerate(new_nodes)
-        if n.op != "constant" or (n_in + i) in used
-    ]
-    if len(keep) != len(new_nodes):
-        new_id = {n_in + old: n_in + new for new, old in enumerate(keep)}
 
-        def renum(ref: Ref) -> Ref:
-            vid, out_idx = ref
-            return ref if vid < n_in else (new_id[vid], out_idx)
-
-        new_nodes = [
-            Node(n.op, tuple(renum(r) for r in n.inputs), n.attrs, n.device,
-                 n.out_specs)
-            for n in (new_nodes[i] for i in keep)
+    # What is read once the folded nodes no longer read their inputs.
+    used = {ref for _, ref in gf.outputs}
+    for i, node in enumerate(gf.nodes):
+        if i not in folded_outs:
+            used.update(node.inputs)
+    folded: Dict[int, List[Optional[Node]]] = {}
+    for i, outs in folded_outs.items():
+        device = gf.nodes[i].device
+        folded[i] = [
+            Node("constant", (), {"value": value}, device,
+                 ((value.dtype, value.shape),))
+            if (n_in + i, j) in used else None
+            for j, value in enumerate(outs)
         ]
-        outputs = [(name, renum(ref)) for name, ref in outputs]
-    lib_names = _referenced_functions(new_nodes)
-    library = {k: v for k, v in gf.library.items() if k in lib_names}
-    return GraphFunction(gf.name, gf.inputs, new_nodes, outputs, library)
+    kept = [
+        i for i, node in enumerate(gf.nodes)
+        if node.op != "constant" or (n_in + i, 0) in used
+    ]
+    return _rebuild(gf, kept, folded)
 
 
 def optimize(gf: GraphFunction) -> GraphFunction:
-    """The finalize-time pipeline: fold constants, then prune."""
-    return prune(constant_fold(gf))
+    """The finalize-time pipeline: prune, then fold constants.
+
+    Pruning first means no dead node is evaluated or rebuilt; the result is
+    the graph that ``prune(constant_fold(gf))`` gives. A graph that neither
+    pass changes comes back as the same object.
+    """
+    return constant_fold(prune(gf))

@@ -303,7 +303,7 @@ def dispatch(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> List[Te
         )
     attrs = canonicalize_attrs(op_def, attrs)
     if ctx.tracing:
-        return ctx.current_trace.record(op_def, list(inputs), attrs)
+        return ctx.current_trace.record(op_def, list(inputs), attrs, ctx)
     return _dispatch_eager(op_def, list(inputs), attrs, ctx)
 
 

@@ -48,7 +48,7 @@ from .kernels import KernelEnv
 from .ops import _as_operand, _notify_tapes, dispatch, input_spec
 from .runtime import current_context, get_runtime
 from .state import Variable
-from .tensor import SymbolicRef, Tensor, count_open_trace
+from .tensor import SymbolicRef, Tensor, count_open_trace, symbolic_tensor
 
 _trace_ids = itertools.count(1)
 
@@ -69,6 +69,7 @@ class TraceState:
         self._keepalive: List[Any] = []
         self._base_scope_depth = 0
         self._lib_names: Dict[int, str] = {}
+        self._envs: Dict[DeviceName, KernelEnv] = {}  # record's, per device
 
     @contextmanager
     def open(self):
@@ -103,21 +104,9 @@ class TraceState:
         self._keepalive.append(v)
 
     def _symbolic(self, dtype, shape, bref) -> Tensor:
-        device = self._ambient_device()
-        return Tensor(
-            dtype, shape, device, symbolic=SymbolicRef(self.trace_id, bref)
-        )
-
-    def _ambient_device(self) -> DeviceName:
         ctx = current_context()
-        return ctx.scope_device() or get_runtime().devices[0].name
-
-    def _device_override(self) -> Optional[DeviceName]:
-        # Only scopes entered inside the traced function pin nodes.
-        ctx = current_context()
-        if len(ctx.device_scopes) > self._base_scope_depth:
-            return ctx.device_scopes[-1]
-        return None
+        device = ctx.scope_device() or ctx.runtime.devices[0].name
+        return symbolic_tensor(dtype, shape, device, SymbolicRef(self.trace_id, bref))
 
     # -- value resolution ----------------------------------------------------------
 
@@ -181,26 +170,46 @@ class TraceState:
 
     # -- node recording ----------------------------------------------------------
 
-    def record(self, op_def, inputs: List, attrs: Dict[str, Any]) -> List[Tensor]:
-        norm_attrs = dict(attrs)
-        for attr_name in FUNCTION_ATTRS.get(op_def.name, ()):
-            v = norm_attrs.get(attr_name)
-            if isinstance(v, GraphFunction):
-                norm_attrs[attr_name] = self.add_library_function(v)
-        brefs = [self.resolve_input(x) for x in inputs]
-        in_specs = [input_spec(x) for x in inputs]
-        env = KernelEnv(device=self._ambient_device(), libraries=(self.library,))
-        out_specs = op_def.infer(norm_attrs, in_specs, env)
-        out_brefs = self.builder.add_node(
-            op_def.name, brefs, norm_attrs, self._device_override(), out_specs
-        )
+    def record(self, op_def, inputs: List, attrs: Dict[str, Any], ctx) -> List[Tensor]:
+        """Append one node applying ``op_def`` to ``inputs`` and return its
+        symbolic outputs.
+
+        ``ops.dispatch`` calls this with the thread's context ``ctx`` and
+        attrs it canonicalized for this call, which the node keeps; only an
+        op with function attrs gets a copy, with each graph function put in
+        the trace's library and named there. The op's ``infer`` rule checks
+        the inputs and gives the output specs, with a kernel environment
+        kept per trace and device (it holds the library itself, so functions
+        added later resolve). Nodes are placed on the ambient device; only a
+        device scope entered inside the traced function pins the node.
+        """
+        fn_attrs = FUNCTION_ATTRS.get(op_def.name)
+        if fn_attrs is not None:
+            attrs = dict(attrs)
+            for attr_name in fn_attrs:
+                v = attrs.get(attr_name)
+                if isinstance(v, GraphFunction):
+                    attrs[attr_name] = self.add_library_function(v)
+        brefs = []
+        in_specs = []
+        for x in inputs:
+            brefs.append(self.resolve_input(x))  # rejects non-tensor inputs
+            in_specs.append((x.dtype, x.shape))
+        scopes = ctx.device_scopes
+        device = scopes[-1] if scopes else ctx.runtime.devices[0].name
+        env = self._envs.get(device)
+        if env is None:
+            env = self._envs[device] = KernelEnv(device=device, libraries=(self.library,))
+        out_specs = op_def.infer(attrs, in_specs, env)
+        pinned = scopes[-1] if len(scopes) > self._base_scope_depth else None
+        out_brefs = self.builder.add_node(op_def.name, brefs, attrs, pinned, out_specs)
+        trace_id = self.trace_id
         outs = [
-            self._symbolic(dt, shape, bref)
+            symbolic_tensor(dt, shape, device, SymbolicRef(trace_id, bref))
             for (dt, shape), bref in zip(out_specs, out_brefs)
         ]
-        ctx = current_context()
         if ctx.tapes:
-            _notify_tapes(op_def, inputs, outs, norm_attrs, ctx)
+            _notify_tapes(op_def, inputs, outs, attrs, ctx)
         return outs
 
     def finalize(self, output_refs, output_names) -> GraphFunction:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple, Union
 
+from . import escape
 from .errors import (
     ConsumedTape,
     InactiveTape,
@@ -273,3 +274,8 @@ def _count(shape) -> int:
     for d in shape:
         n *= d
     return n
+
+
+# ``escape`` runs a host callback's VJP under a tape, and this module imports
+# ``escape`` (through ``ops``): bind the class there once.
+escape.Tape = Tape

@@ -130,6 +130,21 @@ def _current_trace_id() -> Optional[int]:
     return None
 
 
+def symbolic_tensor(dtype: DType, shape: SymShape, device: DeviceName,
+                    sref: SymbolicRef) -> Tensor:
+    """A symbolic tensor, born in ``sref``'s trace. Unlike ``Tensor()`` it
+    reads no thread context: a symbolic tensor resolves through its ref,
+    never through the trace it was born in."""
+    t = object.__new__(Tensor)
+    t.dtype = dtype
+    t.shape = tuple(shape)
+    t.device = device
+    t._array = None
+    t._symbolic = sref
+    t._born_trace = sref.trace_id
+    return t
+
+
 def to_device(t: Tensor, device: DeviceName) -> Tensor:
     """A handle to ``t``'s data on ``device``. Devices are simulated and
     buffers immutable, so the copy shares the buffer."""

@@ -13,6 +13,8 @@ from stageflow.kernels import infer_out_specs
 
 from helpers import build_mlp, leapfrog
 
+ACCEL0 = "/job:local/task:0/device:ACCEL:0"
+
 
 def _stageflow_imports(fn):
     """The modules imported by import statements in stageflow frames while
@@ -77,6 +79,90 @@ def _taped_staged_mlp():
 def test_warm_hot_path_runs_no_import(make):
     run = make()
     run()  # the first call traces, derives and plans
+    assert _stageflow_imports(run) == []
+
+
+def _new_taped_mlp():
+    rng = np.random.default_rng(7)
+    params, forward = build_mlp(rng)
+    x = sf.constant(rng.standard_normal((8, 16)).astype(np.float32))
+
+    def run():
+        loss = sf.stage(lambda a: sf.reduce_sum(forward(a)))
+        with sf.Tape() as tape:
+            y = loss(x)
+        tape.gradient(y, list(params.values()))
+
+    return run
+
+
+def _new_taped_leapfrog():
+    rng = np.random.default_rng(8)
+    q, p = (sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
+            for _ in range(2))
+
+    def run():
+        trajectory = sf.stage(leapfrog(3))
+        with sf.Tape() as tape:
+            tape.watch(q)
+            q1, p1 = trajectory(q, p)
+            total = sf.add(sf.reduce_sum(q1), sf.reduce_sum(p1))
+        tape.gradient(total, q)
+
+    return run
+
+
+@pytest.mark.parametrize("make", [_new_taped_mlp, _new_taped_leapfrog])
+def test_new_graph_path_runs_no_import(make):
+    # Each call stages a new function: trace, optimize, derive and plan all
+    # run inside the counted call.
+    run = make()
+    run()
+    assert _stageflow_imports(run) == []
+
+
+def _warm_copy_to():
+    x = sf.constant(np.ones((3, 2), np.float32))
+    return lambda: sf.copy_to(x, ACCEL0)
+
+
+def _device_scope():
+    def run():
+        with sf.device_scope(ACCEL0):
+            pass
+        sf.list_devices()
+
+    return run
+
+
+def _warm_host_call():
+    cb = sf.register_callback(lambda a: a, [(sf.float32, (2,))])
+    x = sf.constant(np.ones(2, np.float32))
+    return lambda: sf.host_call(cb, [x])
+
+
+def _warm_host_call_gradient():
+    # The staged backward runs the callback's VJP under a tape.
+    cb = sf.register_callback(lambda a: sf.mul(a, a), [(sf.float32, (2,))])
+    f = sf.stage(lambda a: sf.reduce_sum(sf.host_call(cb, [a])[0]))
+    x = sf.constant(np.array([1.0, 2.0], np.float32))
+
+    def run():
+        with sf.Tape() as tape:
+            tape.watch(x)
+            y = f(x)
+        assert tape.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+
+    return run
+
+
+@pytest.mark.parametrize("make", [
+    _warm_copy_to, _device_scope, _warm_host_call, _warm_host_call_gradient,
+])
+@pytest.mark.usefixtures("accel_runtime")
+def test_device_helpers_and_host_call_run_no_import(make):
+    run = make()
+    run()
     assert _stageflow_imports(run) == []
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import stageflow as sf
 from stageflow.devices import ACCEL, DeviceName
-from stageflow.errors import UnknownDevice
+from stageflow.errors import CorruptGraph, UnknownDevice
 from stageflow.graph import GraphBuilder
 from stageflow.runtime import RuntimeOptions, init_runtime
 
@@ -72,6 +72,26 @@ class TestScopes:
         with pytest.raises(UnknownDevice):
             with sf.device_scope("/job:local/task:0/device:ACCEL:0"):
                 pass
+
+    def test_malformed_scope_name_is_unknown_device(self):
+        with pytest.raises(UnknownDevice, match="malformed device name 'CPU:0'"):
+            with sf.device_scope("CPU:0"):
+                pass
+
+    def test_malformed_copy_target_is_unknown_device(self):
+        with pytest.raises(UnknownDevice, match="malformed device name 'gpu'"):
+            sf.copy_to(sf.constant(1.0), "gpu")
+
+    def test_malformed_device_in_graph_bytes_is_corrupt_graph(self, accel_runtime):
+        b = GraphBuilder()
+        x = b.add_placeholder("x", sf.float32, ())
+        (m,) = b.add_node("mul", [x, x], {}, DeviceName.parse(ACCEL0),
+                          [(sf.float32, ())])
+        blob = sf.serialize(b.finalize("pinned", [m], ["m"]))
+        assert blob.count(ACCEL0.encode()) == 1
+        bad = blob.replace(ACCEL0.encode(), ACCEL0.replace("ACCEL:", "ACCEL_").encode())
+        with pytest.raises(CorruptGraph, match="malformed device name"):
+            sf.deserialize(bad)
 
 
 class TestPlacementRules:
