@@ -24,11 +24,13 @@ from .errors import StagingError
 from .ops import (
     add, broadcast_to, dispatch, div, exp, mul, neg, reduce_sum, reshape,
 )
-from .tensor import Tensor, tensor_from_host
+from .tensor import Tensor, concrete_tensor, default_device, tensor_from_host
 
 
 class GradContext:
-    """Accessors into one recorded op application."""
+    """Accessors into one recorded op application. ``in_specs`` or
+    ``out_specs`` None reads a spec from the saved value itself, and only
+    when a rule asks for it."""
 
     def __init__(self, attrs, input_fn, output_fn, in_specs, out_specs, out_grads,
                  needs=None):
@@ -50,9 +52,15 @@ class GradContext:
         return self._out_grads[j]
 
     def in_spec(self, i: int):
+        if self._in_specs is None:
+            x = self._input_fn(i)
+            return (x.dtype, x.shape)
         return self._in_specs[i]
 
     def out_spec(self, j: int):
+        if self._out_specs is None:
+            y = self._output_fn(j)
+            return (y.dtype, y.shape)
         return self._out_specs[j]
 
     def needs(self, i: int) -> bool:
@@ -72,22 +80,25 @@ def _scalar(value: float, dtype: DType) -> Tensor:
     return tensor_from_host([value], (), dtype)
 
 
-def zeros_for(spec) -> Tensor:
+def _filled(fill, spec, what: str) -> Tensor:
     dtype, shape = spec
-    shape = _static_shape(shape, "a zero gradient")
-    arr = np.zeros(shape, dtype=dtype.np_dtype)
-    return tensor_from_host(arr.reshape(-1), shape, dtype)
+    arr = fill(_static_shape(shape, what), dtype=dtype.np_dtype)
+    arr.flags.writeable = False
+    return concrete_tensor(dtype, arr.shape, default_device(), arr)
+
+
+def zeros_for(spec) -> Tensor:
+    return _filled(np.zeros, spec, "a zero gradient")
 
 
 def ones_for(spec) -> Tensor:
-    dtype, shape = spec
-    shape = _static_shape(shape, "a gradient seed")
-    arr = np.ones(shape, dtype=dtype.np_dtype)
-    return tensor_from_host(arr.reshape(-1), shape, dtype)
+    return _filled(np.ones, spec, "a gradient seed")
 
 
 def _unbroadcast(g: Tensor, target_shape) -> Tensor:
     """Sum a broadcast gradient back down to the operand's shape."""
+    if g.shape == target_shape and None not in target_shape:
+        return g
     target = _static_shape(target_shape, "an unbroadcast")
     gshape = _static_shape(g.shape, "an unbroadcast")
     if gshape == target:

@@ -78,7 +78,7 @@ from .escape import callback_signature, run_callback
 from .graph import GraphFunction
 from .runtime import get_runtime
 from .state import Variable
-from .tensor import Tensor, to_device
+from .tensor import Tensor, concrete_tensor, to_device
 
 Spec = Tuple[DType, SymShape]
 
@@ -111,7 +111,7 @@ def _wrap(arr, device: DeviceName) -> Tensor:
     out = np.asarray(arr, order="C")
     if out.flags.writeable:
         out.flags.writeable = False
-    return Tensor(_FROM_NP[out.dtype], out.shape, device, array=out)
+    return concrete_tensor(_FROM_NP[out.dtype], out.shape, device, out)
 
 
 def _check_dtypes(op: str, floats_only: bool, dt: DType,

@@ -9,10 +9,13 @@ current execution context:
   same rule graph building runs, so both modes reject the same inputs with
   the same error), inputs are transparently moved to the resolved device,
   the kernel runs immediately, and the call is recorded on any active tape
-  watching one of its inputs. For an op with a ``compute`` the kernel is
-  the one adapter that unwraps the input arrays, runs the compute and wraps
-  the result, so eager runs the same math on the same arrays as a staged
-  graph does;
+  watching one of its inputs. All of this bookkeeping is one frame,
+  ``dispatch`` itself; it calls out only to the rule, to
+  ``resolve_placement``, to the kernel and, under a tape, to
+  ``_notify_tapes``. For an op with a ``compute`` the kernel is the one
+  adapter that unwraps the input arrays, runs the compute and wraps the
+  result, so eager runs the same math on the same arrays as a staged graph
+  does;
 * graph building: a node is appended to the open trace and symbolic outputs
   come back. No kernel runs (constants embed their value directly).
 
@@ -187,69 +190,89 @@ def kernel_table() -> List[OpDef]:
 
 
 def canonicalize_attrs(op_def: OpDef, attrs: Optional[dict]) -> Dict[str, Any]:
+    """``attrs`` checked against the op's schema, in name order, each value
+    by its kind's checker; AttrMismatch for an unexpected, missing or
+    ill-typed attr."""
     if not attrs and not op_def.required_attrs:
         return {}
     attrs = attrs or {}
+    schema = op_def.attr_schema
     out: Dict[str, Any] = {}
     for name in sorted(attrs):
-        if name not in op_def.attr_schema:
+        spec = schema.get(name)
+        if spec is None:
             raise AttrMismatch(f"{op_def.name}: unexpected attr {name!r}")
-        value = attrs[name]
-        kind, _ = op_def.attr_schema[name]
-        out[name] = _check_attr(op_def.name, name, kind, value)
+        check = _ATTR_CHECKS.get(spec[0])
+        if check is None:
+            raise AttrMismatch(f"{op_def.name}.{name}: unknown attr kind {spec[0]!r}")
+        out[name] = check(op_def.name, name, attrs[name])
     for name in op_def.required_attrs:
         if name not in out:
             raise AttrMismatch(f"{op_def.name}: missing required attr {name!r}")
     return out
 
 
-def _check_attr(op: str, name: str, kind: str, value):
-    if kind == INT:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise AttrMismatch(f"{op}.{name} must be an int, got {value!r}")
-        return int(value)
-    if kind == FLOAT:
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
-            raise AttrMismatch(f"{op}.{name} must be a float, got {value!r}")
-        return float(value)
-    if kind == BOOL:
-        if not isinstance(value, (bool, np.bool_)):
-            raise AttrMismatch(f"{op}.{name} must be a bool, got {value!r}")
-        return bool(value)
-    if kind == STRING:
-        if not isinstance(value, str):
-            raise AttrMismatch(f"{op}.{name} must be a string, got {value!r}")
+def _typed_attr(types: tuple, what: str, convert=None):
+    """The checker of a kind whose values are instances of ``types``,
+    returned through ``convert``; a bool is a value only where ``types``
+    names it."""
+
+    def check(op: str, name: str, value):
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise AttrMismatch(f"{op}.{name} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+def _bool_attr(op: str, name: str, value):
+    if value is True or value is False:
         return value
-    if kind == DTYPE:
-        if not isinstance(value, DType):
-            raise AttrMismatch(f"{op}.{name} must be a DType, got {value!r}")
-        return value
-    if kind == SHAPE:
-        try:
-            dims = tuple(
-                None if d is None else int(d) for d in value
-            )
-        except TypeError:
-            raise AttrMismatch(f"{op}.{name} must be a shape, got {value!r}") from None
-        if any(d is not None and d < 0 for d in dims):
-            raise AttrMismatch(f"{op}.{name}: negative extent in {dims}")
-        return dims
-    if kind == AXES:
-        if value is None:
-            return None
-        try:
-            return tuple(int(a) for a in value)
-        except TypeError:
-            raise AttrMismatch(f"{op}.{name} must be axes, got {value!r}") from None
-    if kind == TENSOR:
-        if not isinstance(value, Tensor) or value.is_symbolic:
-            raise AttrMismatch(f"{op}.{name} must be a concrete tensor")
-        return value
-    if kind == FUNCTION:
-        if not isinstance(value, (str, GraphFunction)):
-            raise AttrMismatch(f"{op}.{name} must name a graph function")
-        return value
-    raise AttrMismatch(f"{op}.{name}: unknown attr kind {kind!r}")
+    if not isinstance(value, np.bool_):
+        raise AttrMismatch(f"{op}.{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _shape_attr(op: str, name: str, value):
+    try:
+        dims = tuple(None if d is None else int(d) for d in value)
+    except TypeError:
+        raise AttrMismatch(f"{op}.{name} must be a shape, got {value!r}") from None
+    if any(d is not None and d < 0 for d in dims):
+        raise AttrMismatch(f"{op}.{name}: negative extent in {dims}")
+    return dims
+
+
+def _axes_attr(op: str, name: str, value):
+    if value is None:
+        return None
+    try:
+        return tuple(int(a) for a in value)
+    except TypeError:
+        raise AttrMismatch(f"{op}.{name} must be axes, got {value!r}") from None
+
+
+def _tensor_attr(op: str, name: str, value):
+    if not isinstance(value, Tensor) or value.is_symbolic:
+        raise AttrMismatch(f"{op}.{name} must be a concrete tensor")
+    return value
+
+
+# One checker per attr kind: ``(op name, attr name, value)`` to the
+# canonical value, or AttrMismatch.
+_ATTR_CHECKS: Dict[str, Callable[[str, str, Any], Any]] = {
+    INT: _typed_attr((int, np.integer), "an int", int),
+    FLOAT: _typed_attr((int, float, np.floating), "a float", float),
+    BOOL: _bool_attr,
+    STRING: _typed_attr((str,), "a string"),
+    DTYPE: _typed_attr((DType,), "a DType"),
+    SHAPE: _shape_attr,
+    AXES: _axes_attr,
+    TENSOR: _tensor_attr,
+    FUNCTION: _typed_attr((str, GraphFunction), "a graph function or its name"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -294,45 +317,42 @@ def copy_to(t: Tensor, dst: Union[str, DeviceName]) -> Tensor:
 
 
 def dispatch(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> List[Tensor]:
-    """Run an op eagerly or record it into the open trace."""
+    """Run an op eagerly or record it into the open trace.
+
+    The whole eager path is this one frame, in this order: look the op up
+    (UnknownOp), check the arity and canonicalize the attrs; reject
+    symbolic and non-tensor inputs; run the op's ``infer`` rule, which the
+    kernel trusts; place the inputs (``resolve_placement``, the one owner
+    of placement); run the kernel, wrapping a non-Stageflow failure as
+    KernelError; count the op and record it on the active tapes.
+    """
     ctx = current_context()
-    op_def = ctx.runtime.registry.get(op)
+    inputs = list(inputs)
+    try:
+        op_def = ctx.runtime.registry._defs[op]
+    except KeyError:
+        raise UnknownOp(f"unknown op {op!r}") from None
     if op_def.input_arity is not None and len(inputs) != op_def.input_arity:
         raise ArityMismatch(
             f"{op} takes {op_def.input_arity} inputs, got {len(inputs)}"
         )
-    attrs = canonicalize_attrs(op_def, attrs)
-    if ctx.tracing:
-        return ctx.current_trace.record(op_def, list(inputs), attrs, ctx)
-    return _dispatch_eager(op_def, list(inputs), attrs, ctx)
-
-
-def input_spec(x) -> Tuple[DType, tuple]:
-    if isinstance(x, Tensor):
-        return (x.dtype, x.shape)
-    if isinstance(x, Variable):
-        return (x.dtype, x.shape)
-    raise KernelError(f"op inputs must be tensors or variables, got {type(x).__name__}")
-
-
-def _dispatch_eager(
-    op_def: OpDef, inputs: List, attrs: Dict[str, Any], ctx: ExecutionContext
-) -> List[Tensor]:
+    attrs = canonicalize_attrs(op_def, attrs) if attrs or op_def.required_attrs else {}
+    if ctx.traces and not ctx.escape_depth:
+        return ctx.traces[-1].record(op_def, inputs, attrs, ctx)
     specs = []
     for i, x in enumerate(inputs):
         if isinstance(x, Tensor):
             if x._symbolic is not None:
                 raise SymbolicTensor(
-                    f"symbolic tensor passed to eager dispatch of {op_def.name!r}; "
+                    f"symbolic tensor passed to eager dispatch of {op!r}; "
                     "symbolic values are only usable inside their trace"
                 )
         elif not isinstance(x, Variable):
             raise KernelError(
-                f"{op_def.name}: input {i} is {type(x).__name__}, "
+                f"{op}: input {i} is {type(x).__name__}, "
                 "expected a tensor or variable"
             )
         specs.append((x.dtype, x.shape))
-    # The op's one validator, as graph building runs it; the kernel trusts it.
     op_def.infer(attrs, specs, None)
     device, moved = resolve_placement(op_def, inputs, ctx)
     env = ctx.runtime.eager_envs.get(device) or _k.KernelEnv(device=device)
@@ -341,12 +361,20 @@ def _dispatch_eager(
     except StageflowError:
         raise
     except Exception as e:  # numpy and friends
-        raise KernelError(f"{op_def.name}: {e}") from e
+        raise KernelError(f"{op}: {e}") from e
     counts = ctx.op_counts
-    counts[op_def.name] = counts.get(op_def.name, 0) + 1
+    counts[op] = counts.get(op, 0) + 1
     if ctx.tapes:
         _notify_tapes(op_def, inputs, outputs, attrs, ctx)
     return outputs
+
+
+def input_spec(x) -> Tuple[DType, tuple]:
+    if isinstance(x, Tensor):
+        return (x.dtype, x.shape)
+    if isinstance(x, Variable):
+        return (x.dtype, x.shape)
+    raise KernelError(f"op inputs must be tensors or variables, got {type(x).__name__}")
 
 
 def _notify_tapes(op_def, inputs, outputs, attrs, ctx) -> None:

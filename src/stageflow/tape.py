@@ -12,6 +12,9 @@ source; an entry none of whose inputs is among them is skipped, and a rule
 computes no gradient for an input that no source reaches (``needs``). The
 gradients that are computed use the same ops in the same order either way.
 
+An op entry hands its rule a ``GradContext`` over the saved tensors, which
+reads an input's or output's spec from the tensor only when the rule asks.
+
 Values are tracked by host object identity. Entries keep strong references
 to the tensors they saved, so identities stay stable for the tape's
 lifetime.
@@ -64,17 +67,10 @@ class TapeEntry:
         op rules and custom entries compute only those."""
         if self.backward is not None:
             return self.backward(out_grads, needs)
-        ins, outs = self.saved_inputs, self.saved_outputs
-        ctx = GradContext(
-            self.attrs,
-            input_fn=ins.__getitem__,
-            output_fn=outs.__getitem__,
-            in_specs=[_spec_of(x) for x in ins],
-            out_specs=[_spec_of(y) for y in outs],
-            out_grads=out_grads,
-            needs=needs,
-        )
-        grads = self.op_def.gradient(ctx)
+        grads = self.op_def.gradient(GradContext(
+            self.attrs, self.saved_inputs.__getitem__,
+            self.saved_outputs.__getitem__, None, None, out_grads, needs,
+        ))
         ids = self.input_ids
         return [(ids[i], g) for i, g in enumerate(grads) if g is not None]
 
@@ -142,12 +138,13 @@ class Tape:
         return id(value) in self._watched
 
     def _maybe_record(self, op_def, inputs, outputs, attrs) -> None:
-        if self._tracked.isdisjoint(map(id, inputs)):
+        input_ids = tuple(map(id, inputs))
+        if self._tracked.isdisjoint(input_ids):
             return
         output_ids = tuple(map(id, outputs))
         self.entries.append(
-            TapeEntry(op_def.name, tuple(map(id, inputs)), output_ids,
-                      tuple(inputs), tuple(outputs), op_def=op_def, attrs=attrs)
+            TapeEntry(op_def.name, input_ids, output_ids,
+                      tuple(inputs), tuple(outputs), op_def, attrs)
         )
         self._tracked.update(output_ids)
 
@@ -183,7 +180,9 @@ class Tape:
     ) -> Union[List[Tensor], Tensor]:
         """d(target)/d(source) for each source, by reverse accumulation.
 
-        Unconnected sources get zero tensors of their own shape. A
+        Unconnected sources get zero tensors of their own shape. A target
+        computed after the tape stopped is unconnected too: the tape
+        recorded none of its ops, so every source gets zeros. A
         non-persistent tape supports exactly one gradient call.
         """
         single = not isinstance(sources, (list, tuple))
@@ -195,7 +194,7 @@ class Tape:
             )
         if not isinstance(target, Tensor):
             raise NonScalarTarget("gradient target must be a tensor")
-        if any(d is None for d in target.shape) or _count(target.shape) != 1:
+        if None in target.shape or _count(target.shape) != 1:
             raise NonScalarTarget(
                 f"gradient target must be a scalar, got shape {list(target.shape)}"
             )
@@ -236,7 +235,7 @@ class Tape:
         grads = dict(seeds)
         for entry in reversed(self.entries):
             out_grads = [grads.get(oid) for oid in entry.output_ids]
-            if all(g is None for g in out_grads):
+            if not any(out_grads):  # a tensor is always true
                 continue
             needs = [iid in reach for iid in entry.input_ids]
             if not any(needs):

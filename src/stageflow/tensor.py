@@ -8,6 +8,10 @@ their data raises ``SymbolicTensor``.
 
 Storage is a read-only numpy array. All mutable state in the runtime lives
 in variables (see ``state``), which own their buffers separately.
+
+``Tensor()`` checks that it gets exactly one of an array and a symbolic
+ref; ``symbolic_tensor`` (graph building) and ``concrete_tensor`` (kernel
+results and other hot eager paths) skip that check.
 """
 from __future__ import annotations
 
@@ -145,6 +149,21 @@ def symbolic_tensor(dtype: DType, shape: SymShape, device: DeviceName,
     return t
 
 
+def concrete_tensor(dtype: DType, shape: Shape, device: DeviceName,
+                    array: np.ndarray) -> Tensor:
+    """The counterpart of ``symbolic_tensor`` for a caller that holds a
+    read-only ``array`` of ``dtype`` and its shape as a tuple: unlike
+    ``Tensor()`` it skips the concrete-or-symbolic check and the shape copy."""
+    t = object.__new__(Tensor)
+    t.dtype = dtype
+    t.shape = shape
+    t.device = device
+    t._array = array
+    t._symbolic = None
+    t._born_trace = _current_trace_id() if _open_traces else None
+    return t
+
+
 def to_device(t: Tensor, device: DeviceName) -> Tensor:
     """A handle to ``t``'s data on ``device``. Devices are simulated and
     buffers immutable, so the copy shares the buffer."""
@@ -168,7 +187,7 @@ def move_to(target: DeviceName, values: Sequence, stats) -> list:
     return out
 
 
-def _default_device() -> DeviceName:
+def default_device() -> DeviceName:
     return get_runtime().devices[0].name
 
 
@@ -179,10 +198,14 @@ def tensor_from_host(
 
     The data is copied; the caller's buffer is never aliased. Values must be
     representable in ``dtype`` (int32 range-checks, NarrowingOverflow
-    otherwise).
+    otherwise). Only boolean, integer and float host data converts: any
+    other kind (None, strings, complex numbers, objects) raises
+    NarrowingOverflow.
     """
     shape = dtypes.check_shape(shape)
     flat = np.asarray(data).reshape(-1)
+    if flat.dtype.kind not in "biuf":
+        raise NarrowingOverflow(f"host data of dtype {flat.dtype} is not a number")
     if flat.size != dtypes.element_count(shape):
         raise LengthMismatch(
             f"{flat.size} values cannot fill shape {list(shape)} "
@@ -200,7 +223,7 @@ def tensor_from_host(
             raise NarrowingOverflow("value out of int32 range")
     array = flat.astype(dtype.np_dtype).reshape(shape).copy()
     array.flags.writeable = False
-    return Tensor(dtype, shape, _default_device(), array=array)
+    return Tensor(dtype, shape, default_device(), array=array)
 
 
 def coerce(value, dtype: DType) -> Tensor:
@@ -216,7 +239,7 @@ def coerce(value, dtype: DType) -> Tensor:
         # general path, since a Python float has a single rounding to dtype.
         array = np.array(value, dtype=dtype.np_dtype)
         array.flags.writeable = False
-        return Tensor(dtype, (), _default_device(), array=array)
+        return concrete_tensor(dtype, (), default_device(), array)
     arr = np.asarray(value)
     return tensor_from_host(arr.reshape(-1), arr.shape, dtype)
 
@@ -235,6 +258,7 @@ def constant(value, dtype: Optional[DType] = None) -> Tensor:
     """Convenience constructor from nested sequences / scalars / arrays.
 
     Python floats default to float32, ints to int32, bools to boolean.
+    Other host data raises NarrowingOverflow, as in ``tensor_from_host``.
     """
     if isinstance(value, Tensor):
         if dtype is not None and value.dtype is not dtype:
@@ -248,8 +272,6 @@ def constant(value, dtype: Optional[DType] = None) -> Tensor:
             dtype = DType.int32
         elif arr.dtype == np.float64 and isinstance(value, np.ndarray):
             dtype = DType.float64
-        elif arr.dtype.kind == "f":
+        else:  # floats; ``tensor_from_host`` rejects any other kind
             dtype = DType.float32
-        else:
-            dtype = dtypes.from_np_dtype(arr.dtype)  # raises for exotic dtypes
     return tensor_from_host(arr.reshape(-1), arr.shape, dtype)

@@ -51,6 +51,14 @@ def _eager_variable_ops():
     return run
 
 
+def _eager_leapfrog():
+    rng = np.random.default_rng(4)
+    q, p = (sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
+            for _ in range(2))
+    trajectory = leapfrog(3)  # unstaged: each force is a nested eager tape
+    return lambda: trajectory(q, p)
+
+
 def _staged_leapfrog():
     rng = np.random.default_rng(5)
     q, p = (sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
@@ -74,7 +82,8 @@ def _taped_staged_mlp():
 
 
 @pytest.mark.parametrize("make", [
-    _eager_mul, _eager_variable_ops, _staged_leapfrog, _taped_staged_mlp,
+    _eager_mul, _eager_variable_ops, _eager_leapfrog, _staged_leapfrog,
+    _taped_staged_mlp,
 ])
 def test_warm_hot_path_runs_no_import(make):
     run = make()

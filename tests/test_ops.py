@@ -221,6 +221,40 @@ class TestScalarCoercion:
         v.assign([3.0, 4.0])
         np.testing.assert_array_equal(v.numpy(), [3, 4])
 
+    @pytest.mark.parametrize("staged", [False, True], ids=["eager", "staged"])
+    @pytest.mark.parametrize("make", [
+        lambda x, v: x * None,
+        lambda x, v: x + "1",
+        lambda x, v: x + 1j,
+        lambda x, v: sf.add(x, [None, 1.0]),
+        lambda x, v: sf.mul(np.array(["a", "b"]), x),
+        lambda x, v: v.assign([None, 1.0]),
+        lambda x, v: v.assign_add(1j),
+        lambda x, v: x + sf.constant(None),
+        lambda x, v: x + sf.constant("a"),
+        lambda x, v: x + sf.constant(1j, sf.float32),
+        lambda x, v: x + sf.tensor_from_host([None, 1.0], (2,), sf.float32),
+    ], ids=[
+        "mul-none", "add-string", "add-complex", "add-list-with-none",
+        "mul-string-array", "assign-list-with-none", "assign_add-complex",
+        "constant-none", "constant-string", "constant-complex-as-float32",
+        "tensor_from_host-none",
+    ])
+    def test_non_numeric_host_value_raises(self, make, staged):
+        x = sf.constant([1.0, 2.0])
+        v = sf.Variable([5.0, 6.0])
+        fn = sf.stage(make) if staged else make
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(NarrowingOverflow):
+                fn(x, v)
+        np.testing.assert_array_equal(v.numpy(), [5.0, 6.0])
+
+    def test_bool_host_values_still_coerce(self):
+        x = sf.constant([1.0, 2.0])
+        np.testing.assert_array_equal((x + True).numpy(), [2.0, 3.0])
+        np.testing.assert_array_equal(sf.add(x, [True, False]).numpy(), [2.0, 2.0])
+
 
 class TestReduceMean:
     @pytest.mark.parametrize("shape, axes, out", [

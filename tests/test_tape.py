@@ -100,6 +100,19 @@ class TestGradient:
         g = t.gradient(y, z)
         assert g.shape == () and float(g) == 0.0
 
+    @pytest.mark.parametrize("staged", [False, True], ids=["eager", "staged"])
+    def test_target_computed_after_the_block_is_unconnected(self, staged):
+        times_three = lambda v: v * 3.0  # noqa: E731
+        if staged:
+            times_three = sf.stage(times_three)
+        x = sf.constant(2.0)
+        with sf.Tape() as t:
+            t.watch(x)
+        y = times_three(x)  # the tape has stopped: nothing is recorded
+        assert float(y) == 6.0 and t.entries == []
+        g = t.gradient(y, x)
+        assert g.shape == () and g.dtype is sf.float32 and float(g) == 0.0
+
     def test_non_scalar_target(self):
         x = sf.constant([1.0, 2.0])
         with sf.Tape() as t:

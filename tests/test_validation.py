@@ -318,3 +318,112 @@ def test_rejected_op_is_not_counted():
     with pytest.raises(KernelError):
         sf.reshape(f32(2), (3,))
     assert stats.snapshot()["eager_dispatches"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The folded eager dispatch frame keeps every check.
+# ---------------------------------------------------------------------------
+
+
+def _counted_neg():
+    """Register ``counted_neg``, a ``neg`` whose ``infer`` counts its calls."""
+    calls = []
+
+    def infer(attrs, in_specs, env=None):
+        calls.append(len(in_specs))
+        return sfops.get_op_def("neg").infer(attrs, in_specs, env)
+
+    sfops.register_op(sfops.OpDef(
+        name="counted_neg", input_arity=1, attr_schema={}, output_arity=1,
+        stateful=False, kernel=sfops.get_op_def("neg").kernel, infer=infer,
+    ))
+    return calls
+
+
+def test_infer_runs_once_per_eager_dispatch_and_recorded_node():
+    calls = _counted_neg()
+    x = f32(3)
+    for n in range(1, 4):
+        sf.dispatch("counted_neg", [x])
+        assert len(calls) == n
+    with sf.Tape() as tape:
+        tape.watch(x)
+        sf.dispatch("counted_neg", [x])
+    assert len(calls) == 4
+    twice = sf.stage(lambda t: sf.dispatch(
+        "counted_neg", [sf.dispatch("counted_neg", [t])[0]])[0])
+    np.testing.assert_array_equal(twice(x).numpy(), x.numpy())
+    assert len(calls) == 6  # one per recorded node
+    twice(x)
+    assert len(calls) == 6  # a warm staged call records nothing
+
+
+def _leaked_symbolic():
+    leaked = []
+
+    def keep(t):
+        leaked.append(t * 2.0)
+        return t
+
+    sf.stage(keep)(f32(2))
+    return leaked[0]
+
+
+# (id, op, inputs maker, attrs, expected error class or None to succeed).
+DISPATCH_CASES = [
+    ("unknown-op", "no_such_op", lambda: [f32(2)], None, sf.errors.UnknownOp),
+    ("arity", "mul", lambda: [f32(2)], None, sf.errors.ArityMismatch),
+    ("keepdims-int", "reduce_sum", lambda: [f32(2)], {"keepdims": 1}, AttrMismatch),
+    ("unexpected-attr", "mul", lambda: [f32(2), f32(2)], {"axes": None}, AttrMismatch),
+    ("missing-required-attr", "reshape", lambda: [f32(2)], {}, AttrMismatch),
+    ("np-bool-attr", "reduce_sum", lambda: [f32(2, 3)],
+     {"axes": (1,), "keepdims": np.bool_(True)}, None),
+    ("leaked-symbolic", "neg", lambda: [_leaked_symbolic()], None,
+     sf.errors.SymbolicTensor),
+    ("non-tensor-input", "add", lambda: [f32(2), [1.0, 2.0]], None, KernelError),
+]
+
+
+@pytest.mark.parametrize(
+    "op, make_inputs, attrs, error", [c[1:] for c in DISPATCH_CASES],
+    ids=[c[0] for c in DISPATCH_CASES],
+)
+def test_dispatch_rejection_table(op, make_inputs, attrs, error):
+    inputs = make_inputs()
+    if error is None:
+        (out,) = sf.dispatch(op, inputs, attrs)
+        assert out.shape == (2, 1)  # keepdims was read as True
+        return
+    with pytest.raises(error) as info:
+        sf.dispatch(op, inputs, attrs)
+    if op == "add":
+        assert "input 1" in str(info.value)
+
+
+def test_canonical_attrs_keep_python_values():
+    reduce_sum = sfops.get_op_def("reduce_sum")
+    attrs = sfops.canonicalize_attrs(reduce_sum, {"axes": None, "keepdims": False})
+    assert attrs == {"axes": None, "keepdims": False}
+    assert attrs["keepdims"] is False
+    for value in (False, True):
+        canon = sfops.canonicalize_attrs(reduce_sum, {"keepdims": np.bool_(value)})
+        assert canon["keepdims"] is value
+
+
+@pytest.mark.parametrize("values, error", [
+    ([1.0, 1.0], None),
+    ([1.0], sf.errors.ArityMismatch),
+    ([1.0, "a"], KernelError),
+], ids=["fits", "short", "non-tensor"])
+@pytest.mark.parametrize("staged", [False, True], ids=["eager", "staged"])
+def test_generator_inputs_work_or_raise_stageflow_error(values, error, staged):
+    def run(x):
+        return sf.dispatch("add", (x if v == 1.0 else v for v in values))[0]
+
+    fn = sf.stage(run) if staged else run
+    if error is None:
+        np.testing.assert_array_equal(fn(f32(2)).numpy(), [2.0, 2.0])
+    else:
+        with pytest.raises(error):
+            fn(f32(2))
+        assert issubclass(error, StageflowError)
