@@ -32,6 +32,9 @@ class GradContext:
     ``out_specs`` None reads a spec from the saved value itself, and only
     when a rule asks for it."""
 
+    __slots__ = ("attrs", "_input_fn", "_output_fn", "_in_specs", "_out_specs",
+                 "_out_grads", "_needs")
+
     def __init__(self, attrs, input_fn, output_fn, in_specs, out_specs, out_grads,
                  needs=None):
         self.attrs = attrs
@@ -68,7 +71,7 @@ class GradContext:
 
 
 def _static_shape(shape, what: str):
-    if any(d is None for d in shape):
+    if None in shape:
         raise StagingError(
             f"cannot build a gradient for {what} with unknown dims {list(shape)}; "
             "gradients of shape-polymorphic functions are not supported"

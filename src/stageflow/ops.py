@@ -237,11 +237,12 @@ def _bool_attr(op: str, name: str, value):
 
 def _shape_attr(op: str, name: str, value):
     try:
-        dims = tuple(None if d is None else int(d) for d in value)
+        dims = tuple([None if d is None else int(d) for d in value])
     except TypeError:
         raise AttrMismatch(f"{op}.{name} must be a shape, got {value!r}") from None
-    if any(d is not None and d < 0 for d in dims):
-        raise AttrMismatch(f"{op}.{name}: negative extent in {dims}")
+    for d in dims:
+        if d is not None and d < 0:
+            raise AttrMismatch(f"{op}.{name}: negative extent in {dims}")
     return dims
 
 

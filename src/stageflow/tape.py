@@ -220,7 +220,7 @@ class Tape:
 
     def _reachable(self, sources: Sequence) -> set:
         """Identities of the sources and of every value computed from them."""
-        reach = {id(s) for s in sources}
+        reach = set(map(id, sources))
         for entry in self.entries:
             for iid in entry.input_ids:
                 if iid in reach:
@@ -234,10 +234,10 @@ class Tape:
         reach = self._reachable(sources)
         grads = dict(seeds)
         for entry in reversed(self.entries):
-            out_grads = [grads.get(oid) for oid in entry.output_ids]
+            out_grads = list(map(grads.get, entry.output_ids))
             if not any(out_grads):  # a tensor is always true
                 continue
-            needs = [iid in reach for iid in entry.input_ids]
+            needs = list(map(reach.__contains__, entry.input_ids))
             if not any(needs):
                 continue
             for key, g in entry.backprop(out_grads, needs):
