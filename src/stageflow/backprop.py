@@ -13,9 +13,11 @@ inputs, two derived functions are built from it and cached:
   forward graph inside a new trace.
 
 Derivation runs only toward float inputs. One forward pass marks the values
-a float input reaches through differentiable nodes; the reverse pass skips
-every node that no float input reaches, and tells each rule which of its
-inputs are reached (``GradContext.needs``), as the eager tape does. So no
+a float input reaches; the reverse pass skips every node that no float
+input reaches, and tells each rule which of its inputs are reached
+(``GradContext.needs``), as the eager tape does. A reached node that a
+gradient flows into and that has no gradient rule (``cond``,
+``while_loop``) raises NotDifferentiable rather than passing zero. So no
 gradient toward a constant is recorded, and the forward variant saves only
 the values that the needed gradients read. A rule computes a needed
 gradient with the same ops either way, so the gradients are bit-identical
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .errors import StagingError
+from .errors import NotDifferentiable, StagingError
 from .escape import backward_callback_for
 from .gradients import GradContext, zeros_for
 from .graph import GraphFunction, Node, add_to_library, prune
@@ -45,9 +47,6 @@ from .ops import add, dispatch, get_op_def
 from .runtime import get_runtime
 
 SavedDesc = Tuple  # ("input", placeholder index) | ("extra", fwd extra index)
-
-# Ops whose gradients are derived from their callee or callback.
-_DERIVED = ("call_function", "host_call")
 
 
 def get_forward_backward(gf: GraphFunction):
@@ -79,16 +78,13 @@ def backward_for(gf: GraphFunction, wanted: Tuple[bool, ...]):
     return cf
 
 
-def _float_reach(gf: GraphFunction, op_defs) -> List[bool]:
-    """Per value id: does a float input reach it through nodes that carry
-    gradients? ``op_defs`` holds each node's OpDef (None for calls and host
-    calls, whose gradients are derived, not looked up)."""
+def _float_reach(gf: GraphFunction) -> List[bool]:
+    """Per value id: does a float input reach it? Reach passes through
+    every node, one without a gradient rule too, so that a gradient
+    reaching such a node raises instead of stopping there."""
     reached = [ph.dtype.is_float for ph in gf.inputs]
-    for node, op_def in zip(gf.nodes, op_defs):
-        reached.append(
-            (op_def is None or op_def.gradient is not None)
-            and any(reached[vid] for vid, _ in node.inputs)
-        )
+    for node in gf.nodes:
+        reached.append(any(reached[vid] for vid, _ in node.inputs))
     return reached
 
 
@@ -96,10 +92,7 @@ def _build(gf: GraphFunction):
     rt = get_runtime()
     n_in = len(gf.inputs)
     ts = _staging.TraceState(gf.name + "_bwd")
-    op_defs = [
-        None if node.op in _DERIVED else get_op_def(node.op) for node in gf.nodes
-    ]
-    reached = _float_reach(gf, op_defs)
+    reached = _float_reach(gf)
 
     needed: List[Tuple[int, int]] = []  # forward refs exported by the variant
     needed_index: Dict[Tuple[int, int], int] = {}
@@ -166,16 +159,21 @@ def _build(gf: GraphFunction):
             elif node.op == "host_call":
                 _diff_host_call(gf, node, out_grads, saved_value, accumulate)
             else:
+                rule = get_op_def(node.op).gradient
+                if rule is None:
+                    raise NotDifferentiable(
+                        f"cannot differentiate {gf.name}: node {i} ({node.op}) "
+                        "has no gradient rule, and a gradient reaches its output"
+                    )
                 gctx = GradContext(
                     node.attrs,
                     input_fn=lambda k, _n=node: saved_value(_n.inputs[k]),
                     output_fn=lambda k, _v=vid: saved_value((_v, k)),
                     in_specs=[gf.spec_of(r) for r in node.inputs],
-                    out_specs=list(node.out_specs),
                     out_grads=out_grads,
                     needs=[reached[r[0]] for r in node.inputs],
                 )
-                for ref, g in zip(node.inputs, op_defs[i].gradient(gctx)):
+                for ref, g in zip(node.inputs, rule(gctx)):
                     if g is not None:
                         accumulate(ref, g)
 

@@ -53,9 +53,9 @@ class DeviceName:
 
     @staticmethod
     def parse(text: str) -> "DeviceName":
-        m = _NAME_RE.match(text)
+        m = _NAME_RE.match(text) if isinstance(text, str) else None
         if not m:
-            raise ValueError(f"malformed device name {text!r}")
+            raise UnknownDevice(f"malformed device name {text!r}")
         return DeviceName(
             job=m.group("job"),
             task=int(m.group("task")),
@@ -71,10 +71,7 @@ def as_device_name(value: Union[str, DeviceName]) -> DeviceName:
     """``value`` as a DeviceName; a malformed name raises UnknownDevice."""
     if isinstance(value, DeviceName):
         return value
-    try:
-        return DeviceName.parse(value)
-    except ValueError as e:
-        raise UnknownDevice(str(e)) from None
+    return DeviceName.parse(value)
 
 
 class Device:

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BroadcastIncompatible
+from .errors import BroadcastIncompatible, ShapeMismatch
 
 Shape = Tuple[int, ...]
 # Shapes of symbolic values may contain wildcard (unknown) dims.
@@ -57,17 +57,14 @@ DTYPE_TAGS = {
 TAG_DTYPES = {v: k for k, v in DTYPE_TAGS.items()}
 
 
-def from_np_dtype(dt: np.dtype) -> DType:
-    try:
-        return _FROM_NP[np.dtype(dt)]
-    except KeyError:
-        raise TypeError(f"unsupported numpy dtype {dt!r}") from None
-
-
 def check_shape(dims: Iterable[int]) -> Shape:
-    shape = tuple(int(d) for d in dims)
+    """``dims`` as a shape; ShapeMismatch unless each is a non-negative int."""
+    try:
+        shape = tuple(int(d) for d in dims)
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"not a shape: {dims!r}") from None
     if any(d < 0 for d in shape):
-        raise ValueError(f"negative extent in shape {shape}")
+        raise ShapeMismatch(f"negative extent in shape {shape}")
     return shape
 
 

@@ -28,20 +28,17 @@ from .tensor import Tensor, concrete_tensor, default_device, tensor_from_host
 
 
 class GradContext:
-    """Accessors into one recorded op application. ``in_specs`` or
-    ``out_specs`` None reads a spec from the saved value itself, and only
-    when a rule asks for it."""
+    """Accessors into one recorded op application. ``in_specs`` None reads
+    a spec from the saved input itself, and only when a rule asks for it."""
 
-    __slots__ = ("attrs", "_input_fn", "_output_fn", "_in_specs", "_out_specs",
-                 "_out_grads", "_needs")
+    __slots__ = ("attrs", "_input_fn", "_output_fn", "_in_specs", "_out_grads",
+                 "_needs")
 
-    def __init__(self, attrs, input_fn, output_fn, in_specs, out_specs, out_grads,
-                 needs=None):
+    def __init__(self, attrs, input_fn, output_fn, in_specs, out_grads, needs=None):
         self.attrs = attrs
         self._input_fn = input_fn
         self._output_fn = output_fn
         self._in_specs = in_specs
-        self._out_specs = out_specs
         self._out_grads = out_grads
         self._needs = needs  # per-input flags; None = every input
 
@@ -59,12 +56,6 @@ class GradContext:
             x = self._input_fn(i)
             return (x.dtype, x.shape)
         return self._in_specs[i]
-
-    def out_spec(self, j: int):
-        if self._out_specs is None:
-            y = self._output_fn(j)
-            return (y.dtype, y.shape)
-        return self._out_specs[j]
 
     def needs(self, i: int) -> bool:
         return self._needs is None or self._needs[i]
@@ -198,6 +189,12 @@ def _matmul(a, b, ta: bool, tb: bool) -> Tensor:
     return dispatch("matmul", [a, b], attrs)[0]
 
 
+def _grad_step_positive(ctx):
+    # A step's derivative is zero wherever it is defined: relu's second
+    # derivative passes through here.
+    return [None]
+
+
 def _grad_matmul(ctx):
     """The four transpose cases, as TensorFlow's ``_MatMulGrad`` writes
     them; none dispatches a ``transpose``. With ``G`` the upstream gradient:
@@ -290,6 +287,7 @@ GRADIENTS: Dict[str, Callable[[GradContext], List[Optional[Tensor]]]] = {
     "log": _grad_log,
     "softplus": _grad_softplus,
     "relu": _grad_relu,
+    "step_positive": _grad_step_positive,
     "matmul": _grad_matmul,
     "transpose": _grad_transpose,
     "reshape": _grad_reshape,

@@ -41,8 +41,11 @@ list of tensors, because they need more than arrays: the variable ops take
 a ``Variable``, ``dropout`` has two outputs, ``constant`` hands out its
 value, and ``call_function``, ``cond``, ``while_loop`` and ``host_call``
 re-enter the executor or the host with tensors and resolve function attrs
-through the ``KernelEnv``. Kernels are deterministic for fixed inputs; the
-only nondeterminism is the runtime RNG stream, drawn in node order.
+through the ``KernelEnv``. The ``cond`` and ``while_loop`` kernels run only
+in graphs: outside a trace, ``staging`` runs Python control flow, which
+checks predicates with the same helpers. Kernels are deterministic for
+fixed inputs; the only nondeterminism is the runtime RNG stream, drawn in
+node order.
 
 What a kernel still checks is what ``infer`` could not see:
 
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -479,13 +482,15 @@ def _cond_kernel(attrs, inputs, env):
     return execute_graph(gf, list(operands) + list(else_caps), env=env)
 
 
+def _require_condition(specs: Sequence[Spec]) -> None:
+    """The specs of a ``while_loop`` condition's results: one boolean scalar."""
+    if len(specs) != 1:
+        raise KernelError(f"while_loop condition must return one value, got {len(specs)}")
+    _require_predicate("while_loop", specs[0])
+
+
 def _while_infer(attrs, in_specs, env=None):
-    cond_specs = _resolve(attrs["loop_cond"], env).output_specs
-    if len(cond_specs) != 1:
-        raise KernelError(
-            f"while_loop condition must return one value, got {len(cond_specs)}"
-        )
-    _require_predicate("while_loop", cond_specs[0])
+    _require_condition(_resolve(attrs["loop_cond"], env).output_specs)
     return list(in_specs[: attrs["n_vars"]])
 
 

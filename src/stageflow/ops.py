@@ -37,6 +37,7 @@ from .errors import (
     AttrMismatch,
     DuplicateOp,
     KernelError,
+    NotDifferentiable,
     StageflowError,
     SymbolicTensor,
     UnknownOp,
@@ -45,6 +46,10 @@ from .graph import GraphFunction
 from .runtime import ExecutionContext, current_context, get_runtime
 from .state import Variable
 from .tensor import Tensor, coerce, constant as _constant_tensor, move_to, to_device
+
+# Ops whose gradients are derived from their callee or callback, not looked
+# up: a staged call and a host call record their own tape entries.
+_DERIVED = ("call_function", "host_call")
 
 # Attr value kinds.
 INT, FLOAT, BOOL, STRING, DTYPE, SHAPE, AXES, TENSOR, FUNCTION = (
@@ -238,7 +243,7 @@ def _bool_attr(op: str, name: str, value):
 def _shape_attr(op: str, name: str, value):
     try:
         dims = tuple([None if d is None else int(d) for d in value])
-    except TypeError:
+    except (TypeError, ValueError):
         raise AttrMismatch(f"{op}.{name} must be a shape, got {value!r}") from None
     for d in dims:
         if d is not None and d < 0:
@@ -251,7 +256,7 @@ def _axes_attr(op: str, name: str, value):
         return None
     try:
         return tuple(int(a) for a in value)
-    except TypeError:
+    except (TypeError, ValueError):
         raise AttrMismatch(f"{op}.{name} must be axes, got {value!r}") from None
 
 
@@ -370,14 +375,6 @@ def dispatch(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> List[Te
     return outputs
 
 
-def input_spec(x) -> Tuple[DType, tuple]:
-    if isinstance(x, Tensor):
-        return (x.dtype, x.shape)
-    if isinstance(x, Variable):
-        return (x.dtype, x.shape)
-    raise KernelError(f"op inputs must be tensors or variables, got {type(x).__name__}")
-
-
 def _notify_tapes(op_def, inputs, outputs, attrs, ctx) -> None:
     # Reading a variable watches it on every active tape, without an
     # explicit watch call.
@@ -391,6 +388,23 @@ def _notify_tapes(op_def, inputs, outputs, attrs, ctx) -> None:
         for t in ctx.tapes:
             if t.active:
                 t._maybe_record(op_def, inputs, outputs, attrs)
+    elif op_def.name not in _DERIVED and any(y.dtype.is_float for y in outputs):
+        # A gradient reaching a float output of an op without a rule raises,
+        # where it would otherwise stop there as if it were a constant.
+        for t in ctx.tapes:
+            if t.active and not t._tracked.isdisjoint(map(id, inputs)):
+                t._record_custom(op_def.name, inputs, outputs, (), raising_backward(
+                    f"{op_def.name} has no gradient rule, and a gradient reached "
+                    "its output"
+                ))
+
+
+def raising_backward(message: str):
+    """A tape entry's backward that raises NotDifferentiable(message)."""
+    def backward(out_grads, needs):
+        raise NotDifferentiable(message)
+
+    return backward
 
 
 # ---------------------------------------------------------------------------

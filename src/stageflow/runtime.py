@@ -110,10 +110,6 @@ class ExecutionContext:
         """True when dispatches should record graph nodes."""
         return bool(self.traces) and self.escape_depth == 0
 
-    @property
-    def current_trace(self):
-        return self.traces[-1]
-
     def scope_device(self):
         return self.device_scopes[-1] if self.device_scopes else None
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 
 from .devices import DeviceName
 from .dtypes import DTYPE_TAGS, DType
-from .errors import AttrMismatch, CorruptGraph, NotSerializable, StageflowError
+from .errors import AttrMismatch, CorruptGraph, NotSerializable, StageflowError, UnknownDevice
 from .graph import GraphFunction, Node, Placeholder
 from .kernels import KernelEnv, infer_out_specs
 from .ops import canonicalize_attrs, get_op_def
@@ -218,8 +218,11 @@ def _decode(data: bytes, name: str) -> GraphFunction:
                 f"node {len(nodes)} references a missing or later value"
             ) from None
         out_specs = tuple(infer_out_specs(op, attrs, in_specs, env))
-        nodes.append(Node(op, inputs, attrs,
-                          DeviceName.parse(device) if device else None, out_specs))
+        try:
+            placed = DeviceName.parse(device) if device else None
+        except UnknownDevice as e:
+            raise CorruptGraph(f"node {len(nodes)}: {e}") from None
+        nodes.append(Node(op, inputs, attrs, placed, out_specs))
         specs.append(out_specs)
     nr.end("the node table")
 

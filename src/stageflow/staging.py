@@ -15,6 +15,11 @@ values *created during* the trace freeze into the graph as constants.
 State creation follows the double-trace contract: a function may create
 variables only on its first trace; if it does, it is traced again and the
 second trace (which must create none) becomes the cached behavior.
+
+``trace_function`` is the one tracer. Tensor-dependent control flow
+(``cond``, ``while_loop``) is staged only while a trace records, with its
+branches traced afresh, as the enclosing trace is cached; outside a trace
+it is Python control flow over eager ops.
 """
 from __future__ import annotations
 
@@ -32,7 +37,6 @@ from .errors import (
     DeadVariable,
     KernelError,
     MissingConcreteFunction,
-    NotDifferentiable,
     SignatureMismatch,
     StageflowError,
     StagingError,
@@ -44,8 +48,10 @@ from .gradients import zeros_for
 from .graph import (
     FUNCTION_ATTRS, GraphBuilder, GraphFunction, add_to_library, optimize,
 )
-from .kernels import KernelEnv
-from .ops import _as_operand, _notify_tapes, dispatch, input_spec
+from .kernels import (
+    KernelEnv, _check_predicate, _require_condition, _require_predicate,
+)
+from .ops import _as_operand, _notify_tapes, dispatch, raising_backward
 from .runtime import current_context, get_runtime
 from .state import Variable
 from .tensor import SymbolicRef, Tensor, count_open_trace, symbolic_tensor
@@ -335,14 +341,6 @@ class ConcreteFunction:
     def name(self) -> str:
         return self.graph.name
 
-    @property
-    def inputs(self):
-        return self.graph.inputs
-
-    @property
-    def outputs(self):
-        return self.graph.outputs
-
     def materialize_captured(self) -> List:
         values = []
         for kind, payload, desc in self._captured:
@@ -418,14 +416,6 @@ def _call_with_tape(cf, inputs_all, watching) -> List[Tensor]:
         kept = [p for p, w in zip(float_pos, wanted) if w]
         return [(input_ids[p], g) for p, g in zip(kept, grads)]
 
-    def extras_backward(out_grads, needs):
-        raise NotDifferentiable(
-            f"{cf.name}: a gradient flows into an intermediate that the staged "
-            "call saved for its backward; higher-order gradients through a "
-            "staged call whose backward reads saved intermediates are not "
-            "supported"
-        )
-
     # The staged backward reads the extras, so a tape that records that
     # backward sees them as inputs. Recording them as outputs of the call's
     # inputs makes a gradient flowing into one raise, where it would
@@ -435,7 +425,12 @@ def _call_with_tape(cf, inputs_all, watching) -> List[Tensor]:
     hidden = [e for e in extras if id(e) not in known]
     for t in watching:
         if hidden:
-            t._record_custom("call_function_extras", inputs_all, hidden, (), extras_backward)
+            t._record_custom("call_function_extras", inputs_all, hidden, (), raising_backward(
+                f"{cf.name}: a gradient flows into an intermediate that the staged "
+                "call saved for its backward; higher-order gradients through a "
+                "staged call whose backward reads saved intermediates are not "
+                "supported"
+            ))
         t._record_custom("call_function", inputs_all, outs, saved_vals, backward)
     return outs
 
@@ -538,16 +533,6 @@ class PolymorphicFunction:
                 entries.append((name, value, "pos"))
         return entries
 
-    @staticmethod
-    def _rebuild_call(bound, substitutes):
-        args, kwargs = [], {}
-        for (name, _, kind), sub in zip(bound, substitutes):
-            if kind == "pos":
-                args.append(sub)
-            else:
-                kwargs[name] = sub
-        return args, kwargs
-
     def _check_pinned(self, bound: List) -> None:
         sig = self.pinned_signature
         if len(bound) != len(sig):
@@ -591,62 +576,69 @@ class PolymorphicFunction:
             return cf
 
     def _trace_to_concrete(self, bound: List) -> ConcreteFunction:
-        ts, gf, structure = self._run_trace(bound)
-        if ts.created_variables:
+        cf, created = self._run_trace(bound)
+        if created:
             if self._traced_once:
                 raise VariableCreationError(
                     f"{self._name} created variables on a later trace; state "
                     "must only be created the first time a staged function runs"
                 )
-            for v in ts.created_variables:
+            for v in created:
                 self.variables_created.add(v)
-            ts, gf, structure = self._run_trace(bound)
-            if ts.created_variables:
+            cf, created = self._run_trace(bound)
+            if created:
                 raise VariableCreationError(
                     f"{self._name} creates variables every time it runs; it "
                     "must create state on the first call only"
                 )
         self._traced_once = True
-        return ConcreteFunction(gf, ts.capture_values, structure)
+        return cf
 
     def _run_trace(self, bound: List):
-        get_runtime().stats.count_trace()
         self.trace_count += 1
-        ts = TraceState(self._name)
-        substitutes = []
-        for i, (pname, value, _) in enumerate(bound):
-            if self.pinned_signature is not None:
-                dtype, shape = self.pinned_signature[i]
-                substitutes.append(ts.add_arg_tensor(pname, dtype, shape))
-            elif isinstance(value, Tensor):
-                substitutes.append(ts.add_arg_tensor(pname, value.dtype, value.shape))
-            elif isinstance(value, Variable):
-                ts.add_arg_variable(pname, value)
-                substitutes.append(value)
-            else:
-                substitutes.append(value)
-        call_args, call_kwargs = self._rebuild_call(bound, substitutes)
-        with ts.open():
-            try:
-                result = self._fn(*call_args, **call_kwargs)
-            except (VariableCreationError, StagingError):
-                raise
-            except SymbolicTensor as e:
-                raise StagingError(
-                    f"{self._name} used a concrete-only facility on a symbolic "
-                    f"tensor while being traced: {e}"
-                ) from e
-            except StageflowError:
-                raise
-            except Exception as e:
-                raise StagingError(
-                    f"{self._name} raised while being traced: "
-                    f"{type(e).__name__}: {e}"
-                ) from e
-            out_tensors, structure = _normalize_outputs(result, self._name)
-            out_refs = [ts.resolve_input(t) for t in out_tensors]
-        gf = ts.finalize(out_refs, [f"out_{i}" for i in range(len(out_refs))])
-        return ts, gf, structure
+        return trace_function(self._fn, self._name, bound, self.pinned_signature)
+
+
+def trace_function(
+    fn, name: str, bound: List, pinned=None
+) -> Tuple[ConcreteFunction, List[Variable]]:
+    """Trace ``fn`` once on the ``(name, value, kind)`` entries of
+    ``PolymorphicFunction._bind``; returns the ConcreteFunction and the
+    variables the trace created. A tensor becomes a placeholder of its spec
+    (of ``pinned[i]`` under a pinned signature), a variable a
+    variable-reference placeholder; other values pass as they are."""
+    get_runtime().stats.count_trace()
+    ts = TraceState(name)
+    args, kwargs = [], {}
+    for i, (pname, value, kind) in enumerate(bound):
+        if pinned is not None:
+            value = ts.add_arg_tensor(pname, *pinned[i])
+        elif isinstance(value, Tensor):
+            value = ts.add_arg_tensor(pname, value.dtype, value.shape)
+        elif isinstance(value, Variable):
+            ts.add_arg_variable(pname, value)
+        if kind == "pos":
+            args.append(value)
+        else:
+            kwargs[pname] = value
+    with ts.open():
+        try:
+            result = fn(*args, **kwargs)
+        except SymbolicTensor as e:
+            raise StagingError(
+                f"{name} used a concrete-only facility on a symbolic tensor "
+                f"while being traced: {e}"
+            ) from e
+        except StageflowError:
+            raise
+        except Exception as e:
+            raise StagingError(
+                f"{name} raised while being traced: {type(e).__name__}: {e}"
+            ) from e
+        out_tensors, structure = _normalize_outputs(result, name)
+        out_refs = [ts.resolve_input(t) for t in out_tensors]
+    gf = ts.finalize(out_refs, [f"out_{i}" for i in range(len(out_refs))])
+    return ConcreteFunction(gf, ts.capture_values, structure), ts.created_variables
 
 
 def _check_signature(signature):
@@ -671,54 +663,31 @@ def stage(fn=None, *, signature=None, name=None):
 
 
 # ---------------------------------------------------------------------------
-# Tensor-dependent control flow
+# Tensor-dependent control flow: eager outside a trace, a node inside one
 # ---------------------------------------------------------------------------
 
-_branch_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _trace_callable(fn, arg_specs, name: str) -> Tuple[ConcreteFunction, str]:
-    try:
-        per_fn = _branch_cache.setdefault(fn, {})
-    except TypeError:  # unhashable callables trace fresh every time
-        per_fn = {}
-    cache_key = tuple(arg_specs)
-    hit = per_fn.get(cache_key)
-    if hit is not None:
-        return hit
-    get_runtime().stats.count_trace()
-    ts = TraceState(name)
-    syms = [
-        ts.add_arg_tensor(f"arg_{i}", dt, shape)
-        for i, (dt, shape) in enumerate(arg_specs)
-    ]
-    with ts.open():
-        try:
-            result = fn(*syms)
-        except StageflowError:
-            raise
-        except Exception as e:
-            raise StagingError(
-                f"{name} raised while being traced: {type(e).__name__}: {e}"
-            ) from e
-        out_tensors, structure = _normalize_outputs(result, name)
-        out_refs = [ts.resolve_input(t) for t in out_tensors]
-    gf = ts.finalize(out_refs, [f"out_{i}" for i in range(len(out_refs))])
-    cf = ConcreteFunction(gf, ts.capture_values, structure)
-    per_fn[cache_key] = (cf, structure)
-    return cf, structure
-
-
 def cond(pred, true_fn, false_fn, operands: Sequence = ()):
-    """Tensor-dependent branch, staged natively in both modes."""
+    """Tensor-dependent branch: ``true_fn(*operands)`` if the boolean scalar
+    ``pred`` holds, else ``false_fn(*operands)``.
+
+    Outside a trace this is a Python ``if``: only the taken branch runs, and
+    tapes differentiate its eager ops, so a mismatch between the branches
+    shows only once the code is traced. Inside a trace both branches are
+    traced afresh into one ``cond`` node, which has no gradient; their
+    structures (StagingError) and dtypes (KernelError) must match.
+    """
     pred = _as_operand(pred)
     ops = [_as_operand(x) for x in operands]
-    specs = [input_spec(x) for x in ops]
-    then_cf, t_struct = _trace_callable(true_fn, specs, _fn_name(true_fn, "cond_true"))
-    else_cf, e_struct = _trace_callable(false_fn, specs, _fn_name(false_fn, "cond_false"))
-    t_specs = then_cf.graph.output_specs
-    e_specs = else_cf.graph.output_specs
-    if [s[0] for s in t_specs] != [s[0] for s in e_specs] or t_struct != e_struct:
+    if not current_context().tracing:
+        _require_predicate("cond", (pred.dtype, pred.shape))
+        fn = true_fn if _check_predicate("cond", pred) else false_fn
+        result = fn(*ops)
+        _normalize_outputs(result, _fn_name(fn, "cond_branch"))
+        return result
+    bound = [(f"arg_{i}", x, "pos") for i, x in enumerate(ops)]
+    then_cf, _ = trace_function(true_fn, _fn_name(true_fn, "cond_true"), bound)
+    else_cf, _ = trace_function(false_fn, _fn_name(false_fn, "cond_false"), bound)
+    if then_cf.structure != else_cf.structure:
         raise StagingError("cond branches must produce matching outputs")
     then_caps = then_cf.materialize_captured()
     else_caps = else_cf.materialize_captured()
@@ -737,19 +706,28 @@ def cond(pred, true_fn, false_fn, operands: Sequence = ()):
 
 
 def while_loop(cond_fn, body_fn, loop_vars: Sequence):
-    """Tensor-dependent loop; loop variables keep their dtype and shape."""
+    """Tensor-dependent loop; loop variables keep their dtype (StagingError).
+
+    Outside a trace this is a Python ``while`` over eager ops, which tapes
+    differentiate. Inside a trace the condition and body are traced afresh
+    into one ``while_loop`` node, which has no gradient.
+    """
     vars_ = [_as_operand(x) for x in loop_vars]
-    specs = [input_spec(x) for x in vars_]
-    cond_cf, _ = _trace_callable(cond_fn, specs, _fn_name(cond_fn, "loop_cond"))
-    body_cf, b_struct = _trace_callable(body_fn, specs, _fn_name(body_fn, "loop_body"))
-    body_specs = body_cf.graph.output_specs
-    if len(body_specs) != len(specs) or any(
-        bs[0] is not s[0] for bs, s in zip(body_specs, specs)
-    ):
-        raise StagingError(
-            "while_loop body must return one value per loop variable, with "
-            "matching dtypes"
-        )
+    dtypes = [x.dtype for x in vars_]
+    cond_name = _fn_name(cond_fn, "loop_cond")
+    body_name = _fn_name(body_fn, "loop_body")
+    if not current_context().tracing:
+        while True:
+            keep_going, _ = _normalize_outputs(cond_fn(*vars_), cond_name)
+            _require_condition([(p.dtype, p.shape) for p in keep_going])
+            if not _check_predicate("while_loop", keep_going[0]):
+                return tuple(vars_) if len(vars_) != 1 else vars_[0]
+            vars_, _ = _normalize_outputs(body_fn(*vars_), body_name)
+            _check_loop_body([x.dtype for x in vars_], dtypes)
+    bound = [(f"arg_{i}", x, "pos") for i, x in enumerate(vars_)]
+    cond_cf, _ = trace_function(cond_fn, cond_name, bound)
+    body_cf, _ = trace_function(body_fn, body_name, bound)
+    _check_loop_body([s[0] for s in body_cf.graph.output_specs], dtypes)
     cond_caps = cond_cf.materialize_captured()
     body_caps = body_cf.materialize_captured()
     outs = dispatch(
@@ -764,6 +742,12 @@ def while_loop(cond_fn, body_fn, loop_vars: Sequence):
         },
     )
     return tuple(outs) if len(outs) != 1 else outs[0]
+
+
+def _check_loop_body(out_dtypes: List[DType], var_dtypes: List[DType]) -> None:
+    if out_dtypes != var_dtypes:
+        raise StagingError("while_loop body must return one value per loop "
+                           "variable, with matching dtypes")
 
 
 def _fn_name(fn, fallback: str) -> str:

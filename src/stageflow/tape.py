@@ -4,7 +4,8 @@ A tape records every differentiable op whose inputs it is watching (directly
 or transitively) while it is active. Tapes nest strictly: an inner tape's
 gradient computation dispatches ordinary ops, so a still-active outer tape
 records the backward math too, which is all that higher-order derivatives
-require.
+require. A watched op without a gradient rule that has a float output is
+recorded with a backward that raises NotDifferentiable.
 
 The backward pass runs only over entries reachable from the requested
 sources. A forward walk over the entries finds every value computed from a
@@ -69,7 +70,7 @@ class TapeEntry:
             return self.backward(out_grads, needs)
         grads = self.op_def.gradient(GradContext(
             self.attrs, self.saved_inputs.__getitem__,
-            self.saved_outputs.__getitem__, None, None, out_grads, needs,
+            self.saved_outputs.__getitem__, None, out_grads, needs,
         ))
         ids = self.input_ids
         return [(ids[i], g) for i, g in enumerate(grads) if g is not None]

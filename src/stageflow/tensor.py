@@ -24,7 +24,7 @@ import numpy as np
 from . import dtypes
 from .devices import DeviceName
 from .dtypes import DType, Shape, SymShape
-from .errors import LengthMismatch, NarrowingOverflow, SymbolicTensor
+from .errors import LengthMismatch, NarrowingOverflow, ShapeMismatch, SymbolicTensor
 from .runtime import current_context, get_runtime
 
 broadcast_shapes = dtypes.broadcast_shapes
@@ -200,7 +200,7 @@ def tensor_from_host(
     representable in ``dtype`` (int32 range-checks, NarrowingOverflow
     otherwise). Only boolean, integer and float host data converts: any
     other kind (None, strings, complex numbers, objects) raises
-    NarrowingOverflow.
+    NarrowingOverflow; a shape that is not non-negative ints ShapeMismatch.
     """
     shape = dtypes.check_shape(shape)
     flat = np.asarray(data).reshape(-1)
@@ -259,10 +259,11 @@ def constant(value, dtype: Optional[DType] = None) -> Tensor:
 
     Python floats default to float32, ints to int32, bools to boolean.
     Other host data raises NarrowingOverflow, as in ``tensor_from_host``.
+    A tensor comes back as is: another ``dtype`` raises ShapeMismatch.
     """
     if isinstance(value, Tensor):
         if dtype is not None and value.dtype is not dtype:
-            raise TypeError(f"tensor already has dtype {value.dtype.value}")
+            raise ShapeMismatch(f"constant: the tensor is {value.dtype.value}, not {dtype.value}")
         return value
     arr = np.asarray(value)
     if dtype is None:

@@ -81,9 +81,20 @@ def _taped_staged_mlp():
     return run
 
 
+def _eager_cond():
+    x = sf.constant(np.ones((3, 2), np.float32))
+    p = sf.constant(True)
+    return lambda: sf.cond(p, lambda v: v * 2.0, lambda v: -v, [x])
+
+
+def _eager_while_loop():
+    x = sf.constant(3.0)
+    return lambda: sf.while_loop(lambda v: sf.greater(v, 0.0), lambda v: v - 1.0, [x])
+
+
 @pytest.mark.parametrize("make", [
     _eager_mul, _eager_variable_ops, _eager_leapfrog, _staged_leapfrog,
-    _taped_staged_mlp,
+    _taped_staged_mlp, _eager_cond, _eager_while_loop,
 ])
 def test_warm_hot_path_runs_no_import(make):
     run = make()

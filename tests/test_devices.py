@@ -30,8 +30,12 @@ class TestNames:
         assert a != DeviceName(kind="ACCEL", index=2)
 
     def test_malformed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownDevice):
             DeviceName.parse("cpu:0")
+
+    def test_non_string_name_is_unknown_device(self):
+        with pytest.raises(UnknownDevice, match="malformed device name 5"):
+            sf.copy_to(sf.constant(1.0), 5)
 
     def test_default_device_list(self):
         assert [d.render() for d in sf.list_devices()] == [CPU0]

@@ -6,7 +6,9 @@ import pytest
 
 import stageflow as sf
 from stageflow.errors import (
+    KernelError,
     MissingConcreteFunction,
+    NotDifferentiable,
     SignatureMismatch,
     StagingError,
     UnencodableArgument,
@@ -453,3 +455,115 @@ class TestControlFlow:
         assert int(staged(n).item()) == 21
         graph = staged.get_concrete(staged.trace_key_for(n)).graph
         assert "while_loop" in graph.op_counts()
+
+
+def _square_if_positive(v):
+    return sf.cond(sf.greater(v, 0.0), lambda a: a * a, lambda a: a, [v])
+
+
+def _double_below_ten(v):
+    return sf.while_loop(lambda a: sf.greater(10.0, a), lambda a: a * 2.0, [v])
+
+
+def _python_if(v):
+    return v * v if float(v) > 0.0 else v
+
+
+def _python_while(v):
+    while float(v) < 10.0:
+        v = v * 2.0
+    return v
+
+
+def _eager_gradient(f, x):
+    with sf.Tape() as t:
+        t.watch(x)
+        y = f(x)
+    return t.gradient(y, x)
+
+
+class TestHostControlFlow:
+    """Outside a trace ``cond`` and ``while_loop`` are Python control flow
+    over eager ops; inside one they are graph nodes without a gradient."""
+
+    def test_eager_cond_sees_a_rebound_capture(self):
+        c = sf.constant(1.0)
+
+        def f(v):
+            return v * c + v
+
+        x, p = sf.constant(2.0), sf.constant(True)
+        assert float(sf.cond(p, f, f, [x])) == 4.0
+        c = sf.constant(2.0)
+        assert float(f(x)) == 6.0
+        assert float(sf.cond(p, f, f, [x])) == 6.0
+
+    @pytest.mark.parametrize("f, python, x0, want", [
+        (_square_if_positive, _python_if, 3.0, 6.0),
+        (_square_if_positive, _python_if, -3.0, 1.0),
+        (_double_below_ten, _python_while, 3.0, 4.0),
+    ])
+    def test_eager_gradient_equals_python_control_flow(self, f, python, x0, want):
+        x = sf.constant(x0)
+        got = _eager_gradient(f, x).numpy()
+        assert got.tobytes() == _eager_gradient(python, x).numpy().tobytes()
+        assert float(got) == want
+
+    @pytest.mark.parametrize("f", [_square_if_positive, _double_below_ten])
+    def test_staged_gradient_of_a_taped_call_raises(self, f):
+        staged = sf.stage(f)
+        x = sf.constant(3.0)
+        assert float(staged(x)) == float(f(x))
+        with pytest.raises(NotDifferentiable, match=r"node \d+ \((cond|while_loop)\)"):
+            _eager_gradient(staged, x)
+
+    @pytest.mark.parametrize("f", [_square_if_positive, _double_below_ten])
+    def test_staged_gradient_inside_the_function_raises(self, f):
+        with pytest.raises(NotDifferentiable, match="no gradient rule"):
+            sf.stage(lambda v: _eager_gradient(f, v))(sf.constant(3.0))
+
+    def test_eager_cond_runs_only_its_branch_ops(self):
+        x = sf.constant(3.0)
+        stats = sf.get_runtime().stats
+        stats.reset()
+        _square_if_positive(x)
+        assert stats.snapshot()["eager_op_counts"] == {"greater": 1, "mul": 1}
+        assert stats.snapshot()["traces"] == 0
+
+    @pytest.mark.parametrize("mode", [lambda f: f, sf.stage])
+    def test_branch_returning_a_non_tensor_raises(self, mode):
+        def f(v):
+            return sf.cond(sf.greater(v, 0.0), lambda a: 1.0, lambda a: 2.0, [v])
+
+        with pytest.raises(StagingError, match="returned a float"):
+            mode(f)(sf.constant(3.0))
+
+    @pytest.mark.parametrize("mode", [lambda f: f, sf.stage])
+    def test_loop_body_must_keep_arity_and_dtypes(self, mode):
+        def f(v):
+            return sf.while_loop(lambda a: sf.greater(a, 0.0), lambda a: (a, a), [v])
+
+        with pytest.raises(StagingError, match="one value per loop variable"):
+            mode(f)(sf.constant(3.0))
+
+    @pytest.mark.parametrize("mode", [lambda f: f, sf.stage])
+    def test_loop_condition_must_return_one_value(self, mode):
+        def f(v):
+            return sf.while_loop(lambda a: (a > 0.0, a > 1.0), lambda a: a - 1.0, [v])
+
+        with pytest.raises(KernelError, match="must return one value, got 2"):
+            mode(f)(sf.constant(3.0))
+
+    def test_traced_branches_are_traced_afresh(self):
+        c = sf.constant(1.0)
+
+        def f(v):
+            return v * c + v
+
+        def run(v):
+            return sf.cond(sf.greater(v, 0.0), f, f, [v])
+
+        x = sf.constant(2.0)
+        assert float(sf.stage(run)(x)) == 4.0
+        c = sf.constant(2.0)
+        assert float(sf.stage(run)(x)) == 6.0

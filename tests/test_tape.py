@@ -4,7 +4,8 @@ import pytest
 import stageflow as sf
 from stageflow.backprop import backward_for, get_forward_backward
 from stageflow.executor import _plan_for
-from stageflow.kernels import COMPUTE
+from stageflow.kernels import COMPUTE, INFERENCE, KERNELS
+from stageflow.ops import OpDef, register_op
 from stageflow.errors import (
     ConsumedTape,
     InactiveTape,
@@ -873,3 +874,59 @@ class TestTransposedMatmul:
         assert plain.numpy().tobytes() == np.matmul(a_np, b_np).tobytes()
         assert t1.numpy().tobytes() == t2.numpy().tobytes()
         assert t1.numpy().tobytes() == np.matmul(a_np, b_np.T).tobytes()
+
+
+def _register_ruleless_negate():
+    """``-x`` as a custom op that has no gradient rule."""
+    register_op(OpDef(
+        name="ruleless_negate", input_arity=1, attr_schema={}, output_arity=1,
+        stateful=False, kernel=KERNELS["neg"], infer=INFERENCE["neg"],
+    ))
+    return lambda v: sf.dispatch("ruleless_negate", [v])[0]
+
+
+class TestNoGradientRule:
+    """A gradient that reaches the float output of an op without a gradient
+    rule raises; it does not come back as zero."""
+
+    def test_eager_gradient_through_a_ruleless_op_raises(self):
+        negate = _register_ruleless_negate()
+        x = sf.constant([1.0, 2.0])
+        with sf.Tape() as t:
+            t.watch(x)
+            y = sf.reduce_sum(negate(x) * x)
+        with pytest.raises(NotDifferentiable, match="ruleless_negate has no gradient rule"):
+            t.gradient(y, x)
+
+    def test_eager_ruleless_op_off_the_gradient_path_is_fine(self):
+        negate = _register_ruleless_negate()
+        x = sf.constant([1.0, 2.0])
+        with sf.Tape() as t:
+            t.watch(x)
+            negate(x)
+            y = sf.reduce_sum(x * x)
+        assert t.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+
+    def test_staged_derivation_names_the_ruleless_node(self):
+        negate = _register_ruleless_negate()
+        f = sf.stage(lambda v: sf.reduce_sum(negate(v) * v))
+        x = sf.constant([1.0, 2.0])
+        with pytest.raises(NotDifferentiable, match=r"node 0 \(ruleless_negate\)"):
+            with sf.Tape() as t:
+                t.watch(x)
+                f(x)
+
+    @pytest.mark.parametrize("mode", [lambda f: f, sf.stage])
+    def test_relu_second_derivative(self, mode):
+        # relu's gradient dispatches step_positive, whose rule is zero.
+        def first(v):
+            with sf.Tape() as t:
+                t.watch(v)
+                y = sf.reduce_sum(sf.relu(v) * sf.relu(v))
+            return t.gradient(y, v)
+
+        x = sf.constant([1.0, -2.0])
+        with sf.Tape() as t:
+            t.watch(x)
+            s = sf.reduce_sum(mode(first)(x))
+        assert t.gradient(s, x).numpy().tolist() == [2.0, 0.0]

@@ -8,6 +8,7 @@ from stageflow.errors import (
     BroadcastIncompatible,
     LengthMismatch,
     NarrowingOverflow,
+    ShapeMismatch,
     SymbolicTensor,
 )
 
@@ -39,6 +40,17 @@ class TestFromHost:
     def test_int32_fractional(self):
         with pytest.raises(NarrowingOverflow):
             sf.tensor_from_host([1.5], (1,), sf.int32)
+
+    @pytest.mark.parametrize("shape", [(-1,), ("a",), (None,), 5])
+    def test_bad_shape_is_shape_mismatch(self, shape):
+        with pytest.raises(ShapeMismatch):
+            sf.tensor_from_host([1.0], shape, sf.float32)
+
+    def test_constant_of_a_tensor_keeps_its_dtype(self):
+        t = sf.constant(1.0)
+        assert sf.constant(t, sf.float32) is t
+        with pytest.raises(ShapeMismatch, match="float32, not int32"):
+            sf.constant(t, sf.int32)
 
     def test_no_aliasing(self):
         src = np.ones(3, dtype=np.float32)

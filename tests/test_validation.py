@@ -376,6 +376,8 @@ DISPATCH_CASES = [
     ("keepdims-int", "reduce_sum", lambda: [f32(2)], {"keepdims": 1}, AttrMismatch),
     ("unexpected-attr", "mul", lambda: [f32(2), f32(2)], {"axes": None}, AttrMismatch),
     ("missing-required-attr", "reshape", lambda: [f32(2)], {}, AttrMismatch),
+    ("shape-of-strings", "reshape", lambda: [f32(2)], {"shape": ("a",)}, AttrMismatch),
+    ("axes-of-strings", "reduce_sum", lambda: [f32(2)], {"axes": ("a",)}, AttrMismatch),
     ("np-bool-attr", "reduce_sum", lambda: [f32(2, 3)],
      {"axes": (1,), "keepdims": np.bool_(True)}, None),
     ("leaked-symbolic", "neg", lambda: [_leaked_symbolic()], None,
