@@ -15,9 +15,7 @@ inputs, two derived functions are built from it and cached:
 Derivation runs only toward float inputs. One forward pass marks the values
 a float input reaches; the reverse pass skips every node that no float
 input reaches, and tells each rule which of its inputs are reached
-(``GradContext.needs``), as the eager tape does. A reached node that a
-gradient flows into and that has no gradient rule (``cond``,
-``while_loop``) raises NotDifferentiable rather than passing zero. So no
+(``GradContext.needs``), as the eager tape does. So no
 gradient toward a constant is recorded, and the forward variant saves only
 the values that the needed gradients read. A rule computes a needed
 gradient with the same ops either way, so the gradients are bit-identical
@@ -34,6 +32,13 @@ no kept output or stateful node reaches. It takes the same inputs, so the
 forward variant and the saved values stay one per graph, and no mask needs
 a second derivation. The kept nodes are the full backward's own, so the
 gradients are bit-identical to the full backward's.
+
+A node without a gradient rule (a staged ``cond`` or ``while_loop``) drops
+the gradient that reaches it. ``_grad_paths`` records, per value, each such
+node its gradient reaches and the inputs that reach that node. The tape
+entry of a staged call raises NotDifferentiable (``refuse_dropped``) when a
+gradient would be dropped on its way to an input the tape needs, rather
+than passing zero; other outputs and inputs differentiate as usual.
 """
 from __future__ import annotations
 
@@ -43,7 +48,7 @@ from .errors import NotDifferentiable, StagingError
 from .escape import backward_callback_for
 from .gradients import GradContext, zeros_for
 from .graph import GraphFunction, Node, add_to_library, prune
-from .ops import add, dispatch, get_op_def
+from .ops import _DERIVED, add, dispatch, get_op_def
 from .runtime import get_runtime
 
 SavedDesc = Tuple  # ("input", placeholder index) | ("extra", fwd extra index)
@@ -78,21 +83,73 @@ def backward_for(gf: GraphFunction, wanted: Tuple[bool, ...]):
     return cf
 
 
-def _float_reach(gf: GraphFunction) -> List[bool]:
-    """Per value id: does a float input reach it? Reach passes through
-    every node, one without a gradient rule too, so that a gradient
-    reaching such a node raises instead of stopping there."""
-    reached = [ph.dtype.is_float for ph in gf.inputs]
-    for node in gf.nodes:
-        reached.append(any(reached[vid] for vid, _ in node.inputs))
-    return reached
+def _grad_paths(gf: GraphFunction) -> Dict[Tuple[int, int], frozenset]:
+    """For each value a float input reaches, what a gradient at it reaches:
+    the positions of the float inputs, and ``(description, positions)`` for
+    each node without a gradient rule, with the positions of the float
+    inputs that reach that node. Reach passes through the nodes a tape
+    records: a call, a node with a gradient rule, and one without a rule
+    that has a float output. Cached per graph."""
+    if gf._grad_paths is None:
+        n_in = len(gf.inputs)
+        paths = {
+            (p, 0): frozenset((p,)) for p, ph in enumerate(gf.inputs) if ph.dtype.is_float
+        }
+        for i, node in enumerate(gf.nodes):
+            if not any(r in paths for r in node.inputs):
+                continue
+            ins = [paths.get(r, frozenset()) for r in node.inputs]
+            if node.op == "call_function":
+                callee = gf.library[node.attrs["function"]]
+                c_paths = _grad_paths(callee)
+                outs = [
+                    frozenset(_through_call(c_paths.get(r, ()), ins))
+                    for _, r in callee.outputs
+                ]
+            else:
+                path = frozenset().union(*ins)
+                if node.op not in _DERIVED and get_op_def(node.op).gradient is None:
+                    if not any(dt.is_float for dt, _ in node.out_specs):
+                        continue
+                    deps = frozenset(x for x in path if isinstance(x, int))
+                    path |= {(f"node {i} ({node.op}) of {gf.name}", deps)}
+                outs = [path] * len(node.out_specs)
+            paths.update(((n_in + i, k), path) for k, path in enumerate(outs))
+        gf._grad_paths = paths
+    return gf._grad_paths
+
+
+def _through_call(path, ins):
+    """A callee output's path in the caller's terms; ``ins`` holds the paths
+    of the call's inputs."""
+    for x in path:
+        if isinstance(x, int):
+            yield from ins[x]
+        else:
+            yield x[0], frozenset(y for d in x[1] for y in ins[d] if isinstance(y, int))
+
+
+def refuse_dropped(gf: GraphFunction, out_grads, needs) -> None:
+    """Raise NotDifferentiable if a gradient in ``out_grads`` (one per output
+    of ``gf``, or None) reaches a node without a gradient rule that an input
+    flagged in ``needs`` reaches: the backward drops it at that node."""
+    paths = _grad_paths(gf)
+    for g, (_, ref) in zip(out_grads, gf.outputs):
+        if g is None:
+            continue
+        for x in paths.get(ref, ()):
+            if not isinstance(x, int) and any(needs[d] for d in x[1]):
+                raise NotDifferentiable(
+                    f"cannot differentiate {gf.name}: a gradient reaches "
+                    f"{x[0]}, which has no gradient rule"
+                )
 
 
 def _build(gf: GraphFunction):
     rt = get_runtime()
     n_in = len(gf.inputs)
     ts = _staging.TraceState(gf.name + "_bwd")
-    reached = _float_reach(gf)
+    paths = _grad_paths(gf)
 
     needed: List[Tuple[int, int]] = []  # forward refs exported by the variant
     needed_index: Dict[Tuple[int, int], int] = {}
@@ -107,7 +164,7 @@ def _build(gf: GraphFunction):
 
     def accumulate(ref, g):
         # A value no float input reaches passes its gradient nowhere.
-        if reached[ref[0]]:
+        if ref in paths:
             prev = grads.get(ref)
             grads[ref] = g if prev is None else add(prev, g)
 
@@ -145,8 +202,6 @@ def _build(gf: GraphFunction):
 
         for i in range(len(gf.nodes) - 1, -1, -1):
             vid = n_in + i
-            if not reached[vid]:
-                continue
             node = gf.nodes[i]
             out_grads = [grads.get((vid, j)) for j in range(len(node.out_specs))]
             if all(g is None for g in out_grads):
@@ -160,18 +215,15 @@ def _build(gf: GraphFunction):
                 _diff_host_call(gf, node, out_grads, saved_value, accumulate)
             else:
                 rule = get_op_def(node.op).gradient
-                if rule is None:
-                    raise NotDifferentiable(
-                        f"cannot differentiate {gf.name}: node {i} ({node.op}) "
-                        "has no gradient rule, and a gradient reaches its output"
-                    )
+                if rule is None:  # dropped; see refuse_dropped
+                    continue
                 gctx = GradContext(
                     node.attrs,
                     input_fn=lambda k, _n=node: saved_value(_n.inputs[k]),
                     output_fn=lambda k, _v=vid: saved_value((_v, k)),
                     in_specs=[gf.spec_of(r) for r in node.inputs],
                     out_grads=out_grads,
-                    needs=[reached[r[0]] for r in node.inputs],
+                    needs=[r in paths for r in node.inputs],
                 )
                 for ref, g in zip(node.inputs, rule(gctx)):
                     if g is not None:

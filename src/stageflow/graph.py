@@ -86,6 +86,7 @@ class GraphFunction:
         self._plan = None  # compiled executor plan, set lazily
         self._fwd_bwd = None  # derived (forward variant, backward fn), set lazily
         self._bwd_by_mask: Dict[Tuple[bool, ...], Any] = {}  # backward_for's cache
+        self._grad_paths = None  # backprop._grad_paths, set lazily
 
     # -- well-formedness -----------------------------------------------------
 
@@ -137,9 +138,6 @@ class GraphFunction:
         for n in self.nodes:
             counts[n.op] = counts.get(n.op, 0) + 1
         return counts
-
-    def resolve_function(self, name: str) -> Optional["GraphFunction"]:
-        return self.library.get(name)
 
     def __repr__(self) -> str:
         return (

@@ -30,7 +30,7 @@ import weakref
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .backprop import backward_for, get_forward_backward
+from .backprop import backward_for, get_forward_backward, refuse_dropped
 from .devices import DeviceName
 from .dtypes import DType, matches_spec
 from .errors import (
@@ -407,6 +407,7 @@ def _call_with_tape(cf, inputs_all, watching) -> List[Tensor]:
     input_ids = [id(x) for x in inputs_all]
 
     def backward(out_grads, needs):
+        refuse_dropped(cf.graph, out_grads, needs)
         seeds = [
             g if g is not None else zeros_for(spec)
             for g, spec in zip(out_grads, out_specs)

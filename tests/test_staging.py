@@ -522,6 +522,53 @@ class TestHostControlFlow:
         with pytest.raises(NotDifferentiable, match="no gradient rule"):
             sf.stage(lambda v: _eager_gradient(f, v))(sf.constant(3.0))
 
+    def test_taped_staged_call_with_a_boolean_output(self):
+        # greater has no gradient rule and no float output: no gradient
+        # reaches it, so the loss next to it differentiates.
+        inner = sf.stage(lambda v: (sf.reduce_sum(v * v), sf.greater(v, 0.0)))
+        outer = sf.stage(lambda v: inner(v)[0])
+        x = sf.constant([1.0, -2.0])
+        assert _eager_gradient(lambda v: inner(v)[0], x).numpy().tolist() == [2.0, -4.0]
+        assert _eager_gradient(outer, x).numpy().tolist() == [2.0, -4.0]
+
+    @pytest.mark.parametrize("f", [_square_if_positive, _double_below_ten])
+    def test_staged_loss_next_to_a_control_flow_output(self, f):
+        staged = sf.stage(lambda v: (v * 3.0, f(v)))
+        x = sf.constant(3.0)
+        with sf.Tape(persistent=True) as t:
+            t.watch(x)
+            loss, metric = staged(x)
+        assert float(t.gradient(loss, x)) == 3.0
+        with pytest.raises(NotDifferentiable, match=r"node \d+ \((cond|while_loop)\)"):
+            t.gradient(metric, x)
+
+    @pytest.mark.parametrize("f", [_square_if_positive, _double_below_ten])
+    def test_nested_staged_loss_next_to_a_control_flow_output(self, f):
+        inner = sf.stage(lambda v: (v * 3.0, f(v)))
+        # A control-flow result fed to a callee whose other output is the loss.
+        mixer = sf.stage(lambda u, v: (v * 3.0, u * 2.0))
+        for outer in (
+            sf.stage(lambda v: inner(v)[0]),
+            sf.stage(lambda v: mixer(f(v), v)[0]),
+        ):
+            x = sf.constant(3.0)
+            assert float(_eager_gradient(outer, x)) == 3.0
+        with pytest.raises(NotDifferentiable, match=r"\((cond|while_loop)\)"):
+            _eager_gradient(sf.stage(lambda v: inner(v)[1]), x)
+        with pytest.raises(NotDifferentiable, match=r"\((cond|while_loop)\)"):
+            _eager_gradient(sf.stage(lambda v: mixer(f(v), v)[1]), x)
+
+    @pytest.mark.parametrize("f", [_square_if_positive, _double_below_ten])
+    def test_staged_control_flow_off_the_sources_is_fine(self, f):
+        # As eagerly: a cond or loop that no watched input reaches is a
+        # constant to the tape, in the function and in a callee.
+        x, c = sf.constant(3.0), sf.constant(2.0)
+        staged = sf.stage(lambda v, u: f(u) * v)
+        assert float(_eager_gradient(lambda v: staged(v, c), x)) == float(f(c))
+        inner = sf.stage(lambda u, v: f(u) * v)
+        outer = sf.stage(lambda v: inner(sf.constant(2.0), v))
+        assert float(_eager_gradient(outer, x)) == float(f(c))
+
     def test_eager_cond_runs_only_its_branch_ops(self):
         x = sf.constant(3.0)
         stats = sf.get_runtime().stats
