@@ -74,6 +74,7 @@ from .tensor import Tensor, move_to
 
 _PASSTHROUGH = (CallbackError, SignatureViolation, DeadVariable, MissingFunction,
                 InputMismatch, NotSerializable)
+_NO_DEFAULT = object()
 
 
 class _Plan:
@@ -93,8 +94,11 @@ class _Plan:
     no step and no slot; its outputs alias the earlier node's slot. A
     constant's value number is its dtype, shape, raw bytes and devices (by
     bytes, so ``0.0`` and ``-0.0`` stay apart); a compute node's is its op,
-    attrs, input slots (themselves value numbers) and pinned device. Every
-    other node (stateful, variable, call and custom ops) always gets a step.
+    attrs, input slots (themselves value numbers) and pinned device. An attr
+    given at its op's default (``OpDef.attr_defaults``) counts as absent
+    there, so ``matmul`` with ``transpose_a=False`` and without it share a
+    step; the node keeps its attrs. Every other node (stateful, variable,
+    call and custom ops) always gets a step.
     """
 
     __slots__ = ("n_inputs", "prefill", "constants", "slot_device", "steps",
@@ -109,7 +113,9 @@ class _Plan:
         self.constants: List = [None] * n_in
         self.slot_device: List = [None] * n_in
         numbered: Dict[tuple, int] = {}  # value number -> its slot
-        pure: Dict[str, bool] = {}  # op -> has a compute and is not stateful
+        # op -> its attr defaults if it has a compute and is not stateful,
+        # else None
+        pure: Dict[str, Optional[dict]] = {}
 
         def slot(ref) -> int:  # a graph only refers to earlier values
             vid, out_idx = ref
@@ -127,12 +133,15 @@ class _Plan:
                 compute = COMPUTE.get(op)
                 key = None
                 if compute is not None:
-                    is_pure = pure.get(op)
-                    if is_pure is None:
-                        is_pure = pure[op] = not get_op_def(op).stateful
-                    if is_pure:
-                        key = (op, tuple(sorted(attrs.items())) if attrs else (),
-                               in_slots, device)
+                    if op not in pure:
+                        op_def = get_op_def(op)
+                        pure[op] = None if op_def.stateful else op_def.attr_defaults
+                    defaults = pure[op]
+                    if defaults is not None:
+                        key = (op, tuple(sorted(
+                            (k, v) for k, v in attrs.items()
+                            if defaults.get(k, _NO_DEFAULT) is not v
+                        )) if attrs else (), in_slots, device)
             if key is not None:
                 try:
                     hit = numbered.get(key)

@@ -5,6 +5,10 @@ entirely in terms of dispatched primitive ops. That single property gives
 higher-order differentiation for free: when a rule runs while an outer tape
 is active its ops are recorded like any others, and when it runs while a
 trace is open its ops become nodes of the backward graph being built.
+A tape whose backward repeats traces its rules the same way, once, to get
+a plan it replays (see ``tape``): there the saved forward values are
+placeholders, so a rule that reads a concrete value (``.numpy()``) raises
+in that trace, and that backward keeps running op by op.
 
 Rules receive a ``GradContext``: attrs plus lazy accessors for the saved
 forward inputs/outputs and the upstream gradients. Accessors are lazy so the

@@ -67,6 +67,9 @@ class OpDef:
     kernel: Callable
     infer: Callable
     gradient: Optional[Callable] = None
+    # The value an absent optional attr means, for those that have one: plan
+    # value numbering treats an attr given at its default as absent.
+    attr_defaults: Dict[str, Any] = field(default_factory=dict, compare=False)
     # Names of the required attrs, so a call without attrs canonicalizes
     # without walking the schema.
     required_attrs: Tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -119,7 +122,7 @@ def build_registry() -> OpRegistry:
     grads = gradients.GRADIENTS
     reg = OpRegistry()
 
-    def op(name, arity, out_arity, stateful=False, **attrs):
+    def op(name, arity, out_arity, stateful=False, defaults=None, **attrs):
         reg.register(
             OpDef(
                 name=name,
@@ -130,6 +133,7 @@ def build_registry() -> OpRegistry:
                 kernel=_k.KERNELS[name],
                 infer=_k.INFERENCE[name],
                 gradient=grads.get(name),
+                attr_defaults=defaults or {},
             )
         )
 
@@ -147,13 +151,17 @@ def build_registry() -> OpRegistry:
     op("step_positive", 1, 1)
     # Absent transpose attrs mean False; the gradient rule sets only True
     # ones, so forward graphs keep their bytes.
-    op("matmul", 2, 1, transpose_a=(BOOL, False), transpose_b=(BOOL, False))
+    op("matmul", 2, 1, defaults={"transpose_a": False, "transpose_b": False},
+       transpose_a=(BOOL, False), transpose_b=(BOOL, False))
     op("transpose", 1, 1)
     op("greater", 2, 1)
     op("reshape", 1, 1, shape=SHAPE)
     op("broadcast_to", 1, 1, shape=SHAPE)
-    op("reduce_sum", 1, 1, axes=(AXES, False), keepdims=(BOOL, False))
-    op("reduce_mean", 1, 1, axes=(AXES, False), keepdims=(BOOL, False))
+    reduce_defaults = {"axes": None, "keepdims": False}  # all axes, dropped
+    op("reduce_sum", 1, 1, defaults=reduce_defaults,
+       axes=(AXES, False), keepdims=(BOOL, False))
+    op("reduce_mean", 1, 1, defaults=reduce_defaults,
+       axes=(AXES, False), keepdims=(BOOL, False))
     op("eye", 0, 1, size=INT, dtype=DTYPE)
     op("random_normal", 0, 1, stateful=True, shape=SHAPE, dtype=DTYPE)
     op("dropout", 1, 2, stateful=True, rate=FLOAT)

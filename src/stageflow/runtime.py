@@ -6,14 +6,14 @@ RNG stream behind stateful random ops, and the host-callback lock. Graphs
 execute on the calling thread; the runtime starts no threads of its own.
 
 Each thread of execution owns one ExecutionContext: its stack of open
-traces, its stack of active gradient tapes, its device-scope stack and its
-eager op counts.
+traces, its stack of active gradient tapes, its device-scope stack, its
+eager op counts and its cache of tape backward plans.
 """
 from __future__ import annotations
 
 import os
 import threading
-from collections import Counter
+from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -44,7 +44,9 @@ class RuntimeStats:
 
     Eager ops are counted per op name in one dict per execution context,
     which only that context's thread writes (no lock per op);
-    ``snapshot`` merges them.
+    ``snapshot`` merges them. ``tape_plans`` counts the tape backward plans
+    built and ``tape_replays`` the backward passes run from one; a replayed
+    backward dispatches no eager op.
     """
 
     def __init__(self):
@@ -59,6 +61,8 @@ class RuntimeStats:
             self.transparent_copies = 0
             self.traces = 0
             self.derived_traces = 0
+            self.tape_plans = 0
+            self.tape_replays = 0
 
     def register_op_counts(self, counts: Dict[str, int]) -> None:
         with self._lock:
@@ -76,6 +80,14 @@ class RuntimeStats:
         with self._lock:
             self.derived_traces += 1
 
+    def count_tape_plan(self) -> None:
+        with self._lock:
+            self.tape_plans += 1
+
+    def count_tape_replay(self) -> None:
+        with self._lock:
+            self.tape_replays += 1
+
     def snapshot(self) -> dict:
         with self._lock:
             merged: Counter = Counter()
@@ -87,6 +99,8 @@ class RuntimeStats:
                 "transparent_copies": self.transparent_copies,
                 "traces": self.traces,
                 "derived_traces": self.derived_traces,
+                "tape_plans": self.tape_plans,
+                "tape_replays": self.tape_replays,
             }
 
 
@@ -94,7 +108,7 @@ class ExecutionContext:
     """Per-thread mode, tape, and placement state, for one runtime."""
 
     __slots__ = ("runtime", "traces", "tapes", "device_scopes", "escape_depth",
-                 "op_counts")
+                 "op_counts", "tape_plans", "tape_sightings")
 
     def __init__(self, runtime: "Runtime"):
         self.runtime = runtime
@@ -104,6 +118,10 @@ class ExecutionContext:
         self.escape_depth = 0
         self.op_counts: Dict[str, int] = {}  # eager ops run on this thread
         runtime.stats.register_op_counts(self.op_counts)
+        # tape.py's backward plans, least recently used first, and how often
+        # each tape fingerprint was seen.
+        self.tape_plans: "OrderedDict[Any, Any]" = OrderedDict()
+        self.tape_sightings: Dict[tuple, int] = {}
 
     @property
     def tracing(self) -> bool:

@@ -647,12 +647,16 @@ def _check_signature(signature):
         return None
     checked = []
     for entry in signature:
-        dtype, shape = entry
+        try:
+            dtype, shape = entry
+            dims = tuple(None if d is None else int(d) for d in shape)
+        except (TypeError, ValueError):
+            raise SignatureMismatch(
+                f"a signature entry must be (dtype, shape of ints or None), got {entry!r}"
+            ) from None
         if not isinstance(dtype, DType):
             raise SignatureMismatch(f"signature dtypes must be DType, got {dtype!r}")
-        checked.append(
-            (dtype, tuple(None if d is None else int(d) for d in shape))
-        )
+        checked.append((dtype, dims))
     return checked
 
 
@@ -678,8 +682,10 @@ def cond(pred, true_fn, false_fn, operands: Sequence = ()):
     structures (StagingError) and dtypes (KernelError) must match.
     """
     pred = _as_operand(pred)
-    ops = [_as_operand(x) for x in operands]
+    ops = [_as_operand(x) for x in _operand_list(operands, "cond operands")]
     if not current_context().tracing:
+        _require_callable(true_fn, "cond true_fn")
+        _require_callable(false_fn, "cond false_fn")
         _require_predicate("cond", (pred.dtype, pred.shape))
         fn = true_fn if _check_predicate("cond", pred) else false_fn
         result = fn(*ops)
@@ -713,11 +719,13 @@ def while_loop(cond_fn, body_fn, loop_vars: Sequence):
     differentiate. Inside a trace the condition and body are traced afresh
     into one ``while_loop`` node, which has no gradient.
     """
-    vars_ = [_as_operand(x) for x in loop_vars]
+    vars_ = [_as_operand(x) for x in _operand_list(loop_vars, "while_loop loop_vars")]
     dtypes = [x.dtype for x in vars_]
     cond_name = _fn_name(cond_fn, "loop_cond")
     body_name = _fn_name(body_fn, "loop_body")
     if not current_context().tracing:
+        _require_callable(cond_fn, "while_loop cond_fn")
+        _require_callable(body_fn, "while_loop body_fn")
         while True:
             keep_going, _ = _normalize_outputs(cond_fn(*vars_), cond_name)
             _require_condition([(p.dtype, p.shape) for p in keep_going])
@@ -743,6 +751,19 @@ def while_loop(cond_fn, body_fn, loop_vars: Sequence):
         },
     )
     return tuple(outs) if len(outs) != 1 else outs[0]
+
+
+def _operand_list(values, what: str) -> Sequence:
+    if not isinstance(values, (list, tuple)):
+        raise StagingError(f"{what} must be a list or tuple, got {type(values).__name__}")
+    return values
+
+
+def _require_callable(fn, what: str) -> None:
+    # A traced branch that is not callable fails as the trace calls it; an
+    # eager one fails the same way, before anything runs.
+    if not callable(fn):
+        raise StagingError(f"{what} must be callable, got {type(fn).__name__}")
 
 
 def _check_loop_body(out_dtypes: List[DType], var_dtypes: List[DType]) -> None:

@@ -19,12 +19,34 @@ reads an input's or output's spec from the tensor only when the rule asks.
 Values are tracked by host object identity. Entries keep strong references
 to the tensors they saved, so identities stay stable for the tape's
 lifetime.
+
+Replay. A backward pass whose structure repeats runs as a cached plan, not
+op by op. A tape's fingerprint (entry count, last op, first saved input's
+shape, source count) is counted per thread; from its ``REPLAY_AFTER``-th
+sighting on, the backward gets an exact structural key: each entry's op,
+attrs and input wiring as value numbers, the specs of the values from
+outside the tape, the sources' numbers and each seed's attach point. On the
+key's first sighting the op-by-op backward runs with a trace open
+(``staging.TraceState``) instead: it records the same ops in the same order
+over placeholders for the saved values and seeds it reads, so the
+finalized graph's plan is bit-identical to the op-by-op path. That call and
+every later one with the key run the plan through
+``executor.execute_graph``: a replayed backward dispatches, and counts, no
+eager op. ``RuntimeStats`` counts the plans built (``tape_plans``, not
+``traces``) and the backward passes they run (``tape_replays``). The plans
+live on the thread's ``ExecutionContext``, at most ``_MAX_PLANS`` of them,
+least recently used evicted first; they hold no tensor or variable of the
+tape. The backward runs op by op while any tape is active (it must record
+the backward math) or a trace is open, under a device scope or with
+several devices (eager places each op by its inputs), for a tape holding a
+custom entry (a staged call or an op without a gradient rule), and for
+good for a key whose trace raised (a rule that reads a concrete value).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import escape
+from . import escape, executor
 from .errors import (
     ConsumedTape,
     InactiveTape,
@@ -35,7 +57,15 @@ from .errors import (
 from .gradients import GradContext, ones_for, zeros_for
 from .ops import add
 from .runtime import current_context
+from .staging import TraceKey, TraceState
 from .tensor import Tensor
+
+# A fingerprint seen this many times on a thread gets an exact key, and
+# its backward a plan.
+REPLAY_AFTER = 8
+_MAX_PLANS = 256  # plans kept per thread
+_MAX_SIGHTINGS = 4096  # fingerprints counted per thread before a reset
+_UNSEEN = object()
 
 
 class TapeEntry:
@@ -185,6 +215,11 @@ class Tape:
         computed after the tape stopped is unconnected too: the tape
         recorded none of its ops, so every source gets zeros. A
         non-persistent tape supports exactly one gradient call.
+
+        Once a thread has seen a tape of this structure ``REPLAY_AFTER``
+        times, and when no tape is active, no trace is open and there is
+        one device and no device scope, the backward runs as a cached plan
+        (see the module docstring): the same bits, and no eager op counted.
         """
         single = not isinstance(sources, (list, tuple))
         source_list = [sources] if single else list(sources)
@@ -219,32 +254,17 @@ class Tape:
         ]
         return results[0] if single else results
 
-    def _reachable(self, sources: Sequence) -> set:
-        """Identities of the sources and of every value computed from them."""
-        reach = set(map(id, sources))
-        for entry in self.entries:
-            for iid in entry.input_ids:
-                if iid in reach:
-                    reach.update(entry.output_ids)
-                    break
-        return reach
-
     def _accumulate(self, seeds: Dict[int, Tensor], sources: Sequence) -> Dict[int, Tensor]:
-        """Reverse accumulation from ``seeds`` over the entries some source
-        reaches; an input no source reaches gets no gradient computed."""
-        reach = self._reachable(sources)
-        grads = dict(seeds)
-        for entry in reversed(self.entries):
-            out_grads = list(map(grads.get, entry.output_ids))
-            if not any(out_grads):  # a tensor is always true
-                continue
-            needs = list(map(reach.__contains__, entry.input_ids))
-            if not any(needs):
-                continue
-            for key, g in entry.backprop(out_grads, needs):
-                prev = grads.get(key)
-                grads[key] = g if prev is None else add(prev, g)
-        return grads
+        """Gradients by value identity from ``seeds``: from a cached plan
+        when the backward's structure repeats, else op by op."""
+        ctx = current_context()
+        if (self.entries and not (ctx.tapes or ctx.traces or ctx.device_scopes
+                                  or ctx.escape_depth)
+                and len(ctx.runtime.devices) == 1):
+            grads = _replay(ctx, self.entries, seeds, sources)
+            if grads is not None:
+                return grads
+        return _backprop(self.entries, seeds, sources)
 
     def vjp(
         self, outputs: Sequence[Tensor], cotangents: Sequence[Tensor],
@@ -267,6 +287,187 @@ class Tape:
             seeds[id(y)] = ct if prev is None else add(prev, ct)
         grads = self._accumulate(seeds, sources)
         return [grads.get(id(s)) or zeros_for(_spec_of(s)) for s in sources]
+
+
+def _reachable(entries, sources: Sequence) -> set:
+    """Identities of the sources and of every value computed from them."""
+    reach = set(map(id, sources))
+    for entry in entries:
+        for iid in entry.input_ids:
+            if iid in reach:
+                reach.update(entry.output_ids)
+                break
+    return reach
+
+
+def _backprop(entries, seeds: Dict[int, Tensor], sources: Sequence) -> Dict[int, Tensor]:
+    """Reverse accumulation from ``seeds`` over the entries some source
+    reaches, op by op; an input no source reaches gets no gradient
+    computed."""
+    reach = _reachable(entries, sources)
+    grads = dict(seeds)
+    for entry in reversed(entries):
+        out_grads = list(map(grads.get, entry.output_ids))
+        if not any(out_grads):  # a tensor is always true
+            continue
+        needs = list(map(reach.__contains__, entry.input_ids))
+        if not any(needs):
+            continue
+        for key, g in entry.backprop(out_grads, needs):
+            prev = grads.get(key)
+            grads[key] = g if prev is None else add(prev, g)
+    return grads
+
+
+def _replay(ctx, entries, seeds, sources) -> Optional[Dict[int, Tensor]]:
+    """The backward's gradients from a cached plan, or None to run it op by
+    op: before the fingerprint's ``REPLAY_AFTER``-th sighting, for a tape
+    without an exact key, or for a key whose trace raised."""
+    first = entries[0].saved_inputs
+    fingerprint = (len(entries), entries[-1].op,
+                   first[0].shape if first else None, len(sources))
+    sightings = ctx.tape_sightings
+    seen = sightings.get(fingerprint, 0)
+    if seen < REPLAY_AFTER - 1:
+        if len(sightings) >= _MAX_SIGHTINGS:
+            sightings.clear()
+        sightings[fingerprint] = seen + 1
+        return None
+    key, values = _structure(entries, seeds, sources)
+    if key is None:
+        return None
+    plans = ctx.tape_plans
+    plan = plans.get(key, _UNSEEN)
+    if plan is _UNSEEN:
+        plan = _trace_plan(entries, seeds, sources, key.encoding, values)
+        if len(plans) >= _MAX_PLANS:
+            plans.popitem(last=False)
+        plans[key] = plan  # None: this key runs op by op
+        if plan is not None:
+            ctx.runtime.stats.count_tape_plan()
+    else:
+        plans.move_to_end(key)
+    if plan is None:
+        return None
+    ctx.runtime.stats.count_tape_replay()
+    graph, inputs, outputs = plan
+    outs = executor.execute_graph(graph, [values[n] for n in inputs])
+    return {id(values[n]): g for n, g in zip(outputs, outs)}
+
+
+def _structure(entries, seeds, sources):
+    """The exact key of a backward pass and its values by number, or Nones
+    when it has none (a custom entry, a tensor or unhashable attr).
+
+    Values are numbered by identity in order of appearance: entry inputs
+    and outputs, then sources, then seed values. The key holds each entry's
+    op, attrs and input and output numbers; the class, dtype identity and
+    shape of each value first seen outside an entry's outputs; the
+    sources' numbers; and per seed the number of the value it attaches to
+    (-1 for one the tape never saw) and its own number.
+    """
+    numbers: Dict[int, int] = {}
+    number = numbers.get
+    values: list = []
+    specs = []
+    steps = []
+
+    def number_of(x) -> int:
+        n = number(id(x))
+        if n is None:
+            n = numbers[id(x)] = len(values)
+            values.append(x)
+            specs.append((x.__class__, id(x.dtype), x.shape))
+        return n
+
+    for e in entries:
+        if e.backward is not None:
+            return None, None
+        ins = tuple(map(number, e.input_ids))
+        if None in ins:  # a value first seen here, where no entry made it
+            ins = tuple(map(number_of, e.saved_inputs))
+        outs = []
+        for y in e.saved_outputs:
+            n = number(id(y))
+            if n is None:
+                n = numbers[id(y)] = len(values)
+                values.append(y)
+            outs.append(n)
+        attrs = e.attrs
+        if attrs:
+            attrs = tuple(attrs.items())
+            for _, v in attrs:
+                if isinstance(v, Tensor):
+                    return None, None
+        steps.append((e.op, attrs or (), ins, tuple(outs)))
+    srcs = tuple(map(number_of, sources))
+    attach = tuple([(number(t, -1), number_of(g)) for t, g in seeds.items()])
+    try:
+        key = TraceKey((tuple(steps), tuple(specs), srcs, attach))
+    except TypeError:  # an unhashable attr
+        return None, None
+    return key, values
+
+
+def _trace_plan(entries, seeds, sources, encoding, values):
+    """The op-by-op backward traced into ``(graph, input numbers, source
+    numbers of the outputs)``, over placeholders for the saved values and
+    seeds it reads, each made at its first read; None if the trace raises
+    or reads a value from outside the tape."""
+    steps, _, srcs, attach = encoding
+    ts = TraceState("tape_backward")
+    made: Dict[int, object] = {}
+    inputs: List[int] = []  # placeholder order, as value numbers
+
+    def placeholder(n):
+        p = made.get(n)
+        if p is None:
+            v = values[n]
+            if isinstance(v, Tensor):
+                p = ts.add_arg_tensor(f"value_{n}", v.dtype, v.shape)
+            else:  # a variable stands for itself, by reference
+                ts.add_arg_variable(f"value_{n}", v)
+                p = v
+            made[n] = p
+            inputs.append(n)
+        return p
+
+    def traced(e, ins, outs) -> TapeEntry:
+        # The entry's rule over placeholders; specs come from the tape's
+        # values, so reading one makes no placeholder.
+        in_specs = [(x.dtype, x.shape) for x in e.saved_inputs]
+        ids = e.input_ids
+
+        def backward(out_grads, needs):
+            grads = e.op_def.gradient(GradContext(
+                e.attrs, lambda i: placeholder(ins[i]), lambda j: placeholder(outs[j]),
+                in_specs, out_grads, needs,
+            ))
+            return [(ids[i], g) for i, g in enumerate(grads) if g is not None]
+
+        return TapeEntry(e.op, ids, e.output_ids, (), (), backward=backward)
+
+    try:
+        with ts.open():
+            grads = _backprop(
+                [traced(e, ins, outs) for e, (_, _, ins, outs) in zip(entries, steps)],
+                {target: placeholder(n) for target, (_, n) in zip(seeds, attach)},
+                sources,
+            )
+            outputs, refs = [], []
+            for s, n in zip(sources, srcs):
+                g = grads.get(id(s))
+                if g is not None and n not in outputs:
+                    outputs.append(n)
+                    refs.append(ts.resolve_input(g))
+        if ts.capture_values:
+            return None
+        gf = ts.finalize(refs, [f"grad_{i}" for i in range(len(refs))])
+    except Exception:
+        # Any failure means the trace cannot stand in for this backward; the
+        # op-by-op run that follows raises the rule's own error, if any.
+        return None
+    return gf, tuple(inputs), tuple(outputs)
 
 
 def _count(shape) -> int:

@@ -200,8 +200,10 @@ def tensor_from_host(
     representable in ``dtype`` (int32 range-checks, NarrowingOverflow
     otherwise). Only boolean, integer and float host data converts: any
     other kind (None, strings, complex numbers, objects) raises
-    NarrowingOverflow; a shape that is not non-negative ints ShapeMismatch.
+    NarrowingOverflow; a shape that is not non-negative ints, or a dtype
+    that is not a DType, ShapeMismatch.
     """
+    _check_dtype(dtype)
     shape = dtypes.check_shape(shape)
     flat = np.asarray(data).reshape(-1)
     if flat.dtype.kind not in "biuf":
@@ -224,6 +226,11 @@ def tensor_from_host(
     array = flat.astype(dtype.np_dtype).reshape(shape).copy()
     array.flags.writeable = False
     return Tensor(dtype, shape, default_device(), array=array)
+
+
+def _check_dtype(dtype) -> None:
+    if not isinstance(dtype, DType):
+        raise ShapeMismatch(f"dtype must be a DType, got {dtype!r}")
 
 
 def coerce(value, dtype: DType) -> Tensor:
@@ -259,8 +266,11 @@ def constant(value, dtype: Optional[DType] = None) -> Tensor:
 
     Python floats default to float32, ints to int32, bools to boolean.
     Other host data raises NarrowingOverflow, as in ``tensor_from_host``.
-    A tensor comes back as is: another ``dtype`` raises ShapeMismatch.
+    A tensor comes back as is: another ``dtype`` raises ShapeMismatch, as
+    does a ``dtype`` that is not a DType.
     """
+    if dtype is not None:
+        _check_dtype(dtype)
     if isinstance(value, Tensor):
         if dtype is not None and value.dtype is not dtype:
             raise ShapeMismatch(f"constant: the tensor is {value.dtype.value}, not {dtype.value}")

@@ -10,6 +10,7 @@ import pytest
 import stageflow as sf
 from stageflow.dtypes import matches_spec
 from stageflow.kernels import infer_out_specs
+from stageflow.tape import REPLAY_AFTER
 
 from helpers import build_mlp, leapfrog
 
@@ -56,6 +57,11 @@ def _eager_leapfrog():
     q, p = (sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
             for _ in range(2))
     trajectory = leapfrog(3)  # unstaged: each force is a nested eager tape
+    # Past REPLAY_AFTER force calls (6 a run), so the counted run's forces
+    # replay their cached backward plan.
+    for _ in range(REPLAY_AFTER // 6 + 1):
+        trajectory(q, p)
+    assert sf.get_runtime().stats.snapshot()["tape_replays"] > 0
     return lambda: trajectory(q, p)
 
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import stageflow as sf
+from stageflow import tape as tape_module
 from stageflow.backprop import backward_for, get_forward_backward
 from stageflow.executor import _plan_for
 from stageflow.kernels import COMPUTE, INFERENCE, KERNELS
 from stageflow.ops import OpDef, register_op
+from stageflow.runtime import current_context
 from stageflow.errors import (
     ConsumedTape,
     InactiveTape,
@@ -20,7 +22,9 @@ from helpers import (
     build_mlp,
     central_diff,
     fd_loss_fn,
+    leapfrog,
     max_rel_err,
+    random_pure_function,
     sample_fd_case,
     tape_grads,
 )
@@ -876,6 +880,26 @@ class TestTransposedMatmul:
         assert t1.numpy().tobytes() == np.matmul(a_np, b_np.T).tobytes()
 
 
+    def test_value_numbering_treats_a_default_attr_as_absent(self):
+        def fn(u, v):
+            return (sf.matmul(u, v),
+                    sf.dispatch("matmul", [u, v], {"transpose_a": False})[0],
+                    sf.reduce_sum(u),
+                    sf.reduce_sum(u, axes=None, keepdims=False))
+
+        rng = np.random.default_rng(37)
+        a, b = (sf.constant(rng.standard_normal((3, 3))) for _ in range(2))
+        staged = sf.stage(fn)
+        m1, m2, s1, s2 = staged(a, b)
+        graph = staged.cached_functions()[0].graph
+        assert graph.op_counts() == {"matmul": 2, "reduce_sum": 2}
+        # The nodes keep their attrs; the plan runs one step for each pair.
+        assert graph.nodes[1].attrs == {"transpose_a": False}
+        assert len(_plan_for(graph).steps) == 2
+        assert m1 is m2 and s1 is s2
+        assert m1.numpy().tobytes() == np.matmul(a.numpy(), b.numpy()).tobytes()
+
+
 def _register_ruleless_negate():
     """``-x`` as a custom op that has no gradient rule."""
     register_op(OpDef(
@@ -931,3 +955,407 @@ class TestNoGradientRule:
             t.watch(x)
             s = sf.reduce_sum(mode(first)(x))
         assert t.gradient(s, x).numpy().tolist() == [2.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# Replayed backward plans
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def replay_at_once(monkeypatch):
+    """Replay from a fingerprint's first sighting; returns a function that
+    switches replay off (op by op) or back on."""
+    monkeypatch.setattr(tape_module, "REPLAY_AFTER", 1)
+
+    def set_replay(on: bool):
+        monkeypatch.setattr(tape_module, "REPLAY_AFTER", 1 if on else 10**9)
+
+    return set_replay
+
+
+def _counts():
+    snap = sf.get_runtime().stats.snapshot()
+    return snap["tape_plans"], snap["tape_replays"]
+
+
+def _bits(values):
+    return [(v.dtype, v.shape, v.numpy().tobytes()) for v in values]
+
+
+class TestReplayBitsEqualOpByOp:
+    """A replayed backward gives the op-by-op backward's bits."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_pure_functions(self, seed, replay_at_once):
+        fn, inputs = random_pure_function(seed)
+
+        def grads():
+            with sf.Tape() as t:
+                for x in inputs:
+                    t.watch(x)
+                y = sf.reduce_sum(fn(*inputs))
+            return _bits(t.gradient(y, inputs))
+
+        replay_at_once(False)
+        want = grads()
+        replay_at_once(True)
+        assert grads() == want  # builds the plan and runs it
+        assert grads() == want  # a hit
+        assert _counts() == (1, 2)
+
+    def test_leapfrog_force(self, replay_at_once):
+        rng = np.random.default_rng(11)
+        q, p = (sf.constant(rng.standard_normal((32, 2)).astype(np.float32))
+                for _ in range(2))
+        trajectory = leapfrog(5)
+        replay_at_once(False)
+        want = _bits(trajectory(q, p))
+        stats = sf.get_runtime().stats
+        stats.reset()
+        replay_at_once(True)
+        assert _bits(trajectory(q, p)) == want
+        assert _counts() == (1, 10)
+        # A replayed force dispatches none of its 6 backward ops.
+        # A replayed force dispatches none of its 6 backward ops: per step,
+        # two forces' 3 forward ops and the 6 update ops remain.
+        assert stats.snapshot()["eager_dispatches"] == 5 * (2 * 3 + 6)
+
+    def test_mlp_step(self, replay_at_once):
+        rng = np.random.default_rng(12)
+        params, loss_fn = _mlp_loss_fn(rng)
+        x = sf.constant(rng.standard_normal((8, 16)).astype(np.float32))
+        y = sf.constant(rng.standard_normal((8, 1)).astype(np.float32))
+
+        def step():
+            with sf.Tape() as t:
+                loss = loss_fn(x, y)
+            return _bits([loss] + t.gradient(loss, params))
+
+        replay_at_once(False)
+        want = step()
+        replay_at_once(True)
+        assert step() == want
+        assert step() == want
+        assert _counts() == (1, 2)
+
+    def test_threshold_counts_sightings(self, monkeypatch):
+        monkeypatch.setattr(tape_module, "REPLAY_AFTER", 3)
+        x = sf.constant([1.0, 2.0])
+        for k in range(4):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = sf.reduce_sum(x * x)
+            assert t.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+            assert _counts() == ((0, 0) if k < 2 else (1, k - 1))
+
+
+class TestReplayKey:
+    """Each part of the exact key keeps apart two backward passes that a
+    plan for the other would get wrong."""
+
+    def test_two_targets_on_a_persistent_tape(self, replay_at_once):
+        a = sf.constant(np.array([[0.5, -1.25], [2.0, 0.75]], np.float32))
+        b = sf.constant(np.array([[1.5], [-0.5]], np.float32))
+        with sf.Tape(persistent=True) as t:
+            t.watch(a)
+            h = sf.matmul(a, b)
+            z = sf.reduce_sum(sf.mul(sf.sub(h, 1.0), sf.div(h, 3.0)))
+            w = sf.reduce_sum(sf.exp(sf.mul(a, 0.5)))
+        gz = [[0.8750000596046448, -0.2916666865348816], [2.125, -0.7083333730697632]]
+        gw = [[0.6420127749443054, 0.2676306962966919],
+              [1.3591409921646118, 0.7274956703186035]]
+        assert t.gradient(z, a).numpy().tolist() == gz
+        assert t.gradient(w, a).numpy().tolist() == gw
+        assert t.gradient(z, a).numpy().tolist() == gz
+        assert _counts() == (2, 3)
+
+    def test_target_is_the_source_or_unconnected(self, replay_at_once):
+        x = sf.constant(3.0)
+
+        def grad(target_is_source):
+            with sf.Tape() as t:
+                t.watch(x)
+                sf.mul(x, x)
+            target = x if target_is_source else sf.mul(x, 2.0)  # after the tape
+            return float(t.gradient(target, x))
+
+        assert [grad(True), grad(False), grad(True), grad(False)] == [1.0, 0.0, 1.0, 0.0]
+        assert _counts() == (2, 4)
+
+    def test_same_ops_different_shape(self, replay_at_once):
+        x = sf.constant([1.0, 2.0])
+
+        def grad(c):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = sf.reduce_sum(sf.mul(x, c))
+            return t.gradient(y, x).numpy().tolist()
+
+        # The first saved input is x either way; c's shape differs.
+        assert grad(sf.constant([3.0])) == [3.0, 3.0]
+        assert grad(sf.constant([3.0, 4.0])) == [3.0, 4.0]
+        assert grad(sf.constant([5.0])) == [5.0, 5.0]
+        assert _counts() == (2, 3)
+
+    def test_same_ops_different_wiring(self, replay_at_once):
+        x = sf.constant([1.0, 2.0])
+        y = sf.constant([3.0, 4.0])
+
+        def grad(other):
+            with sf.Tape() as t:
+                t.watch(x)
+                total = sf.reduce_sum(sf.mul(x, other))
+            return t.gradient(total, x).numpy().tolist()
+
+        assert grad(x) == [2.0, 4.0]
+        assert grad(y) == [3.0, 4.0]
+        assert grad(x) == [2.0, 4.0]
+        assert _counts() == (2, 3)
+
+    def test_same_ops_different_attrs(self, replay_at_once):
+        a = sf.constant(np.array([[1.0, 2.0], [3.0, 4.0]], np.float32))
+        b = sf.constant(np.array([[0.5, -1.0], [2.0, 0.25]], np.float32))
+        w = sf.constant(np.array([[1.0, 10.0], [100.0, 1000.0]], np.float32))
+
+        def grad(transpose_a):
+            attrs = {"transpose_a": True} if transpose_a else {}
+            with sf.Tape() as t:
+                t.watch(a)
+                total = sf.reduce_sum(sf.mul(sf.dispatch("matmul", [a, b], attrs)[0], w))
+            return t.gradient(total, a).numpy().tolist()
+
+        replay_at_once(False)
+        want = [grad(False), grad(True)]
+        replay_at_once(True)
+        assert [grad(False), grad(True), grad(False), grad(True)] == want * 2
+        assert _counts() == (2, 4)
+
+
+def _register_numpy_rule_op():
+    """``2x`` as a custom op whose gradient rule reads ``.numpy()``: it
+    works op by op and refuses a negative input."""
+    def rule(ctx):
+        if (ctx.input(0).numpy() < 0).any():
+            raise NotDifferentiable("numpy_double: negative input")
+        return [sf.mul(ctx.out_grad(), 2.0)]
+
+    register_op(OpDef(
+        name="numpy_double", input_arity=1, attr_schema={}, output_arity=1,
+        stateful=False,
+        kernel=lambda attrs, ins, env: KERNELS["add"](attrs, [ins[0], ins[0]], env),
+        infer=INFERENCE["neg"], gradient=rule,
+    ))
+    return lambda v: sf.dispatch("numpy_double", [v])[0]
+
+
+class TestReplayFallsBack:
+    """Where a plan could be wrong, the backward runs op by op."""
+
+    def test_active_tape_records_the_backward(self, replay_at_once):
+        x = sf.constant(np.array([0.5, -1.5], np.float32))
+        for _ in range(2):
+            with sf.Tape() as outer:
+                outer.watch(x)
+                with sf.Tape() as inner:
+                    inner.watch(x)
+                    y = sf.reduce_sum(sf.mul(sf.mul(x, x), x))
+                d1 = inner.gradient(y, x)  # outer records this backward
+                s = sf.reduce_sum(d1)
+            assert d1.numpy().tolist() == [0.75, 6.75]
+            assert outer.gradient(s, x).numpy().tolist() == [3.0, -9.0]
+        # Only the outer gradients, run while no tape is active, replay.
+        assert _counts() == (1, 2)
+
+    def test_open_trace_records_the_backward(self, replay_at_once):
+        def grad(v):
+            with sf.Tape() as t:
+                t.watch(v)
+                y = sf.reduce_sum(v * v)
+            return t.gradient(y, v)
+
+        f = sf.stage(grad)
+        x = sf.constant([1.0, 2.0])
+        assert f(x).numpy().tolist() == [2.0, 4.0]
+        assert f(x).numpy().tolist() == [2.0, 4.0]
+        assert _counts() == (0, 0)
+        assert "mul" in f.cached_functions()[0].graph.op_counts()
+
+    def test_staged_call_entry(self, replay_at_once):
+        f = sf.stage(lambda v: sf.reduce_sum(v * v))
+        x = sf.constant([1.0, 2.0])
+        for _ in range(2):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = f(x)
+            assert t.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+        assert _counts() == (0, 0)
+
+    def test_host_call_entry(self, replay_at_once):
+        cb = sf.register_callback(lambda u: sf.mul(u, u), [(sf.float32, (2,))])
+        f = sf.stage(lambda v: sf.reduce_sum(sf.host_call(cb, [v])[0]))
+        x = sf.constant([1.0, 2.0])
+        for _ in range(2):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = f(x)
+            assert t.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+        # The staged call's entry runs op by op; the callback's own VJP runs
+        # a tape outside any trace, which may replay.
+        plans, _ = _counts()
+        assert plans <= 1
+        assert all(key.encoding[0][-1][0] != "call_function"
+                   for key in current_context().tape_plans)
+
+    def test_ruleless_entry(self, replay_at_once):
+        negate = _register_ruleless_negate()
+        x = sf.constant([1.0, 2.0])
+        for _ in range(2):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = sf.reduce_sum(negate(x) * x)
+            with pytest.raises(NotDifferentiable, match="ruleless_negate"):
+                t.gradient(y, x)
+        assert _counts() == (0, 0)
+
+    def test_several_devices(self, replay_at_once, accel_runtime):
+        x = sf.constant([1.0, 2.0])
+        for _ in range(2):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = sf.reduce_sum(x * x)
+            assert t.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+        assert accel_runtime.stats.snapshot()["tape_plans"] == 0
+
+    def test_device_scope(self, replay_at_once):
+        x = sf.constant([1.0, 2.0])
+        for _ in range(2):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = sf.reduce_sum(x * x)
+            with sf.device_scope(sf.list_devices()[0]):
+                assert t.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+        assert _counts() == (0, 0)
+
+    def test_rule_reading_numpy_keeps_its_error_and_stays_op_by_op(self, replay_at_once):
+        double = _register_numpy_rule_op()
+
+        def grad(values):
+            x = sf.constant(values)
+            with sf.Tape() as t:
+                t.watch(x)
+                y = sf.reduce_sum(double(x) * x)
+            return t.gradient(y, x).numpy().tolist()
+
+        assert grad([1.0, 2.0]) == [4.0, 8.0]  # the trace raised; op by op
+        with pytest.raises(NotDifferentiable, match="negative input"):
+            grad([-1.0, 2.0])
+        assert grad([3.0, 2.0]) == [12.0, 8.0]
+        assert _counts() == (0, 0)
+        assert list(current_context().tape_plans.values()) == [None]
+
+
+class TestReplayCache:
+    def test_least_recently_used_plan_is_evicted(self, replay_at_once, monkeypatch):
+        monkeypatch.setattr(tape_module, "_MAX_PLANS", 2)
+        x = sf.constant([1.0, 2.0])
+
+        def grad(n_muls):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = x
+                for _ in range(n_muls):
+                    y = y * x
+                total = sf.reduce_sum(y)
+            return t.gradient(total, x).numpy().tolist()
+
+        assert grad(1) == [2.0, 4.0]
+        assert grad(2) == [3.0, 12.0]
+        assert grad(1) == [2.0, 4.0]  # a hit: 1 is now the most recent
+        assert grad(3) == [4.0, 32.0]  # evicts 2
+        assert _counts() == (3, 4)
+        assert len(current_context().tape_plans) == 2
+        assert grad(1) == [2.0, 4.0]
+        assert _counts() == (3, 5)
+        assert grad(2) == [3.0, 12.0]  # rebuilt
+        assert _counts() == (4, 6)
+
+    def test_plans_hold_no_tensor_or_variable(self, replay_at_once):
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(14)
+        params, loss_fn = _mlp_loss_fn(rng)
+        x = sf.constant(rng.standard_normal((8, 16)).astype(np.float32))
+        y = sf.constant(rng.standard_normal((8, 1)).astype(np.float32))
+        with sf.Tape() as t:
+            loss = loss_fn(x, y)
+        t.gradient(loss, params)
+        (key, plan), = current_context().tape_plans.items()
+
+        def leaves(v):
+            if isinstance(v, tuple):
+                for e in v:
+                    yield from leaves(e)
+            else:
+                yield v
+
+        assert {type(v) for v in leaves(key.encoding)} <= {str, int, bool, type(None), type}
+        graph, inputs, outputs = plan
+        assert {type(v) for v in inputs + outputs} == {int}
+        assert all(n.op != "constant" or n.attrs["value"] not in (x, y)
+                   for n in graph.nodes)
+        refs = [weakref.ref(v) for v in params]
+        del params, loss_fn, t, loss
+        gc.collect()
+        assert [r() for r in refs] == [None] * 4
+
+    def test_reset_clears_the_counters(self, replay_at_once):
+        x = sf.constant([1.0, 2.0])
+        with sf.Tape() as t:
+            t.watch(x)
+            y = sf.reduce_sum(x * x)
+        t.gradient(y, x)
+        assert _counts() == (1, 1)
+        sf.get_runtime().stats.reset()
+        assert _counts() == (0, 0)
+
+    def test_replays_from_four_threads(self, replay_at_once):
+        import sys
+        import threading
+
+        rng = np.random.default_rng(13)
+        starts = [
+            tuple(sf.constant(rng.standard_normal((8, 2)).astype(np.float32))
+                  for _ in range(2))
+            for _ in range(4)
+        ]
+        trajectory = leapfrog(4)
+        replay_at_once(False)
+        want = [_bits(trajectory(q, p)) for q, p in starts]
+        replay_at_once(True)
+        got = [None] * 4
+        errors = []
+
+        def work(i):
+            try:
+                for _ in range(3):
+                    got[i] = _bits(trajectory(*starts[i]))
+            except Exception as e:  # pragma: no cover - reported below
+                errors.append(e)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert got == want
+        # One plan per thread; every force of every run replays.
+        assert _counts() == (4, 4 * 3 * 8)

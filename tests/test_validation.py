@@ -429,3 +429,42 @@ def test_generator_inputs_work_or_raise_stageflow_error(values, error, staged):
         with pytest.raises(error):
             fn(f32(2))
         assert issubclass(error, StageflowError)
+
+
+def _pred():
+    return sf.constant(True)
+
+
+# Public calls given a wrong kind of argument: each raises a StageflowError,
+# and the eager control-flow forms raise what the staged forms raise.
+API_MISUSE = [
+    ("constant-str-dtype", lambda: sf.constant(1.0, "float32"), ShapeMismatch),
+    ("tensor_from_host-str-dtype",
+     lambda: sf.tensor_from_host([1.0], (1,), "float32"), ShapeMismatch),
+    ("stage-str-dim",
+     lambda: sf.stage(lambda x: x, signature=[(sf.float32, ("a",))]),
+     sf.errors.SignatureMismatch),
+    ("stage-bad-entry", lambda: sf.stage(lambda x: x, signature=[sf.float32]),
+     sf.errors.SignatureMismatch),
+    ("cond-eager", lambda: sf.cond(_pred(), 3, 4, []), sf.errors.StagingError),
+    ("cond-staged", lambda: sf.stage(lambda: sf.cond(_pred(), 3, 4, []))(),
+     sf.errors.StagingError),
+    ("cond-operands-eager",
+     lambda: sf.cond(_pred(), lambda: 1, lambda: 2, 3.0), sf.errors.StagingError),
+    ("while-eager",
+     lambda: sf.while_loop(lambda v: v, lambda v: v, 3.0), sf.errors.StagingError),
+    ("while-staged",
+     lambda: sf.stage(lambda: sf.while_loop(lambda v: v, lambda v: v, 3.0))(),
+     sf.errors.StagingError),
+    ("while-body-eager",
+     lambda: sf.while_loop(lambda v: sf.greater(v, 0.0), 2, [1.0]),
+     sf.errors.StagingError),
+]
+
+
+@pytest.mark.parametrize("make, error", [c[1:] for c in API_MISUSE],
+                         ids=[c[0] for c in API_MISUSE])
+def test_api_misuse_raises_stageflow_error(make, error):
+    with pytest.raises(error):
+        make()
+    assert issubclass(error, StageflowError)
