@@ -48,7 +48,7 @@ from .errors import NotDifferentiable, StagingError
 from .escape import backward_callback_for
 from .gradients import GradContext, zeros_for
 from .graph import GraphFunction, Node, add_to_library, prune
-from .ops import _DERIVED, add, dispatch, get_op_def
+from .ops import _DERIVED, add, dispatch
 from .runtime import get_runtime
 
 SavedDesc = Tuple  # ("input", placeholder index) | ("extra", fwd extra index)
@@ -72,10 +72,7 @@ def backward_for(gf: GraphFunction, wanted: Tuple[bool, ...]):
     cf = gf._bwd_by_mask.get(wanted)
     if cf is None:
         full = bwd_cf.graph
-        outputs = [o for o, w in zip(full.outputs, wanted) if w]
-        pruned = prune(GraphFunction(
-            full.name, full.inputs, full.nodes, outputs, full.library
-        ))
+        pruned = prune(full, [o for o, w in zip(full.outputs, wanted) if w])
         cf = gf._bwd_by_mask.setdefault(
             wanted,
             _staging.ConcreteFunction(pruned, bwd_cf.materialize_captured(), "list"),
@@ -95,8 +92,9 @@ def _grad_paths(gf: GraphFunction) -> Dict[Tuple[int, int], frozenset]:
         paths = {
             (p, 0): frozenset((p,)) for p, ph in enumerate(gf.inputs) if ph.dtype.is_float
         }
+        defs = get_runtime().registry
         for i, node in enumerate(gf.nodes):
-            if not any(r in paths for r in node.inputs):
+            if not any(map(paths.__contains__, node.inputs)):
                 continue
             ins = [paths.get(r, frozenset()) for r in node.inputs]
             if node.op == "call_function":
@@ -108,13 +106,14 @@ def _grad_paths(gf: GraphFunction) -> Dict[Tuple[int, int], frozenset]:
                 ]
             else:
                 path = frozenset().union(*ins)
-                if node.op not in _DERIVED and get_op_def(node.op).gradient is None:
+                if node.op not in _DERIVED and defs.get(node.op).gradient is None:
                     if not any(dt.is_float for dt, _ in node.out_specs):
                         continue
                     deps = frozenset(x for x in path if isinstance(x, int))
                     path |= {(f"node {i} ({node.op}) of {gf.name}", deps)}
                 outs = [path] * len(node.out_specs)
-            paths.update(((n_in + i, k), path) for k, path in enumerate(outs))
+            for k, path in enumerate(outs):
+                paths[(n_in + i, k)] = path
         gf._grad_paths = paths
     return gf._grad_paths
 
@@ -202,6 +201,8 @@ def _build(gf: GraphFunction):
 
         for i in range(len(gf.nodes) - 1, -1, -1):
             vid = n_in + i
+            if (vid, 0) not in paths:  # no float input reaches it: no gradient
+                continue
             node = gf.nodes[i]
             out_grads = [grads.get((vid, j)) for j in range(len(node.out_specs))]
             if all(g is None for g in out_grads):
@@ -214,7 +215,7 @@ def _build(gf: GraphFunction):
             elif node.op == "host_call":
                 _diff_host_call(gf, node, out_grads, saved_value, accumulate)
             else:
-                rule = get_op_def(node.op).gradient
+                rule = rt.registry.get(node.op).gradient
                 if rule is None:  # dropped; see refuse_dropped
                     continue
                 gctx = GradContext(
@@ -287,31 +288,19 @@ def _diff_host_call(gf, node, out_grads, saved_value, accumulate):
 
 def _assemble_forward_variant(gf, needed, call_rewrites) -> GraphFunction:
     library = dict(gf.library)
-    rewrite_names = {
-        idx: add_to_library(library, c_fwd) for idx, c_fwd in call_rewrites.items()
-    }
-
-    nodes = []
-    for i, node in enumerate(gf.nodes):
-        if i in call_rewrites:
-            c_fwd = call_rewrites[i]
-            attrs = dict(node.attrs)
-            attrs["function"] = rewrite_names[i]
-            nodes.append(
-                Node(
-                    op=node.op,
-                    inputs=node.inputs,
-                    attrs=attrs,
-                    device=node.device,
-                    out_specs=tuple(c_fwd.output_specs),
-                )
-            )
-        else:
-            nodes.append(node)
+    nodes = list(gf.nodes)
+    for i, c_fwd in call_rewrites.items():
+        node = nodes[i]
+        attrs = dict(node.attrs, function=add_to_library(library, c_fwd))
+        nodes[i] = Node(node.op, node.inputs, attrs, node.device,
+                        tuple(c_fwd.output_specs))
     outputs = list(gf.outputs) + [
         (f"saved_{k}", ref) for k, ref in enumerate(needed)
     ]
-    return GraphFunction(gf.name + "_fwd", gf.inputs, nodes, outputs, library)
+    # Without a rewritten call the node tuple is gf's, and its checks hold.
+    return GraphFunction(gf.name + "_fwd", gf.inputs,
+                         nodes if call_rewrites else gf.nodes, outputs, library,
+                         nodes_of=gf)
 
 
 # ``staging`` imports this module, and derivation traces the backward and

@@ -85,9 +85,9 @@ class _Plan:
     slot as ``out``; ``fn`` takes the input arrays: the array function
     itself for an attr-free elementwise op (``kernels.ARRAY_FUNCTIONS``),
     else the op's compute with the node's attrs bound. A Tensor node has
-    kind -1 and ``fn`` is its kernel with the attrs bound, taking
-    ``(inputs, env)``. ``info`` is ``(node index, op, pinned device, input
-    slots, output slots)``.
+    kind -1, its output slots (a range) as ``out``, and ``fn`` is its kernel
+    with the attrs bound, taking ``(inputs, env)``. ``info`` is ``(node
+    index, op, pinned device, input slots)``.
 
     Value numbering: a constant, or a node whose op has a compute and is
     not stateful, that computes what an earlier node already computes gets
@@ -106,30 +106,29 @@ class _Plan:
 
     def __init__(self, gf: GraphFunction):
         n_in = self.n_inputs = len(gf.inputs)
-        first: List[int] = []  # each node's first output slot
+        # Per value id, its first slot: a placeholder's is its id (at any
+        # output index a hand-built graph reads), a node's its first output's.
+        first: List[int] = list(range(n_in))
         # Per slot: a constant's array and tensor, and the device of a
         # pinned node's outputs (None: the call's device).
-        self.prefill: List = [None] * n_in
-        self.constants: List = [None] * n_in
-        self.slot_device: List = [None] * n_in
+        prefill: List = [None] * n_in
+        constants: List = [None] * n_in
+        slot_device: List = [None] * n_in
+        steps: List[tuple] = []
         numbered: Dict[tuple, int] = {}  # value number -> its slot
         # op -> its attr defaults if it has a compute and is not stateful,
         # else None
         pure: Dict[str, Optional[dict]] = {}
-
-        def slot(ref) -> int:  # a graph only refers to earlier values
-            vid, out_idx = ref
-            return vid if vid < n_in else first[vid - n_in] + out_idx
-
-        self.steps: List[tuple] = []
-        for j, node in enumerate(gf.nodes):
-            op, attrs, device = node.op, node.attrs, node.device
+        for j, (op, inputs, attrs, device, out_specs) in enumerate(gf.nodes):
+            hit = None
             if op == "constant":
                 value = attrs["value"]
                 arr = value.raw()
                 key = (value.dtype, arr.shape, arr.tobytes(), value.device, device)
             else:
-                in_slots = tuple(slot(r) for r in node.inputs)
+                in_slots = tuple([  # a graph only refers to earlier values
+                    vid if vid < n_in else first[vid] + k for vid, k in inputs
+                ])
                 compute = COMPUTE.get(op)
                 key = None
                 if compute is not None:
@@ -138,39 +137,42 @@ class _Plan:
                         pure[op] = None if op_def.stateful else op_def.attr_defaults
                     defaults = pure[op]
                     if defaults is not None:
-                        key = (op, tuple(sorted(
+                        key = (op, tuple(sorted([
                             (k, v) for k, v in attrs.items()
                             if defaults.get(k, _NO_DEFAULT) is not v
-                        )) if attrs else (), in_slots, device)
+                        ])) if attrs else (), in_slots, device)
             if key is not None:
                 try:
                     hit = numbered.get(key)
                 except TypeError:  # an unhashable attr of a hand-built node
-                    hit = key = None
-                if hit is not None:
-                    first.append(hit)
-                    continue
-            out = len(self.prefill)
+                    key = None
+            out = len(prefill) if hit is None else hit
             first.append(out)
+            if hit is not None:
+                continue
+            n_out = len(out_specs)
             if key is not None:
                 numbered[key] = out
-            n_out = len(node.out_specs)
-            self.prefill += [None] * n_out
-            self.constants += [None] * n_out
-            self.slot_device += [device] * n_out
+            slot_device += [device] * n_out
             if op == "constant":
-                self.constants[out] = value
-                self.prefill[out] = arr
+                prefill.append(arr)
+                constants.append(value)
                 continue
-            info = (j, op, device, in_slots, tuple(range(out, out + n_out)))
+            prefill += [None] * n_out
+            constants += [None] * n_out
+            info = (j, op, device, in_slots)
             if compute is None:
                 kernel = partial(get_op_def(op).kernel, attrs)
-                self.steps.append((-1, kernel, None, None, None, info))
+                steps.append((-1, kernel, None, None, range(out, out + n_out), info))
             else:
                 fn = ARRAY_FUNCTIONS.get(compute) or partial(compute, attrs)
                 a, b = (in_slots + (None, None))[:2]
-                self.steps.append((len(in_slots), fn, a, b, out, info))
-        self.output_slots = [slot(ref) for _, ref in gf.outputs]
+                steps.append((len(in_slots), fn, a, b, out, info))
+        self.prefill, self.constants, self.slot_device = prefill, constants, slot_device
+        self.steps = steps
+        self.output_slots = [
+            vid if vid < n_in else first[vid] + k for _, (vid, k) in gf.outputs
+        ]
 
 
 def _plan_for(gf: GraphFunction) -> _Plan:
@@ -204,7 +206,7 @@ def _bind_inputs(gf: GraphFunction, values: Sequence) -> list:
                     f"{gf.name}: input {ph.name!r} expects a tensor, got "
                     f"{type(v).__name__}"
                 )
-            if v.is_symbolic:
+            if v._symbolic is not None:
                 raise InputMismatch(
                     f"{gf.name}: symbolic tensor passed for {ph.name!r}"
                 )
@@ -265,7 +267,7 @@ def execute_graph(
                 ins = moved if multi_device else [
                     _tensor(s, tensors, plan, inputs, buffers, device) for s in info[3]
                 ]
-                for s, t in zip(info[4], fn(ins, node_env)):
+                for s, t in zip(out, fn(ins, node_env)):
                     buffers[s] = t.raw()
                     tensors[s] = t
         except _PASSTHROUGH:

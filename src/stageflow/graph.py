@@ -13,17 +13,17 @@ The optimizer lives here too: ``prune`` removes stateless nodes that no
 output (and no retained stateful node) depends on, and ``constant_fold``
 evaluates stateless nodes whose inputs are all constants. Both preserve
 semantics exactly; kernels are deterministic, so folded graphs are
-bit-identical to unfolded ones. ``optimize`` prunes first, so no dead node
-is folded, then folds. Folding drops the constants it leaves without a
-consumer, so the result is the graph that folding first and pruning after
-gives. Each pass hands back the graph itself when it changes nothing, and
-otherwise builds one new graph that reuses every node whose inputs did not
-move.
+bit-identical to unfolded ones. ``optimize`` marks what prune keeps, folds
+only that, and rebuilds once. Folding drops the constants it leaves without
+a consumer, so the result is also the graph that folding first and pruning
+after gives. Each pass hands back the graph itself when it changes nothing,
+and otherwise builds one new graph that reuses every node whose inputs did
+not move. Nodes are named tuples, built without a setattr per field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .devices import DeviceName
 from .dtypes import DType, SymShape
@@ -43,21 +43,24 @@ FUNCTION_ATTRS = {
 # Ops whose first input must be a variable-reference placeholder.
 VARIABLE_OPS = ("read_variable", "assign_variable", "assign_add_variable")
 
-@dataclass(frozen=True)
-class Placeholder:
+
+class Placeholder(NamedTuple):
     name: str
     dtype: DType
     shape: SymShape
     is_variable_ref: bool = False
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     op: str
     inputs: Tuple[Ref, ...]
     attrs: Dict[str, Any]
     device: Optional[DeviceName]
     out_specs: Tuple[Tuple[DType, SymShape], ...]
+
+
+# A Node from the tuple of its fields, without a Python frame per node.
+new_node = partial(tuple.__new__, Node)
 
 
 class GraphFunction:
@@ -70,6 +73,8 @@ class GraphFunction:
         nodes: Sequence[Node],
         outputs: Sequence[Tuple[str, Ref]],
         library: Optional[Dict[str, "GraphFunction"]] = None,
+        *,
+        nodes_of: Optional["GraphFunction"] = None,
     ):
         self.name = name
         self.inputs: Tuple[Placeholder, ...] = tuple(inputs)
@@ -78,11 +83,11 @@ class GraphFunction:
         self.library: Dict[str, GraphFunction] = dict(
             sorted((library or {}).items())
         )
-        self.serializable = not any(n.op == "host_call" for n in self.nodes) and all(
-            f.serializable for f in self.library.values()
-        )
-        self._validate()
-        self._output_specs = tuple(self.spec_of(ref) for _, ref in self.outputs)
+        # ``nodes_of``: a graph with these very tuples; only outputs are new.
+        if nodes_of is None or self.nodes is not nodes_of.nodes or (
+                self.inputs is not nodes_of.inputs):
+            self._validate()
+        self._output_specs = self._checked_output_specs()
         self._plan = None  # compiled executor plan, set lazily
         self._fwd_bwd = None  # derived (forward variant, backward fn), set lazily
         self._bwd_by_mask: Dict[Tuple[bool, ...], Any] = {}  # backward_for's cache
@@ -92,31 +97,46 @@ class GraphFunction:
 
     def _validate(self) -> None:
         n_in = len(self.inputs)
-        for i, node in enumerate(self.nodes):
+        nodes = self.nodes
+        for end, node in enumerate(nodes, n_in):  # end: the node's value id
             for vid, out_idx in node.inputs:
-                if vid < 0 or vid >= n_in + i:
+                if vid < 0 or vid >= end:
                     raise CorruptGraph(
-                        f"{self.name}: node {i} ({node.op}) references value "
-                        f"{vid} that is not an input or an earlier node"
+                        f"{self.name}: node {end - n_in} ({node.op}) references "
+                        f"value {vid} that is not an input or an earlier node"
                     )
-                if vid >= n_in and out_idx >= len(self.nodes[vid - n_in].out_specs):
+                if vid >= n_in and out_idx >= len(nodes[vid - n_in].out_specs):
                     raise CorruptGraph(
-                        f"{self.name}: node {i} references missing output "
-                        f"{out_idx} of node {vid - n_in}"
+                        f"{self.name}: node {end - n_in} references missing "
+                        f"output {out_idx} of node {vid - n_in}"
                     )
             if node.op in VARIABLE_OPS and not (
                 node.inputs and node.inputs[0][0] < n_in
                 and self.inputs[node.inputs[0][0]].is_variable_ref
             ):
                 raise CorruptGraph(
-                    f"{self.name}: node {i} ({node.op}) must take a variable "
-                    "input placeholder as its first input"
+                    f"{self.name}: node {end - n_in} ({node.op}) must take a "
+                    "variable input placeholder as its first input"
                 )
+
+    def _checked_output_specs(self) -> tuple:
+        n_in, n_values = len(self.inputs), len(self.inputs) + len(self.nodes)
+        specs = []
         for _, (vid, out_idx) in self.outputs:
-            if vid < 0 or vid >= n_in + len(self.nodes) or (
-                vid >= n_in and out_idx >= len(self.nodes[vid - n_in].out_specs)
-            ):
+            if 0 <= vid < n_in:
+                ph = self.inputs[vid]
+                specs.append((ph.dtype, ph.shape))
+            elif n_in <= vid < n_values and out_idx < len(
+                    out_specs := self.nodes[vid - n_in].out_specs):
+                specs.append(out_specs[out_idx])
+            else:
                 raise CorruptGraph(f"{self.name}: dangling output reference")
+        return tuple(specs)
+
+    @property
+    def serializable(self) -> bool:  # no host_call here or in the library
+        return all(n.op != "host_call" for n in self.nodes) and all(
+            f.serializable for f in self.library.values())
 
     # -- introspection ---------------------------------------------------------
 
@@ -208,6 +228,8 @@ class GraphBuilder:
         the caller must not change it afterwards."""
         idx = len(self.nodes)
         self.nodes.append((op, inputs, attrs, device, tuple(out_specs)))
+        if len(out_specs) == 1:
+            return [("n", idx, 0)]
         return [("n", idx, j) for j in range(len(out_specs))]
 
     def finalize(
@@ -218,18 +240,15 @@ class GraphBuilder:
         library: Optional[Dict[str, GraphFunction]] = None,
     ) -> GraphFunction:
         n_in = len(self.placeholders)
-
-        def to_ref(bref) -> Ref:
-            if bref[0] == "p":
-                return (bref[1], 0)
-            return (n_in + bref[1], bref[2])
-
         nodes = [
-            Node(op, tuple([to_ref(r) for r in inputs]), attrs, device, out_specs)
+            new_node((op, tuple([
+                (n_in + r[1], r[2]) if r[0] == "n" else (r[1], 0) for r in inputs
+            ]), attrs, device, out_specs))
             for op, inputs, attrs, device, out_specs in self.nodes
         ]
         outputs = [
-            (oname, to_ref(oref)) for oname, oref in zip(output_names, output_refs)
+            (oname, (n_in + r[1], r[2]) if r[0] == "n" else (r[1], 0))
+            for oname, r in zip(output_names, output_refs)
         ]
         return GraphFunction(name, self.placeholders, nodes, outputs, library)
 
@@ -279,9 +298,11 @@ def _referenced_functions(nodes: Sequence[Node]) -> set:
 
 
 def _rebuild(
-    gf: GraphFunction, kept: Sequence[int], folded: Dict[int, List[Optional[Node]]]
+    gf: GraphFunction, kept: Sequence[int], folded: Dict[int, List[Optional[Node]]],
+    outputs: Optional[Sequence[Tuple[str, Ref]]] = None,
 ) -> GraphFunction:
-    """``gf`` with only the nodes at the indices ``kept``, in order.
+    """``gf`` with only the nodes at the indices ``kept``, in order, and
+    ``outputs`` (default: ``gf``'s) of those.
 
     A kept index in ``folded`` is replaced by its constant nodes, one per
     output (``None`` for an output nothing reads). A kept node whose inputs
@@ -303,13 +324,14 @@ def _rebuild(
         if moved:
             inputs = tuple([moved.get(r, r) for r in node.inputs])
             if inputs != node.inputs:
-                node = Node(node.op, inputs, node.attrs, node.device, node.out_specs)
+                node = new_node((node.op, inputs, *node[2:]))
         vid = n_in + len(nodes)
         if vid != old_vid:
             for j in range(len(node.out_specs)):
                 moved[(old_vid, j)] = (vid, j)
         nodes.append(node)
-    outputs = [(name, moved.get(ref, ref)) for name, ref in gf.outputs]
+    outputs = [(name, moved.get(ref, ref))
+               for name, ref in (gf.outputs if outputs is None else outputs)]
     library = gf.library
     if library:
         names = _referenced_functions(nodes)
@@ -317,35 +339,17 @@ def _rebuild(
     return GraphFunction(gf.name, gf.inputs, nodes, outputs, library)
 
 
-def prune(gf: GraphFunction) -> GraphFunction:
+def prune(
+    gf: GraphFunction, outputs: Optional[Sequence[Tuple[str, Ref]]] = None
+) -> GraphFunction:
     """Drop stateless nodes that neither outputs nor stateful nodes reach.
 
     Stateful nodes are always retained (their effects are the point), and so
-    is everything upstream of them. Idempotent; semantics-preserving.
+    is everything upstream of them. Given ``outputs`` (named refs of values
+    of ``gf``), the result has those outputs. Idempotent;
+    semantics-preserving.
     """
-    n_in = len(gf.inputs)
-    nodes = gf.nodes
-    keep = [False] * len(nodes)
-    for _, (vid, _) in gf.outputs:
-        if vid >= n_in:
-            keep[vid - n_in] = True
-    # Every consumer of node i comes after it, so a reverse walk settles
-    # keep[i] before visiting i; a kept node needs no statefulness test.
-    for i in range(len(nodes) - 1, -1, -1):
-        node = nodes[i]
-        if keep[i] or node_is_stateful(node, gf.library):
-            keep[i] = True
-            for vid, _ in node.inputs:
-                if vid >= n_in:
-                    keep[vid - n_in] = True
-    if all(keep):
-        return gf
-    return _rebuild(gf, [i for i, k in enumerate(keep) if k], {})
-
-
-# ``executor`` imports this module and evaluates nodes for folding; it binds
-# its ``run_node_for_folding`` here when it is imported.
-run_node_for_folding = None
+    return _optimized(gf, outputs, fold=False)
 
 
 def constant_fold(gf: GraphFunction) -> GraphFunction:
@@ -357,14 +361,50 @@ def constant_fold(gf: GraphFunction) -> GraphFunction:
     When anything folds, every constant left without a consumer is dropped,
     so folding and pruning commute.
     """
+    return _optimized(gf, None, prune=False)
+
+
+def optimize(gf: GraphFunction) -> GraphFunction:
+    """The finalize-time pipeline: prune, then fold constants, in one pass.
+
+    Only the nodes prune keeps are folded, and the graph is rebuilt once:
+    the result is ``constant_fold(prune(gf))``, which is also
+    ``prune(constant_fold(gf))``. A graph that neither pass changes comes
+    back as the same object.
+    """
+    return _optimized(gf, None)
+
+
+# ``executor`` imports this module and evaluates nodes for folding; it binds
+# its ``run_node_for_folding`` here when it is imported.
+run_node_for_folding = None
+
+
+def _optimized(gf: GraphFunction, outputs, prune: bool = True, fold: bool = True):
+    """Mark what ``prune`` keeps (toward ``outputs`` in place of ``gf``'s,
+    if given), fold only those nodes, then build the result once."""
     n_in = len(gf.inputs)
+    nodes = gf.nodes
+    keep = [not prune] * (n_in + len(nodes))  # per value id
+    if prune:
+        for _, (vid, _) in gf.outputs if outputs is None else outputs:
+            keep[vid] = True
+        # Every consumer of a node comes after it, so a reverse walk settles
+        # whether a node is kept before visiting it.
+        for vid, node in zip(range(len(keep) - 1, n_in - 1, -1), reversed(nodes)):
+            if keep[vid] or node_is_stateful(node, gf.library):
+                keep[vid] = True
+                for ref_vid, _ in node.inputs:
+                    keep[ref_vid] = True
     const_vals: Dict[Ref, Tensor] = {}
     folded_outs: Dict[int, List[Tensor]] = {}
-    for i, node in enumerate(gf.nodes):
-        if node.op == "constant":
-            const_vals[(n_in + i, 0)] = node.attrs["value"]
+    for vid, node in enumerate(nodes if fold else (), n_in):
+        if not keep[vid]:
             continue
-        if not all(r in const_vals for r in node.inputs) or node_is_stateful(
+        if node.op == "constant":
+            const_vals[(vid, 0)] = node.attrs["value"]
+            continue
+        if not all(map(const_vals.__contains__, node.inputs)) or node_is_stateful(
             node, gf.library
         ):
             continue
@@ -374,38 +414,31 @@ def constant_fold(gf: GraphFunction) -> GraphFunction:
             )
         except KernelError:
             continue
-        folded_outs[i] = outs
+        folded_outs[vid - n_in] = outs
         for j, value in enumerate(outs):
-            const_vals[(n_in + i, j)] = value
+            const_vals[(vid, j)] = value
+    keep = keep[n_in:]  # per node
     if not folded_outs:
-        return gf
+        if all(keep):
+            return gf if outputs is None else GraphFunction(
+                gf.name, gf.inputs, nodes, outputs, gf.library, nodes_of=gf)
+        return _rebuild(gf, [i for i, k in enumerate(keep) if k], {}, outputs)
 
     # What is read once the folded nodes no longer read their inputs.
     used = {ref for _, ref in gf.outputs}
-    for i, node in enumerate(gf.nodes):
-        if i not in folded_outs:
+    for i, node in enumerate(nodes):
+        if keep[i] and i not in folded_outs:
             used.update(node.inputs)
     folded: Dict[int, List[Optional[Node]]] = {}
     for i, outs in folded_outs.items():
-        device = gf.nodes[i].device
+        device = nodes[i].device
         folded[i] = [
             Node("constant", (), {"value": value}, device,
                  ((value.dtype, value.shape),))
             if (n_in + i, j) in used else None
             for j, value in enumerate(outs)
         ]
-    kept = [
-        i for i, node in enumerate(gf.nodes)
-        if node.op != "constant" or (n_in + i, 0) in used
-    ]
-    return _rebuild(gf, kept, folded)
-
-
-def optimize(gf: GraphFunction) -> GraphFunction:
-    """The finalize-time pipeline: prune, then fold constants.
-
-    Pruning first means no dead node is evaluated or rebuilt; the result is
-    the graph that ``prune(constant_fold(gf))`` gives. A graph that neither
-    pass changes comes back as the same object.
-    """
-    return constant_fold(prune(gf))
+    return _rebuild(gf, [
+        i for i, node in enumerate(nodes)
+        if keep[i] and (node.op != "constant" or (n_in + i, 0) in used)
+    ], folded)

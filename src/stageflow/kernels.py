@@ -62,8 +62,7 @@ What a kernel still checks is what ``infer`` could not see:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,8 +85,7 @@ from .tensor import Tensor, concrete_tensor, to_device
 Spec = Tuple[DType, SymShape]
 
 
-@dataclass
-class KernelEnv:
+class KernelEnv(NamedTuple):
     """What a kernel may reach besides its inputs."""
 
     device: DeviceName

@@ -12,9 +12,11 @@ sections that follow, in fixed order, are:
 * nested library (count u32; name id + u32 byte length + a complete nested
   container, sorted by name).
 
-Tensor-valued attrs use the ``wire`` tensor encoding. On load a node's
-attrs are checked against its op's attr schema, as dispatch checks them, so
-an unknown name or a value of the wrong kind is ``CorruptGraph``. Node
+Fixed-layout runs are one ``struct`` call each: a node's op-name id and ref
+count, its refs, and a placeholder's name id, dtype and rank. Tensor-valued
+attrs use the ``wire`` tensor encoding. On load a node's attrs are
+checked against its op's attr schema, as dispatch checks them, so an
+unknown name or a value of the wrong kind is ``CorruptGraph``. Node
 output specs are not stored; they are re-inferred on load. The top-level
 function's own name has no slot in the container (nested names live in the
 library), so a round-trip preserves everything except it.
@@ -24,18 +26,20 @@ registry ids with no portable meaning.
 """
 from __future__ import annotations
 
+import functools
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from .devices import DeviceName
 from .dtypes import DTYPE_TAGS, DType
 from .errors import AttrMismatch, CorruptGraph, NotSerializable, StageflowError, UnknownDevice
-from .graph import GraphFunction, Node, Placeholder
+from .graph import GraphFunction, Node, Placeholder, new_node
 from .kernels import KernelEnv, infer_out_specs
-from .ops import canonicalize_attrs, get_op_def
+from .ops import canonicalize_attrs
 from .runtime import get_runtime
 from .tensor import Tensor
 from .wire import (
-    ByteReader, ByteWriter, StringTable, dtype_of, pack, read_shape,
+    ByteReader, ByteWriter, StringTable, dtype_of, layout, pack, read_shape,
     read_tensor, unpack, write_shape, write_tensor,
 )
 
@@ -47,6 +51,18 @@ _VAR_REF_BIT = 0x80
 # Attr tags. Tag 7 is unused; function names travel as strings.
 _A_INT, _A_FLOAT, _A_BOOL, _A_STRING, _A_DTYPE, _A_SHAPE = range(1, 7)
 _A_TENSOR, _A_INT_LIST, _A_NONE = range(8, 11)
+
+_INPUT_HEAD = layout("<IBH")  # name id, dtype byte, rank
+_NODE_HEAD = layout("<II")  # op-name id, ref count
+_REF = layout("<IH")  # node id, output index
+_NO_DEVICE = bytes(4)  # string id 0: the empty string
+
+
+@functools.lru_cache(maxsize=256)
+def _node_run(n: int):
+    """The layout of a node's op-name id, ref count, ``n`` refs and attr
+    count, written in one call."""
+    return layout(f"<II{'IH' * n}I")
 
 
 def serialize(gf: GraphFunction) -> bytes:
@@ -71,16 +87,16 @@ def _serialize_container(gf: GraphFunction) -> bytes:
 
     nodes.u32(len(gf.nodes))
     for node in gf.nodes:
-        nodes.string(node.op)
-        nodes.u32(len(node.inputs))
-        for vid, out_idx in node.inputs:
-            nodes.u32(vid)
-            nodes.u16(out_idx)
-        nodes.u32(len(node.attrs))
+        n = len(node.inputs)
+        nodes.raw(_node_run(n).pack(
+            table.intern(node.op), n, *chain(*node.inputs), len(node.attrs)))
         for attr_name in sorted(node.attrs):
             nodes.string(attr_name)
             _attr_to_wire(nodes, node.attrs[attr_name])
-        nodes.string(node.device.render() if node.device else "")
+        if node.device is None:
+            nodes.raw(_NO_DEVICE)
+        else:
+            nodes.string(node.device.render())
 
     outputs.u32(len(gf.outputs))
     for name, (vid, out_idx) in gf.outputs:
@@ -173,13 +189,12 @@ def _decode(data: bytes, name: str) -> GraphFunction:
 
     placeholders: List[Placeholder] = []
     for _ in range(ir.u32()):
-        pname = ir.string()
-        dt_byte = ir.u8()
+        name_id, dt_byte, rank = ir.take(_INPUT_HEAD)
+        pname = ir.string_at(name_id)
         dtype = dtype_of(dt_byte & ~_VAR_REF_BIT)
-        shape = read_shape(ir)
-        placeholders.append(
-            Placeholder(pname, dtype, shape, bool(dt_byte & _VAR_REF_BIT))
-        )
+        placeholders.append(Placeholder(
+            pname, dtype, read_shape(ir, rank), bool(dt_byte & _VAR_REF_BIT)
+        ))
     ir.end("the input table")
 
     outputs = []
@@ -196,18 +211,22 @@ def _decode(data: bytes, name: str) -> GraphFunction:
 
     # Rebuild node output specs by running inference in program order; the
     # library is decoded first so calls into it can be inferred.
-    env = KernelEnv(device=get_runtime().devices[0].name, libraries=(library,))
+    rt = get_runtime()
+    env = KernelEnv(device=rt.devices[0].name, libraries=(library,))
     specs: List[Tuple] = [[(ph.dtype, ph.shape)] for ph in placeholders]
     nodes: List[Node] = []
     for _ in range(nr.u32()):
-        op = nr.string()
-        inputs = tuple((nr.u32(), nr.u16()) for _ in range(nr.u32()))
+        op_id, n_refs = nr.take(_NODE_HEAD)
+        op = nr.string_at(op_id)
+        inputs = tuple(_REF.iter_unpack(nr.raw(_REF.size * n_refs)))
         attrs = {}
         for _ in range(nr.u32()):
             attr_name = nr.string()
             attrs[attr_name] = _attr_from_wire(nr)
+        op_def = rt.registry.get(op)
         try:
-            attrs = canonicalize_attrs(get_op_def(op), attrs)
+            if attrs or op_def.required_attrs:
+                attrs = canonicalize_attrs(op_def, attrs)
         except AttrMismatch as e:
             raise CorruptGraph(f"node {len(nodes)}: {e}") from None
         device = nr.string()
@@ -222,7 +241,7 @@ def _decode(data: bytes, name: str) -> GraphFunction:
             placed = DeviceName.parse(device) if device else None
         except UnknownDevice as e:
             raise CorruptGraph(f"node {len(nodes)}: {e}") from None
-        nodes.append(Node(op, inputs, attrs, placed, out_specs))
+        nodes.append(new_node((op, inputs, attrs, placed, out_specs)))
         specs.append(out_specs)
     nr.end("the node table")
 

@@ -23,6 +23,7 @@ it is Python control flow over eager ops.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import threading
@@ -31,7 +32,6 @@ from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .backprop import backward_for, get_forward_backward, refuse_dropped
-from .devices import DeviceName
 from .dtypes import DType, matches_spec
 from .errors import (
     DeadVariable,
@@ -57,6 +57,7 @@ from .state import Variable
 from .tensor import SymbolicRef, Tensor, count_open_trace, symbolic_tensor
 
 _trace_ids = itertools.count(1)
+_new_sref = functools.partial(tuple.__new__, SymbolicRef)  # no frame per output
 
 
 class TraceState:
@@ -75,7 +76,7 @@ class TraceState:
         self._keepalive: List[Any] = []
         self._base_scope_depth = 0
         self._lib_names: Dict[int, str] = {}
-        self._envs: Dict[DeviceName, KernelEnv] = {}  # record's, per device
+        self._env: Optional[KernelEnv] = None  # record's, for the last device
 
     @contextmanager
     def open(self):
@@ -118,8 +119,8 @@ class TraceState:
 
     def resolve_input(self, x):
         if isinstance(x, Tensor):
-            if x.is_symbolic:
-                sref = x.symbolic_ref
+            sref = x._symbolic
+            if sref is not None:
                 if sref.trace_id == self.trace_id:
                     return sref.ref
                 ctx = current_context()
@@ -185,9 +186,10 @@ class TraceState:
         op with function attrs gets a copy, with each graph function put in
         the trace's library and named there. The op's ``infer`` rule checks
         the inputs and gives the output specs, with a kernel environment
-        kept per trace and device (it holds the library itself, so functions
-        added later resolve). Nodes are placed on the ambient device; only a
-        device scope entered inside the traced function pins the node.
+        kept per trace for the last device (it holds the library itself, so
+        functions added later resolve). Nodes are placed on the ambient
+        device; only a device scope entered inside the traced function pins
+        the node.
         """
         fn_attrs = FUNCTION_ATTRS.get(op_def.name)
         if fn_attrs is not None:
@@ -196,6 +198,7 @@ class TraceState:
                 v = attrs.get(attr_name)
                 if isinstance(v, GraphFunction):
                     attrs[attr_name] = self.add_library_function(v)
+        trace_id = self.trace_id
         brefs = []
         in_specs = []
         for x in inputs:
@@ -203,17 +206,20 @@ class TraceState:
             in_specs.append((x.dtype, x.shape))
         scopes = ctx.device_scopes
         device = scopes[-1] if scopes else ctx.runtime.devices[0].name
-        env = self._envs.get(device)
-        if env is None:
-            env = self._envs[device] = KernelEnv(device=device, libraries=(self.library,))
+        env = self._env
+        if env is None or env.device is not device:
+            env = self._env = KernelEnv(device, (self.library,))
         out_specs = op_def.infer(attrs, in_specs, env)
         pinned = scopes[-1] if len(scopes) > self._base_scope_depth else None
         out_brefs = self.builder.add_node(op_def.name, brefs, attrs, pinned, out_specs)
-        trace_id = self.trace_id
-        outs = [
-            symbolic_tensor(dt, shape, device, SymbolicRef(trace_id, bref))
-            for (dt, shape), bref in zip(out_specs, out_brefs)
-        ]
+        if len(out_brefs) == 1:  # most ops
+            (dt, shape), = out_specs
+            outs = [symbolic_tensor(dt, shape, device, _new_sref((trace_id, *out_brefs)))]
+        else:
+            outs = [
+                symbolic_tensor(dt, shape, device, _new_sref((trace_id, bref)))
+                for (dt, shape), bref in zip(out_specs, out_brefs)
+            ]
         if ctx.tapes:
             _notify_tapes(op_def, inputs, outs, attrs, ctx)
         return outs
@@ -255,10 +261,11 @@ _PINNED = TraceKey(("__pinned__",))
 
 
 def _encode_value(v):
+    # A tensor is its (dtype, shape): no other encoding holds a DType.
     if isinstance(v, Tensor):
-        return ("tensor", v.dtype.value, v.shape)
+        return (v.dtype, v.shape)
     if isinstance(v, Variable):
-        return ("variable", v.dtype.value, v.shape, id(v))
+        return ("variable", v.dtype, v.shape, id(v))
     if isinstance(v, bool):
         return ("bool", v)
     if v is None or isinstance(v, (int, float, str)):
@@ -283,9 +290,9 @@ def infer_trace_key(args: Sequence, ctx=None) -> TraceKey:
     """Deterministic, payload-independent key over arguments + device scope."""
     ctx = ctx or current_context()
     dev = ctx.scope_device()
-    return TraceKey(
-        (tuple(_encode_value(a) for a in args), dev.render() if dev else None)
-    )
+    return TraceKey((tuple([
+        (a.dtype, a.shape) if type(a) is Tensor else _encode_value(a) for a in args
+    ]), dev.render() if dev else None))
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +331,11 @@ class ConcreteFunction:
                 self._captured.append(("variable", weakref.ref(value), repr(value)))
             else:
                 self._captured.append(("tensor", value, None))
-        self._read_var_positions = self._find_read_positions()
         # Only a float output can carry a gradient back to the inputs.
         self.differentiable = any(dt.is_float for dt, _ in graph.output_specs)
 
-    def _find_read_positions(self) -> Tuple[int, ...]:
+    @functools.cached_property
+    def _read_var_positions(self) -> Tuple[int, ...]:
         # Graph validation makes input 0 of a read_variable a placeholder.
         positions = {
             node.inputs[0][0]

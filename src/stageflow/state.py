@@ -46,6 +46,8 @@ class Variable:
         self.device = init.device
         self._lock = threading.Lock()
         self._storage = _read_only(init.raw().copy())
+        # Made once: every staged function that captures the variable keeps it.
+        self._repr = f"Variable(uid={self.uid}, {self.dtype.value}{list(self.shape)})"
         ctx = current_context()
         if ctx.traces:
             ctx.traces[-1].created_variables.append(self)
@@ -98,7 +100,7 @@ class Variable:
         return float(self.numpy().reshape(-1)[0])
 
     def __repr__(self) -> str:
-        return f"Variable(uid={self.uid}, {self.dtype.value}{list(self.shape)})"
+        return self._repr
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -16,8 +16,7 @@ results and other hot eager paths) skip that check.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,8 +32,7 @@ _INT32_MIN = -(2**31)
 _INT32_MAX = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class SymbolicRef:
+class SymbolicRef(NamedTuple):
     """Identity of a node output inside one trace."""
 
     trace_id: int
@@ -66,11 +64,6 @@ class Tensor:
     @property
     def is_symbolic(self) -> bool:
         return self._symbolic is not None
-
-    @property
-    def symbolic_ref(self) -> SymbolicRef:
-        assert self._symbolic is not None
-        return self._symbolic
 
     @property
     def rank(self) -> int:

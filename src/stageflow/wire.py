@@ -14,6 +14,10 @@ Shapes are rank u16 then dims i64 (-1 = wildcard). Tensors are a dtype tag
 u8, a shape, then the raw row-major payload, which a "sized" tensor (SCK1)
 prefixes with its u32 byte length.
 
+A run of fields whose layout a count fixes (a node's head, a shape's dims)
+is one ``ByteReader.take`` of a cached ``layout``, and a string table entry
+is one length read and one slice.
+
 A container ends with its last section, and each section with its last
 field: trailing bytes are malformed (a decoder calls ``ByteReader.end``
 after each of its sections).
@@ -23,6 +27,7 @@ contract.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Dict, List, Optional, Sequence
@@ -31,11 +36,21 @@ import numpy as np
 
 from .dtypes import DTYPE_TAGS, TAG_DTYPES, DType
 from .errors import CorruptGraph, FormatVersionMismatch
-from .tensor import Tensor, tensor_from_host
+from .tensor import Tensor, concrete_tensor, default_device
 
-_U8, _U16, _U32, _I64, _F64 = (
-    struct.Struct(f) for f in ("<B", "<H", "<I", "<q", "<d")
-)
+# A fixed layout per format string; the counts in hostile bytes vary, so
+# the cache is bounded.
+layout = functools.lru_cache(maxsize=256)(struct.Struct)
+
+_FIXED = _U8, _U16, _U32, _I64, _F64 = tuple(map(layout, ("<B", "<H", "<I", "<q", "<d")))
+
+
+def _put(field: struct.Struct):  # a ByteWriter method for one field
+    return lambda self, v: self._parts.append(field.pack(v))
+
+
+def _get(field: struct.Struct):  # a ByteReader method for one field
+    return lambda self: self.take(field)[0]
 
 
 class StringTable:
@@ -59,20 +74,7 @@ class ByteWriter:
         self._parts: List[bytes] = []
         self.table = table
 
-    def u8(self, v: int):
-        self._parts.append(_U8.pack(v))
-
-    def u16(self, v: int):
-        self._parts.append(_U16.pack(v))
-
-    def u32(self, v: int):
-        self._parts.append(_U32.pack(v))
-
-    def i64(self, v: int):
-        self._parts.append(_I64.pack(v))
-
-    def f64(self, v: float):
-        self._parts.append(_F64.pack(v))
+    u8, u16, u32, i64, f64 = map(_put, _FIXED)
 
     def raw(self, b: bytes):
         self._parts.append(b)
@@ -96,28 +98,16 @@ class ByteReader:
         self._pos = 0
         self.strings = strings
 
-    def _take(self, field: struct.Struct):
+    def take(self, fields: struct.Struct) -> tuple:
+        """The run of ``fields`` at the cursor, read in one call."""
         try:
-            v = field.unpack_from(self._data, self._pos)[0]
+            v = fields.unpack_from(self._data, self._pos)
         except struct.error:
             raise CorruptGraph("truncated container") from None
-        self._pos += field.size
+        self._pos += fields.size
         return v
 
-    def u8(self) -> int:
-        return self._take(_U8)
-
-    def u16(self) -> int:
-        return self._take(_U16)
-
-    def u32(self) -> int:
-        return self._take(_U32)
-
-    def i64(self) -> int:
-        return self._take(_I64)
-
-    def f64(self) -> float:
-        return self._take(_F64)
+    u8, u16, u32, i64, f64 = map(_get, _FIXED)
 
     def raw(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
@@ -130,7 +120,10 @@ class ByteReader:
         return self.raw(self.u32())
 
     def string(self) -> str:
-        i = self.u32()
+        return self.string_at(self.take(_U32)[0])
+
+    def string_at(self, i: int) -> str:
+        """Entry ``i`` of the container's string table."""
         if i >= len(self.strings):
             raise CorruptGraph(f"string id {i} out of range")
         return self.strings[i]
@@ -169,7 +162,7 @@ def unpack(data: bytes, magic: bytes, version: int,
             f"{magic.decode()} version {found}, this runtime reads {version}"
         )
     sr = ByteReader(r.blob())
-    strings = [sr.blob().decode("utf-8") for _ in range(sr.u32())]
+    strings = [sr.raw(sr.take(_U32)[0]).decode("utf-8") for _ in range(sr.u32())]
     sr.end("the string table")
     sections = [ByteReader(r.blob(), strings) for _ in range(n_sections)]
     r.end("the last section")
@@ -182,9 +175,10 @@ def write_shape(w: ByteWriter, shape) -> None:
         w.i64(-1 if d is None else d)
 
 
-def read_shape(r: ByteReader):
-    dims = [r.i64() for _ in range(r.u16())]
-    return tuple(None if d == -1 else d for d in dims)
+def read_shape(r: ByteReader, rank: Optional[int] = None):
+    """A shape, or its dims alone when its ``rank`` was read already."""
+    dims = r.take(layout(f"<{r.u16() if rank is None else rank}q"))
+    return tuple([None if d == -1 else d for d in dims])
 
 
 def dtype_of(tag: int) -> DType:
@@ -208,11 +202,12 @@ def write_tensor(w: ByteWriter, t: Tensor, sized: bool = False) -> None:
 def read_tensor(r: ByteReader, dtype: DType, sized: bool = False) -> Tensor:
     """The shape and payload after a tensor's dtype tag."""
     shape = read_shape(r)
-    if any(d is None or d < 0 for d in shape):
+    if None in shape or min(shape, default=0) < 0:
         raise CorruptGraph("stored tensors need concrete non-negative dims")
     nbytes = math.prod(shape) * dtype.width
     payload = r.blob() if sized else r.raw(nbytes)
     if len(payload) != nbytes:
         raise CorruptGraph("tensor payload does not match its shape")
-    arr = np.frombuffer(payload, dtype=dtype.np_dtype)
-    return tensor_from_host(arr, shape, dtype)
+    arr = np.frombuffer(payload, dtype=dtype.np_dtype).reshape(shape).copy()
+    arr.flags.writeable = False
+    return concrete_tensor(dtype, shape, default_device(), arr)

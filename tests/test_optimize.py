@@ -1,13 +1,14 @@
 """The optimizer's output is pinned: ``optimize`` is ``prune`` then
 ``constant_fold``, gives the same graph as folding first, and hands back a
-graph it does not change as the same object."""
+graph it does not change as the same object. A new graph is built once per
+pass and derived graph, and the counts are pinned."""
 import hashlib
 
 import numpy as np
 import pytest
 
 import stageflow as sf
-from stageflow.graph import constant_fold, optimize, prune
+from stageflow.graph import GraphFunction, constant_fold, optimize, prune
 
 from helpers import build_mlp, leapfrog, random_graph
 
@@ -83,6 +84,12 @@ class TestPruneThenFold:
             gf, _, _ = random_graph(seed, max_nodes=25, with_dead=with_dead)
             assert optimize(gf).structurally_equal(prune(constant_fold(gf))), seed
 
+    @pytest.mark.parametrize("with_dead", [0, 4])
+    def test_equals_prune_then_fold_on_random_graphs(self, with_dead):
+        for seed in range(60):
+            gf, _, _ = random_graph(seed, max_nodes=25, with_dead=with_dead)
+            assert optimize(gf).structurally_equal(constant_fold(prune(gf))), seed
+
     def test_equals_fold_then_prune_with_a_stateful_node(self):
         for seed in range(20):
             v = sf.Variable(np.zeros((2, 2)))
@@ -103,3 +110,44 @@ class TestPruneThenFold:
         x = sf.constant(rng.standard_normal((4, 16)).astype(np.float32))
         gf = _traced_graph(sf.stage(lambda a: sf.reduce_sum(forward(a))), (x,))
         assert optimize(gf) is gf
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The number of GraphFunctions built so far, as a one-item list."""
+    count = [0]
+    init = GraphFunction.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphFunction, "__init__", counting)
+    return count
+
+
+class TestConstructions:
+    def test_optimize_that_prunes_and_folds_builds_one_graph(self, constructions):
+        checked = 0
+        for seed in range(30):
+            gf, _, _ = random_graph(seed, max_nodes=25, with_dead=3)
+            pruned = prune(gf)
+            if pruned is gf or constant_fold(pruned) is pruned:
+                continue
+            before = constructions[0]
+            optimize(gf)
+            assert constructions[0] - before == 1, seed
+            checked += 1
+        assert checked >= 10
+
+    def test_new_taped_staged_mlp_call_builds_four_graphs(self, constructions):
+        # The traced forward and backward (neither optimize changes them),
+        # the forward variant, and the backward of the variables' gradients.
+        rng = np.random.default_rng(0)
+        params, forward = build_mlp(rng)
+        loss = sf.stage(lambda x: sf.reduce_sum(sf.mul(forward(x), forward(x))))
+        x = sf.constant(rng.standard_normal((4, 16)).astype(np.float32))
+        with sf.Tape() as tape:
+            y = loss(x)
+        tape.gradient(y, list(params.values()))
+        assert constructions[0] == 4

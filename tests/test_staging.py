@@ -64,6 +64,18 @@ class TestTraceCache:
         b = sf.constant([9.0, -9.0])
         assert infer_trace_key([a]) == infer_trace_key([b])
 
+    def test_tensor_variable_and_tuple_keys_differ(self):
+        t = sf.constant(np.zeros(2, np.float32))
+        v = sf.Variable(t)
+        keys = [
+            infer_trace_key(args) for args in (
+                [t], [v], [(t.dtype.value, t.shape)], [("tensor", "float32", (2,))],
+                [[t]], [(t,)], [t, t],
+            )
+        ]
+        assert len(set(keys)) == len(keys)
+        assert infer_trace_key([t]) == infer_trace_key([sf.constant([1.0, 2.0])])
+
     def test_device_scope_in_key(self, accel_runtime):
         x = sf.constant(1.0)
         plain = infer_trace_key([x])

@@ -87,6 +87,90 @@ def _pad_section(blob: bytes, index: int, pad: bytes = b"\x00\x00") -> bytes:
             + blob[pos + 4:end] + pad + blob[end:])
 
 
+def _sections(blob: bytes):
+    """The header and the length-prefixed section bodies of a container."""
+    pos, bodies = 8, []
+    while pos < len(blob):
+        n = int.from_bytes(blob[pos:pos + 4], "little")
+        bodies.append(blob[pos + 4:pos + 4 + n])
+        pos += 4 + n
+    return blob[:8], bodies
+
+
+def _with_node_table(blob: bytes, table: bytes) -> bytes:
+    """``blob`` with its node table (section 2) replaced by ``table``."""
+    head, bodies = _sections(blob)
+    bodies[2] = table
+    return head + b"".join(len(b).to_bytes(4, "little") + b for b in bodies)
+
+
+def _square_blob() -> bytes:
+    """One placeholder x and one node mul(x, x): its node table is count 1,
+    then op id u32, ref count u32 (2), two refs (u32 id, u16 index), attr
+    count u32 (0) and device id u32 (0)."""
+    b = GraphBuilder()
+    x = b.add_placeholder("x", sf.float32, (2,))
+    (y,) = b.add_node("mul", [x, x], {}, None, [(sf.float32, (2,))])
+    return sf.serialize(b.finalize("square", [y], ["y"]))
+
+
+def _u32(v: int) -> bytes:
+    return v.to_bytes(4, "little")
+
+
+class TestNodeTableChecks:
+    """Each check of the SGF1 node table raises CorruptGraph with its own
+    message."""
+
+    def test_well_formed_table_decodes(self):
+        blob = _square_blob()
+        table = _sections(blob)[1][2]
+        assert len(table) == 4 + 4 + 4 + 2 * 6 + 4 + 4
+        assert sf.deserialize(_with_node_table(blob, table)).op_counts() == {"mul": 1}
+
+    @pytest.mark.parametrize("cut", [12, 15, 18, 22])
+    def test_truncated_inside_a_ref_list(self, cut):
+        blob = _square_blob()
+        table = _sections(blob)[1][2][:cut]
+        with pytest.raises(CorruptGraph, match="^truncated container$"):
+            sf.deserialize(_with_node_table(blob, table))
+
+    def test_huge_ref_count_is_truncated(self):
+        blob = _square_blob()
+        table = bytearray(_sections(blob)[1][2])
+        table[8:12] = _u32(0xFFFFFFFF)
+        with pytest.raises(CorruptGraph, match="^truncated container$"):
+            sf.deserialize(_with_node_table(blob, bytes(table)))
+
+    def test_op_name_string_id_out_of_range(self):
+        blob = _square_blob()
+        table = bytearray(_sections(blob)[1][2])
+        table[4:8] = _u32(999)
+        with pytest.raises(CorruptGraph, match="^string id 999 out of range$"):
+            sf.deserialize(_with_node_table(blob, bytes(table)))
+
+    @pytest.mark.parametrize("ref", [(1, 0), (7, 0), (0, 1)])
+    def test_input_ref_to_a_later_value(self, ref):
+        # Value 1 is the node itself; a placeholder has one output.
+        blob = _square_blob()
+        table = bytearray(_sections(blob)[1][2])
+        table[18:24] = _u32(ref[0]) + ref[1].to_bytes(2, "little")
+        with pytest.raises(
+            CorruptGraph, match="^node 0 references a missing or later value$"
+        ):
+            sf.deserialize(_with_node_table(blob, bytes(table)))
+
+    def test_bad_node_device(self):
+        # Point the device id at the op name: "mul" is no device name.
+        blob = _square_blob()
+        table = bytearray(_sections(blob)[1][2])
+        table[-4:] = table[4:8]
+        with pytest.raises(
+            CorruptGraph, match="^node 0: malformed device name 'mul'$"
+        ):
+            sf.deserialize(_with_node_table(blob, bytes(table)))
+
+
 class TestWireFuzz:
     @pytest.mark.parametrize("pad", _PADDING + [None])
     def test_padded_sgf1_is_corrupt_graph(self, pad):
