@@ -158,6 +158,10 @@ def restore(root, ckpt: Union[Checkpoint, str]) -> MatchReport:
     """Greedily match the checkpoint against the live graph and load state."""
     if isinstance(ckpt, str):
         ckpt = load_checkpoint(ckpt)
+    elif not isinstance(ckpt, Checkpoint):
+        raise StorageError(
+            f"restore takes a Checkpoint or a path, got {type(ckpt).__name__}"
+        )
     report = MatchReport()
     visited_ck = {0}
     visited_live = {id(root)}

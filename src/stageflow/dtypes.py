@@ -68,6 +68,24 @@ def check_shape(dims: Iterable[int]) -> Shape:
     return shape
 
 
+def check_specs(specs: Iterable, error: type) -> list:
+    """``specs`` as (DType, shape of ints or None) pairs, the form of a pinned
+    signature or a callback's outputs; ``error`` for any other entry."""
+    checked = []
+    for entry in specs:
+        try:
+            dtype, shape = entry
+            dims = tuple(None if d is None else int(d) for d in shape)
+        except (TypeError, ValueError):
+            raise error(
+                f"a signature entry must be (dtype, shape of ints or None), got {entry!r}"
+            ) from None
+        if not isinstance(dtype, DType):
+            raise error(f"signature dtypes must be DType, got {dtype!r}")
+        checked.append((dtype, dims))
+    return checked
+
+
 def element_count(shape: Sequence[Optional[int]]) -> int:
     n = 1
     for d in shape:

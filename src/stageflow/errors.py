@@ -37,6 +37,10 @@ class UnknownOp(StageflowError):
     pass
 
 
+class InvalidOpDef(StageflowError):
+    """An OpDef without exactly one of compute and kernel, or a multi-output compute."""
+
+
 class ArityMismatch(StageflowError):
     pass
 

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .dtypes import DType, matches_spec
+from .dtypes import DType, check_specs, matches_spec
 from .errors import CallbackError, SignatureViolation
 from .runtime import current_context, get_runtime
 from .tensor import Tensor
@@ -55,10 +55,7 @@ def register_callback(fn, output_signature) -> HostCallback:
     Registered callbacks are never evicted: graphs reference them by id and
     must outlive nothing.
     """
-    sig = tuple(
-        (dtype, tuple(None if d is None else int(d) for d in shape))
-        for dtype, shape in output_signature
-    )
+    sig = tuple(check_specs(output_signature, SignatureViolation))
     with _registry_lock:
         cb = HostCallback(next(_ids), fn, sig)
         _registry[cb.id] = cb
@@ -123,6 +120,10 @@ def run_callback(cb_id: int, inputs: List[Tensor]) -> List[Tensor]:
 
 def host_call(cb: HostCallback, inputs: Sequence) -> List[Tensor]:
     """Invoke a registered callback; stages as a stateful graph node."""
+    if not isinstance(cb, HostCallback):
+        raise CallbackError(
+            f"host_call takes a registered HostCallback, got {type(cb).__name__}"
+        )
     return _ops.dispatch(
         "host_call", [_ops._as_operand(x) for x in inputs], {"callback": cb.id}
     )

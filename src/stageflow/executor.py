@@ -18,18 +18,18 @@ graphs run through plans too, so they are deduplicated the same way.
 
 Slots hold raw arrays. Every node passed its op's ``infer`` rule when it was
 recorded or decoded, so a step trusts its inputs and only computes. A step
-is one of two kinds:
+is one of two kinds, by what the op's registry entry (``OpDef``) has:
 
-* a compute step (a node whose op has a ``compute`` in ``kernels.COMPUTE``)
-  calls a function of its input arrays: for an attr-free elementwise op
-  (``add``, ``mul``, ``exp``, ...) its array function itself
-  (``kernels.ARRAY_FUNCTIONS``), with no wrapper between the plan and numpy;
-  for any other op its compute with the node's attrs bound. Eager runs the
-  same function on the same arrays, so the bytes agree;
+* a compute step calls the op's ``compute`` on its input arrays, with the
+  node's attrs bound if it has any. For an attr-free elementwise op
+  (``add``, ``mul``, ``exp``, ...) that is its array function itself, with
+  no wrapper between the plan and numpy. Eager dispatch and constant
+  folding call the same function on the same arrays, so the bytes agree;
 * a Tensor step (a variable op, ``dropout``, ``call_function``, ``cond``,
-  ``while_loop``, ``host_call`` or a custom op) calls its kernel with
-  Tensors, each slot wrapped at most once per call, and a ``KernelEnv``
-  per pinned device, made at the first Tensor step that needs it.
+  ``while_loop``, ``host_call`` or a custom op with a ``kernel``) calls
+  its kernel with Tensors, each slot wrapped at most once per call, and a
+  ``KernelEnv`` per pinned device, made at the first Tensor step that
+  needs it.
 
 Tensors are made only at the graph's edges and for Tensor steps: the inputs
 are unwrapped once, after binding; each output is wrapped once, read-only
@@ -66,7 +66,7 @@ from .errors import (
     StageflowError,
 )
 from .graph import GraphFunction, Node
-from .kernels import ARRAY_FUNCTIONS, COMPUTE, KernelEnv, _wrap
+from .kernels import KernelEnv, _wrap
 from .ops import get_op_def, placement_target
 from .runtime import current_context, get_runtime
 from .state import Variable
@@ -81,24 +81,24 @@ class _Plan:
     """A graph compiled to steps over slots, one step per distinct value.
 
     A step is ``(kind, fn, a, b, out, info)``. A compute node has its arity
-    (0, 1 or 2) as ``kind``, its input slots as ``a``/``b`` and its output
-    slot as ``out``; ``fn`` takes the input arrays: the array function
-    itself for an attr-free elementwise op (``kernels.ARRAY_FUNCTIONS``),
-    else the op's compute with the node's attrs bound. A Tensor node has
-    kind -1, its output slots (a range) as ``out``, and ``fn`` is its kernel
-    with the attrs bound, taking ``(inputs, env)``. ``info`` is ``(node
-    index, op, pinned device, input slots)``.
+    as ``kind``, its input slots as ``a``/``b`` (with more than two inputs,
+    ``a`` holds them all) and its output slot as ``out``; ``fn`` is the op's
+    compute, taking the input arrays, with the node's attrs bound if it has
+    any. A Tensor node has kind -1, its output slots (a range) as ``out``,
+    and ``fn`` is its kernel with the attrs bound, taking ``(inputs, env)``.
+    ``info`` is ``(node index, op, pinned device, input slots)``.
 
     Value numbering: a constant, or a node whose op has a compute and is
-    not stateful, that computes what an earlier node already computes gets
-    no step and no slot; its outputs alias the earlier node's slot. A
-    constant's value number is its dtype, shape, raw bytes and devices (by
-    bytes, so ``0.0`` and ``-0.0`` stay apart); a compute node's is its op,
-    attrs, input slots (themselves value numbers) and pinned device. An attr
-    given at its op's default (``OpDef.attr_defaults``) counts as absent
-    there, so ``matmul`` with ``transpose_a=False`` and without it share a
-    step; the node keeps its attrs. Every other node (stateful, variable,
-    call and custom ops) always gets a step.
+    not stateful (custom ops included), that computes what an earlier node
+    already computes gets no step and no slot; its outputs alias the
+    earlier node's slot. A constant's value number is its dtype, shape, raw
+    bytes and devices (by bytes, so ``0.0`` and ``-0.0`` stay apart); a
+    compute node's is its op, attrs, input slots (themselves value numbers)
+    and pinned device. An attr given at its op's default
+    (``OpDef.attr_defaults``) counts as absent there, so ``matmul`` with
+    ``transpose_a=False`` and without it share a step; the node keeps its
+    attrs. Every other node (stateful ops and ops
+    with a Tensor kernel) always gets a step.
     """
 
     __slots__ = ("n_inputs", "prefill", "constants", "slot_device", "steps",
@@ -116,9 +116,7 @@ class _Plan:
         slot_device: List = [None] * n_in
         steps: List[tuple] = []
         numbered: Dict[tuple, int] = {}  # value number -> its slot
-        # op -> its attr defaults if it has a compute and is not stateful,
-        # else None
-        pure: Dict[str, Optional[dict]] = {}
+        defs = get_runtime().registry._defs
         for j, (op, inputs, attrs, device, out_specs) in enumerate(gf.nodes):
             hit = None
             if op == "constant":
@@ -129,18 +127,15 @@ class _Plan:
                 in_slots = tuple([  # a graph only refers to earlier values
                     vid if vid < n_in else first[vid] + k for vid, k in inputs
                 ])
-                compute = COMPUTE.get(op)
+                op_def = defs.get(op) or get_op_def(op)  # UnknownOp
+                compute = op_def.compute
                 key = None
-                if compute is not None:
-                    if op not in pure:
-                        op_def = get_op_def(op)
-                        pure[op] = None if op_def.stateful else op_def.attr_defaults
-                    defaults = pure[op]
-                    if defaults is not None:
-                        key = (op, tuple(sorted([
-                            (k, v) for k, v in attrs.items()
-                            if defaults.get(k, _NO_DEFAULT) is not v
-                        ])) if attrs else (), in_slots, device)
+                if compute is not None and not op_def.stateful:
+                    defaults = op_def.attr_defaults
+                    key = (op, tuple(sorted([
+                        (k, v) for k, v in attrs.items()
+                        if defaults.get(k, _NO_DEFAULT) is not v
+                    ])) if attrs else (), in_slots, device)
             if key is not None:
                 try:
                     hit = numbered.get(key)
@@ -162,12 +157,13 @@ class _Plan:
             constants += [None] * n_out
             info = (j, op, device, in_slots)
             if compute is None:
-                kernel = partial(get_op_def(op).kernel, attrs)
+                kernel = partial(op_def.kernel, attrs)
                 steps.append((-1, kernel, None, None, range(out, out + n_out), info))
             else:
-                fn = ARRAY_FUNCTIONS.get(compute) or partial(compute, attrs)
-                a, b = (in_slots + (None, None))[:2]
-                steps.append((len(in_slots), fn, a, b, out, info))
+                fn = partial(compute, **attrs) if attrs else compute
+                n = len(in_slots)
+                a, b = (in_slots, None) if n > 2 else (in_slots + (None, None))[:2]
+                steps.append((n, fn, a, b, out, info))
         self.prefill, self.constants, self.slot_device = prefill, constants, slot_device
         self.steps = steps
         self.output_slots = [
@@ -257,6 +253,8 @@ def execute_graph(
                 buffers[out] = fn(buffers[a])
             elif kind == 0:
                 buffers[out] = fn()
+            elif kind > 0:
+                buffers[out] = fn(*[buffers[s] for s in a])
             else:
                 if envs is None:
                     envs = {}
@@ -303,17 +301,22 @@ def execute(
     workers: Optional[int] = None,
 ) -> List[Tensor]:
     """Run a graph function directly (inputs, then captured values)."""
+    if not isinstance(gf, GraphFunction):
+        raise InputMismatch(f"execute runs a GraphFunction, got {type(gf).__name__}")
     all_inputs = list(inputs) + list(captured)
     env = KernelEnv(device=placement_target(all_inputs, current_context()))
     return execute_graph(gf, all_inputs, env=env, workers=workers)
 
 
 def run_node_for_folding(node: Node, inputs: Sequence[Tensor], library) -> List[Tensor]:
-    """Evaluate one stateless node on constant inputs (constant folding)."""
-    rt = get_runtime()
+    """Evaluate one stateless node on constant inputs (constant folding):
+    its op's compute on their arrays, or its kernel on the tensors."""
+    device = get_runtime().devices[0].name
     op_def = get_op_def(node.op)
-    env = KernelEnv(device=rt.devices[0].name, libraries=(library,))
     try:
+        if op_def.compute is not None:
+            return [_wrap(op_def.compute(*[x._array for x in inputs], **node.attrs), device)]
+        env = KernelEnv(device=device, libraries=(library,))
         return op_def.kernel(node.attrs, list(inputs), env)
     except StageflowError:
         raise

@@ -8,15 +8,13 @@ dispatch runs it before every kernel call; graph building runs it when it
 records a node, and decoding a graph runs it again for every node. What
 runs after it trusts its inputs and only computes.
 
-The math of every pure op (and of ``random_normal``) is one
-``compute(attrs, *arrays) -> array`` in ``COMPUTE``. The graph executor
-calls it on raw arrays; eager dispatch calls it through the one adapter
-``_tensor_kernel``, which unwraps the input tensors and wraps the result.
-The computes of the attr-free elementwise ops only forward their arrays to
-one array function (``np.add``, ``_exp_np``, ...); ``ARRAY_FUNCTIONS`` maps
-each such compute to its array function, which a plan calls directly.
-Both modes thus run the same math on the same arrays, and stay
-bit-identical as long as a compute returns
+Each op has one entry in ``KERNELS``, and the op registry hands it out as
+the op's ``compute`` or its ``kernel``. A pure op (and ``random_normal``)
+has a ``compute(*arrays, **attrs)`` that returns one array; for an attr-free
+elementwise op that is its array function itself (``np.add``, ``_exp_np``,
+...). Eager dispatch, graph plans and constant folding all call it on raw
+arrays and wrap the result once, so every mode runs the same function on
+the same arrays, and they stay bit-identical as long as a compute returns
 
 * its op's output dtype (``reduce_sum`` of int32 accumulates in int32, not
   numpy's int64, so a staged consumer sees eager's wrapped-around value);
@@ -36,7 +34,7 @@ one exception is a product of two NaNs with different bits: IEEE 754
 leaves open which comes out, and OpenBLAS's float64 kernels do not pick
 the same one in every tile of one output.
 
-The other ops keep a Tensor-level kernel, ``(attrs, inputs, env)`` to a
+The other ops have a Tensor-level kernel, ``(attrs, inputs, env)`` to a
 list of tensors, because they need more than arrays: the variable ops take
 a ``Variable``, ``dropout`` has two outputs, ``constant`` hands out its
 value, and ``call_function``, ``cond``, ``while_loop`` and ``host_call``
@@ -69,13 +67,7 @@ import numpy as np
 from . import dtypes
 from .devices import DeviceName
 from .dtypes import _FROM_NP, DType, SymShape
-from .errors import (
-    BroadcastIncompatible,
-    KernelError,
-    MissingFunction,
-    ShapeMismatch,
-    UnknownOp,
-)
+from .errors import BroadcastIncompatible, KernelError, MissingFunction, ShapeMismatch
 from .escape import callback_signature, run_callback
 from .graph import GraphFunction
 from .runtime import get_runtime
@@ -185,7 +177,8 @@ def _relu_np(x):
     return np.maximum(x, 0)
 
 
-def _mean_np(x, axis=None, keepdims=False):
+def _mean_np(x, axes=None, keepdims=False):
+    axis = None if axes is None else tuple(axes)
     if x.size:
         return np.mean(x, axis=axis, keepdims=keepdims)
     # Every output of an empty input averages an empty slice: 0 / 0 = NaN.
@@ -194,12 +187,11 @@ def _mean_np(x, axis=None, keepdims=False):
         return np.sum(x, axis=axis, keepdims=keepdims) / 0
 
 
-def _matmul_np(attrs, a, b):
-    if attrs:
-        if attrs.get("transpose_a"):
-            a = a.T
-        if attrs.get("transpose_b"):
-            b = b.T
+def _matmul_np(a, b, transpose_a=False, transpose_b=False):
+    if transpose_a:
+        a = a.T
+    if transpose_b:
+        b = b.T
     if a.shape[1] == 1 and b.shape[0] == 1:
         # An outer product: one product per output, as matmul computes it
         # (see the module docstring). A wildcard misfit goes to matmul,
@@ -516,111 +508,62 @@ def _host_call_kernel(attrs, inputs, env):
 
 
 # ---------------------------------------------------------------------------
-# Computes and tables
+# Array computes and the kernel table
 # ---------------------------------------------------------------------------
 
 
-# compute -> the array function it only forwards its arrays to. These are
-# the attr-free elementwise ops; a plan calls the array function directly.
-ARRAY_FUNCTIONS: Dict[Callable, Callable] = {}
-
-
-def _binary(np_fn):
-    def compute(attrs, a, b):
-        return np_fn(a, b)
-
-    ARRAY_FUNCTIONS[compute] = np_fn
-    return compute
-
-
-def _unary(np_fn):
-    def compute(attrs, x):
-        return np_fn(x)
-
-    ARRAY_FUNCTIONS[compute] = np_fn
-    return compute
-
-
-def _reduce(np_fn):
-    def compute(attrs, x):
-        axes = attrs.get("axes")
-        return np_fn(x, axis=None if axes is None else tuple(axes),
-                     keepdims=attrs.get("keepdims", False))
-
-    return compute
-
-
-def _sum_np(x, axis, keepdims):
+def _sum_np(x, axes=None, keepdims=False):
     # Accumulate in the input dtype: numpy sums int32 as int64, and a
     # staged consumer would then see the unwrapped value. ``np.sum`` is this
     # reduction behind a few microseconds of Python.
-    return np.add.reduce(x, axis=axis, keepdims=keepdims, dtype=x.dtype)
+    return np.add.reduce(x, axis=None if axes is None else tuple(axes),
+                         keepdims=keepdims, dtype=x.dtype)
 
 
-def _broadcast_to(attrs, x):
+def _broadcast_to(x, shape):
     # A C-contiguous copy of the broadcast, without the Python overhead of
     # ``np.broadcast_to(...).copy()``. ``infer`` checked the ranks.
-    out = np.empty(attrs["shape"], dtype=x.dtype)
+    out = np.empty(shape, dtype=x.dtype)
     out[...] = x
     return out
 
 
-def _random_normal(attrs):
-    shape = tuple(attrs["shape"])
+def _random_normal(shape, dtype):
+    shape = tuple(shape)
     arr = get_runtime().draw(lambda rng: rng.standard_normal(shape))
-    return arr.astype(attrs["dtype"].np_dtype, copy=False)
+    return arr.astype(dtype.np_dtype, copy=False)
 
 
-# The math of every pure op (and of random_normal, whose draws node order
-# already sequences): ``compute(attrs, *arrays)`` returns one array.
-COMPUTE: Dict[str, Callable] = {
-    # The adapter and the executor's edges wrap a fresh Tensor: tapes track
-    # values by identity, so an op never returns its input object.
-    "identity": lambda attrs, x: x,
-    "add": _binary(np.add),
-    "sub": _binary(np.subtract),
-    "mul": _binary(np.multiply),
-    "div": _binary(_div_np),
-    "neg": _unary(np.negative),
-    "exp": _unary(_exp_np),
-    "log": _unary(_log_np),
-    "softplus": _unary(_softplus_np),
-    "relu": _unary(_relu_np),
-    "step_positive": _unary(_step_positive_np),
+# The one execution entry of every op. ``ops.build_registry`` gives each
+# built-in op its entry as its ``compute`` or, where its ``op(...)`` line
+# says ``tensors=True``, as its ``kernel``.
+KERNELS: Dict[str, Callable] = {
+    # Computes: ``compute(*arrays, **attrs)`` returns one array. Dispatch
+    # and the executor's edges wrap a fresh Tensor: tapes track values by
+    # identity, so an op never returns its input object.
+    "identity": lambda x: x,
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": _div_np,
+    "neg": np.negative,
+    "exp": _exp_np,
+    "log": _log_np,
+    "softplus": _softplus_np,
+    "relu": _relu_np,
+    "step_positive": _step_positive_np,
     "matmul": _matmul_np,
     # A C-contiguous copy, as eager wraps it: a matmul or reduction of the
     # result must see the same layout in both modes.
-    "transpose": lambda attrs, x: x.T.copy(),
-    "greater": _binary(np.greater),
-    "reshape": lambda attrs, x: x.reshape(attrs["shape"]),
+    "transpose": lambda x: x.T.copy(),
+    "greater": np.greater,
+    "reshape": lambda x, shape: x.reshape(shape),
     "broadcast_to": _broadcast_to,
-    "reduce_sum": _reduce(_sum_np),
-    "reduce_mean": _reduce(_mean_np),
-    "eye": lambda attrs: np.eye(attrs["size"], dtype=attrs["dtype"].np_dtype),
+    "reduce_sum": _sum_np,
+    "reduce_mean": _mean_np,
+    "eye": lambda size, dtype: np.eye(size, dtype=dtype.np_dtype),
     "random_normal": _random_normal,
-}
-
-
-def _tensor_kernel(compute):
-    """The Tensor-level kernel of an op with a ``compute``: unwrap the
-    inputs, compute, wrap the result on the target device."""
-
-    def kernel(attrs, inputs, env):
-        # Unrolled for the common arities: eager dispatch runs this per op.
-        n = len(inputs)
-        if n == 2:
-            out = compute(attrs, inputs[0].raw(), inputs[1].raw())
-        elif n == 1:
-            out = compute(attrs, inputs[0].raw())
-        else:
-            out = compute(attrs, *[x.raw() for x in inputs])
-        return [_wrap(out, env.device)]
-
-    return kernel
-
-
-KERNELS: Dict[str, Callable] = {
-    **{op: _tensor_kernel(compute) for op, compute in COMPUTE.items()},
+    # Tensor kernels: ``kernel(attrs, inputs, env)`` returns a list of tensors.
     "constant": _constant_kernel,
     "dropout": _dropout_kernel,
     "read_variable": _read_variable_kernel,
@@ -664,10 +607,3 @@ INFERENCE: Dict[str, Callable] = {
     "host_call": _host_call_infer,
 }
 
-
-def infer_out_specs(op: str, attrs, in_specs, env: Optional[KernelEnv] = None):
-    try:
-        fn = INFERENCE[op]
-    except KeyError:
-        raise UnknownOp(f"no inference rule for op {op!r}") from None
-    return fn(attrs, in_specs, env)

@@ -1,21 +1,21 @@
 """Op schemas and the dual dispatcher.
 
 Every primitive operation is described by an OpDef: arity, attr schema,
-statefulness, kernel, inference rule, and (if differentiable) a gradient
-rule. Dispatch takes the same call in two directions depending on the
-current execution context:
+statefulness, inference rule, one execution entry (an array ``compute`` or
+a Tensor ``kernel``), and (if differentiable) a gradient rule. Dispatch
+takes the same call in two directions depending on the current execution
+context:
 
 * eager: the op's ``infer`` rule validates the input specs and attrs (the
   same rule graph building runs, so both modes reject the same inputs with
   the same error), inputs are transparently moved to the resolved device,
-  the kernel runs immediately, and the call is recorded on any active tape
+  the op runs immediately, and the call is recorded on any active tape
   watching one of its inputs. All of this bookkeeping is one frame,
   ``dispatch`` itself; it calls out only to the rule, to
-  ``resolve_placement``, to the kernel and, under a tape, to
-  ``_notify_tapes``. For an op with a ``compute`` the kernel is the one
-  adapter that unwraps the input arrays, runs the compute and wraps the
-  result, so eager runs the same math on the same arrays as a staged graph
-  does;
+  ``resolve_placement``, to the op's compute or kernel and, under a tape, to
+  ``_notify_tapes``. An op with a ``compute`` gets its inputs' arrays and
+  its result is wrapped once, so eager runs the same function on the same
+  arrays as a staged plan and constant folding do;
 * graph building: a node is appended to the open trace and symbolic outputs
   come back. No kernel runs (constants embed their value directly).
 
@@ -36,6 +36,7 @@ from .errors import (
     ArityMismatch,
     AttrMismatch,
     DuplicateOp,
+    InvalidOpDef,
     KernelError,
     NotDifferentiable,
     StageflowError,
@@ -64,8 +65,12 @@ class OpDef:
     attr_schema: Dict[str, Tuple[str, bool]]  # name -> (kind, required)
     output_arity: Optional[int]
     stateful: bool
-    kernel: Callable
     infer: Callable
+    # Exactly one of the two (``register_op`` checks): ``compute(*arrays,
+    # **attrs)`` returns the one output array; ``kernel(attrs, inputs, env)``
+    # returns a list of tensors, for ops that need more than arrays.
+    compute: Optional[Callable] = None
+    kernel: Optional[Callable] = None
     gradient: Optional[Callable] = None
     # The value an absent optional attr means, for those that have one: plan
     # value numbering treats an attr given at its default as absent.
@@ -122,7 +127,9 @@ def build_registry() -> OpRegistry:
     grads = gradients.GRADIENTS
     reg = OpRegistry()
 
-    def op(name, arity, out_arity, stateful=False, defaults=None, **attrs):
+    def op(name, arity, out_arity, stateful=False, defaults=None, tensors=False,
+           **attrs):  # tensors: the op's entry is a Tensor kernel
+        entry = _k.KERNELS[name]
         reg.register(
             OpDef(
                 name=name,
@@ -130,14 +137,15 @@ def build_registry() -> OpRegistry:
                 attr_schema=_schema(**attrs),
                 output_arity=out_arity,
                 stateful=stateful,
-                kernel=_k.KERNELS[name],
                 infer=_k.INFERENCE[name],
+                compute=None if tensors else entry,
+                kernel=entry if tensors else None,
                 gradient=grads.get(name),
                 attr_defaults=defaults or {},
             )
         )
 
-    op("constant", 0, 1, value=TENSOR)
+    op("constant", 0, 1, tensors=True, value=TENSOR)
     op("identity", 1, 1)
     op("add", 2, 1)
     op("sub", 2, 1)
@@ -164,27 +172,38 @@ def build_registry() -> OpRegistry:
        axes=(AXES, False), keepdims=(BOOL, False))
     op("eye", 0, 1, size=INT, dtype=DTYPE)
     op("random_normal", 0, 1, stateful=True, shape=SHAPE, dtype=DTYPE)
-    op("dropout", 1, 2, stateful=True, rate=FLOAT)
-    op("read_variable", 1, 1, stateful=True)
-    op("assign_variable", 2, 0, stateful=True)
-    op("assign_add_variable", 2, 0, stateful=True)
-    op("call_function", None, None, function=FUNCTION)
+    op("dropout", 1, 2, stateful=True, tensors=True, rate=FLOAT)
+    op("read_variable", 1, 1, stateful=True, tensors=True)
+    op("assign_variable", 2, 0, stateful=True, tensors=True)
+    op("assign_add_variable", 2, 0, stateful=True, tensors=True)
+    op("call_function", None, None, tensors=True, function=FUNCTION)
     op(
-        "cond", None, None,
+        "cond", None, None, tensors=True,
         then_branch=FUNCTION, else_branch=FUNCTION,
         n_operands=INT, n_then_captured=INT, n_else_captured=INT,
     )
     op(
-        "while_loop", None, None,
+        "while_loop", None, None, tensors=True,
         loop_cond=FUNCTION, loop_body=FUNCTION,
         n_vars=INT, n_cond_captured=INT, n_body_captured=INT,
     )
-    op("host_call", None, None, stateful=True, callback=INT)
+    op("host_call", None, None, stateful=True, tensors=True, callback=INT)
     return reg
 
 
 def register_op(op_def: OpDef) -> None:
-    """Register a custom op with the live runtime; DuplicateOp on reuse."""
+    """Register a custom op with the live runtime; DuplicateOp on reuse,
+    InvalidOpDef unless it has exactly one of ``compute`` and ``kernel``
+    (and a compute op has one output)."""
+    if (op_def.compute is None) == (op_def.kernel is None):
+        raise InvalidOpDef(
+            f"op {op_def.name!r} must have exactly one of compute and kernel"
+        )
+    if op_def.compute is not None and op_def.output_arity != 1:
+        raise InvalidOpDef(
+            f"op {op_def.name!r} has a compute, which returns one array, but "
+            f"output arity {op_def.output_arity}"
+        )
     get_runtime().registry.register(op_def)
 
 
@@ -336,12 +355,18 @@ def dispatch(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> List[Te
     The whole eager path is this one frame, in this order: look the op up
     (UnknownOp), check the arity and canonicalize the attrs; reject
     symbolic and non-tensor inputs; run the op's ``infer`` rule, which the
-    kernel trusts; place the inputs (``resolve_placement``, the one owner
-    of placement); run the kernel, wrapping a non-Stageflow failure as
+    compute or kernel trusts; place the inputs (``resolve_placement``, the
+    one owner of placement); run the compute on the input arrays and wrap
+    its result, or run the kernel, turning a non-Stageflow failure into
     KernelError; count the op and record it on the active tapes.
     """
     ctx = current_context()
-    inputs = list(inputs)
+    try:
+        inputs = list(inputs)
+    except TypeError:
+        raise KernelError(
+            f"{op}: inputs must be a sequence, got {type(inputs).__name__}"
+        ) from None
     try:
         op_def = ctx.runtime.registry._defs[op]
     except KeyError:
@@ -366,12 +391,25 @@ def dispatch(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> List[Te
                 f"{op}: input {i} is {type(x).__name__}, "
                 "expected a tensor or variable"
             )
+        elif op_def.compute is not None:
+            raise KernelError(f"{op}: input {i} is a variable; {op} takes tensors")
         specs.append((x.dtype, x.shape))
     op_def.infer(attrs, specs, None)
     device, moved = resolve_placement(op_def, inputs, ctx)
-    env = ctx.runtime.eager_envs.get(device) or _k.KernelEnv(device=device)
+    compute = op_def.compute
     try:
-        outputs = op_def.kernel(attrs, moved, env)
+        if compute is None:
+            env = ctx.runtime.eager_envs.get(device) or _k.KernelEnv(device=device)
+            outputs = op_def.kernel(attrs, moved, env)
+        else:
+            n = len(moved)  # unrolled for the common attr-free arities
+            if n == 2 and not attrs:
+                out = compute(moved[0]._array, moved[1]._array)
+            elif n == 1 and not attrs:
+                out = compute(moved[0]._array)
+            else:
+                out = compute(*[x._array for x in moved], **attrs)
+            outputs = [_k._wrap(out, device)]
     except StageflowError:
         raise
     except Exception as e:  # numpy and friends
@@ -474,11 +512,11 @@ identity = _unary("identity")
 
 
 def reshape(x, shape) -> Tensor:
-    return dispatch("reshape", [_as_operand(x)], {"shape": tuple(shape)})[0]
+    return dispatch("reshape", [_as_operand(x)], {"shape": shape})[0]
 
 
 def broadcast_to(x, shape) -> Tensor:
-    return dispatch("broadcast_to", [_as_operand(x)], {"shape": tuple(shape)})[0]
+    return dispatch("broadcast_to", [_as_operand(x)], {"shape": shape})[0]
 
 
 def reduce_sum(x, axes=None, keepdims: bool = False) -> Tensor:
@@ -498,7 +536,7 @@ def eye(size: int, dtype: DType = float32) -> Tensor:
 
 
 def random_normal(shape, dtype: DType = float32) -> Tensor:
-    return dispatch("random_normal", [], {"shape": tuple(shape), "dtype": dtype})[0]
+    return dispatch("random_normal", [], {"shape": shape, "dtype": dtype})[0]
 
 
 def dropout(x, rate: float) -> Tensor:

@@ -147,8 +147,9 @@ class Runtime:
         from .ops import build_registry
 
         self.registry = build_registry()
-        # One kernel environment per device, shared by every eager op run
-        # there: eager kernels see no library, and no kernel mutates its env.
+        # One kernel environment per device, shared by the eager Tensor
+        # kernels run there (an op with a compute needs none): eager kernels
+        # see no library, and no kernel mutates its env.
         self.eager_envs = {d.name: KernelEnv(device=d.name) for d in self.devices}
 
     def reseed(self, seed: int) -> None:

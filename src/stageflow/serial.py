@@ -34,7 +34,7 @@ from .devices import DeviceName
 from .dtypes import DTYPE_TAGS, DType
 from .errors import AttrMismatch, CorruptGraph, NotSerializable, StageflowError, UnknownDevice
 from .graph import GraphFunction, Node, Placeholder, new_node
-from .kernels import KernelEnv, infer_out_specs
+from .kernels import KernelEnv
 from .ops import canonicalize_attrs
 from .runtime import get_runtime
 from .tensor import Tensor
@@ -236,7 +236,7 @@ def _decode(data: bytes, name: str) -> GraphFunction:
             raise CorruptGraph(
                 f"node {len(nodes)} references a missing or later value"
             ) from None
-        out_specs = tuple(infer_out_specs(op, attrs, in_specs, env))
+        out_specs = tuple(op_def.infer(attrs, in_specs, env))
         try:
             placed = DeviceName.parse(device) if device else None
         except UnknownDevice as e:

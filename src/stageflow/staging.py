@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .backprop import backward_for, get_forward_backward, refuse_dropped
-from .dtypes import DType, matches_spec
+from .dtypes import DType, check_specs, matches_spec
 from .errors import (
     DeadVariable,
     KernelError,
@@ -463,7 +463,9 @@ class PolymorphicFunction:
             p.kind in plain for p in self._sig.parameters.values()
         ):
             self._plain_names = tuple(self._sig.parameters)
-        self.pinned_signature = _check_signature(signature)
+        self.pinned_signature = (
+            None if signature is None else check_specs(signature, SignatureMismatch)
+        )
         self._cache: Dict[TraceKey, ConcreteFunction] = {}
         self._cache_lock = threading.Lock()
         self._key_locks: Dict[TraceKey, threading.Lock] = {}
@@ -647,24 +649,6 @@ def trace_function(
         out_refs = [ts.resolve_input(t) for t in out_tensors]
     gf = ts.finalize(out_refs, [f"out_{i}" for i in range(len(out_refs))])
     return ConcreteFunction(gf, ts.capture_values, structure), ts.created_variables
-
-
-def _check_signature(signature):
-    if signature is None:
-        return None
-    checked = []
-    for entry in signature:
-        try:
-            dtype, shape = entry
-            dims = tuple(None if d is None else int(d) for d in shape)
-        except (TypeError, ValueError):
-            raise SignatureMismatch(
-                f"a signature entry must be (dtype, shape of ints or None), got {entry!r}"
-            ) from None
-        if not isinstance(dtype, DType):
-            raise SignatureMismatch(f"signature dtypes must be DType, got {dtype!r}")
-        checked.append((dtype, dims))
-    return checked
 
 
 def stage(fn=None, *, signature=None, name=None):

@@ -198,7 +198,7 @@ def tensor_from_host(
     """
     _check_dtype(dtype)
     shape = dtypes.check_shape(shape)
-    flat = np.asarray(data).reshape(-1)
+    flat = _host_array(data).reshape(-1)
     if flat.dtype.kind not in "biuf":
         raise NarrowingOverflow(f"host data of dtype {flat.dtype} is not a number")
     if flat.size != dtypes.element_count(shape):
@@ -221,6 +221,14 @@ def tensor_from_host(
     return Tensor(dtype, shape, default_device(), array=array)
 
 
+def _host_array(data) -> np.ndarray:
+    """``np.asarray(data)``; LengthMismatch for ragged nested sequences."""
+    try:
+        return np.asarray(data)
+    except ValueError as e:
+        raise LengthMismatch(f"host data is not rectangular: {e}") from None
+
+
 def _check_dtype(dtype) -> None:
     if not isinstance(dtype, DType):
         raise ShapeMismatch(f"dtype must be a DType, got {dtype!r}")
@@ -240,7 +248,7 @@ def coerce(value, dtype: DType) -> Tensor:
         array = np.array(value, dtype=dtype.np_dtype)
         array.flags.writeable = False
         return concrete_tensor(dtype, (), default_device(), array)
-    arr = np.asarray(value)
+    arr = _host_array(value)
     return tensor_from_host(arr.reshape(-1), arr.shape, dtype)
 
 
@@ -268,7 +276,7 @@ def constant(value, dtype: Optional[DType] = None) -> Tensor:
         if dtype is not None and value.dtype is not dtype:
             raise ShapeMismatch(f"constant: the tensor is {value.dtype.value}, not {dtype.value}")
         return value
-    arr = np.asarray(value)
+    arr = _host_array(value)
     if dtype is None:
         if arr.dtype.kind == "b":
             dtype = DType.boolean

@@ -9,7 +9,7 @@ import pytest
 
 import stageflow as sf
 from stageflow.dtypes import matches_spec
-from stageflow.kernels import infer_out_specs
+from stageflow.ops import get_op_def
 from stageflow.tape import REPLAY_AFTER
 
 from helpers import build_mlp, leapfrog
@@ -222,10 +222,11 @@ class TestCachedCallMetadata:
         f, x, gf = self._graph()
         want = [(sf.float32, (2, 3)), (sf.float32, ())]
         in_specs = [(sf.float32, (2, 3))]
-        inferred = infer_out_specs("call_function", {"function": gf}, in_specs)
+        infer = get_op_def("call_function").infer
+        inferred = infer({"function": gf}, in_specs)
         assert inferred == want
         inferred.clear()
-        assert infer_out_specs("call_function", {"function": gf}, in_specs) == want
+        assert infer({"function": gf}, in_specs) == want
         assert gf.output_specs == want
         first, total = f(x)
         assert first.shape == (2, 3) and total.shape == ()

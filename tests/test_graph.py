@@ -24,7 +24,7 @@ from stageflow.graph import (
     optimize,
     prune,
 )
-from stageflow.kernels import ARRAY_FUNCTIONS, COMPUTE
+from stageflow.kernels import KERNELS, _div_np, _exp_np, _log_np, _relu_np, _softplus_np, _step_positive_np
 from stageflow.runtime import RuntimeOptions, init_runtime
 from stageflow.serial import deserialize, serialize
 
@@ -544,8 +544,14 @@ class TestRawArrayPlans:
             sf.execute(gf, [sf.Variable([1.0, 2.0])])
 
     def test_array_steps_are_the_attr_free_elementwise_ops(self):
-        ops = {op for op, compute in COMPUTE.items() if compute in ARRAY_FUNCTIONS}
-        assert ops == set(_ARRAY_OPS)
+        # Their compute is their array function itself, in the registry too.
+        assert {op: KERNELS[op] for op in _ARRAY_OPS} == {
+            "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div_np,
+            "greater": np.greater, "neg": np.negative, "exp": _exp_np,
+            "log": _log_np, "softplus": _softplus_np, "relu": _relu_np,
+            "step_positive": _step_positive_np,
+        }
+        assert all(sf.ops.get_op_def(op).compute is KERNELS[op] for op in _ARRAY_OPS)
 
     @pytest.mark.parametrize("op", sorted(_ARRAY_OPS))
     def test_direct_array_steps_bit_equal_to_eager_replay(self, op):
@@ -562,7 +568,7 @@ class TestRawArrayPlans:
                 (y,) = b.add_node(op, refs, {}, None, [(out_dtype, out_shape)])
                 gf = b.finalize(op, [y], ["y"])
                 (step,) = _plan_for(gf).steps
-                assert step[1] is ARRAY_FUNCTIONS[COMPUTE[op]]  # no compute wrapper
+                assert step[1] is KERNELS[op]  # no compute wrapper
                 inputs = [sf.constant(arr) for arr in arrays]
                 with np.errstate(all="ignore"):
                     (got,) = sf.execute(gf, inputs)

@@ -9,11 +9,13 @@ from stageflow.errors import (
     ArityMismatch,
     AttrMismatch,
     DuplicateOp,
+    InvalidOpDef,
     KernelError,
     NarrowingOverflow,
     UnknownOp,
 )
-from stageflow.kernels import KERNELS, INFERENCE
+from stageflow.kernels import KERNELS, INFERENCE, _wrap
+from stageflow.executor import _plan_for
 from stageflow.ops import OpDef, get_op_def, register_op
 
 from helpers import random_pure_function
@@ -46,7 +48,7 @@ class TestRegistry:
 
     def test_register_custom_op(self):
         def kernel(attrs, inputs, env):
-            return KERNELS["neg"](attrs, inputs, env)
+            return [_wrap(np.negative(inputs[0].raw()), env.device)]
 
         register_op(OpDef(
             name="custom_negate", input_arity=1, attr_schema={},
@@ -60,12 +62,131 @@ class TestRegistry:
         with pytest.raises(DuplicateOp):
             register_op(OpDef(
                 name="add", input_arity=2, attr_schema={}, output_arity=1,
-                stateful=False, kernel=KERNELS["add"], infer=INFERENCE["add"],
+                stateful=False, compute=KERNELS["add"], infer=INFERENCE["add"],
             ))
 
     def test_unknown_op(self):
         with pytest.raises(UnknownOp):
             sfops.dispatch("no_such_op", [])
+
+
+def _custom_op(name, **entry):
+    """Register ``name``, a one-input float op with ``neg``'s rule."""
+    register_op(OpDef(
+        name=name, input_arity=1, attr_schema={}, output_arity=1,
+        stateful=False, infer=INFERENCE["neg"], **entry,
+    ))
+    return lambda x: sfops.dispatch(name, [x])[0]
+
+
+def _counting(fn, calls):
+    """``fn`` recording the types of the arguments of each call."""
+    def counted(*args, **kwargs):
+        calls.append([type(a) for a in args])
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+class TestOneExecutionEntry:
+    """Each op has one entry in ``kernels.KERNELS``, as its ``compute`` or its
+    ``kernel``; eager dispatch, plans and constant folding all call it."""
+
+    @pytest.mark.parametrize("entry", [
+        {},
+        {"compute": np.negative, "kernel": KERNELS["constant"]},
+    ], ids=["neither", "both"])
+    def test_register_op_requires_exactly_one_entry(self, entry):
+        with pytest.raises(InvalidOpDef, match="exactly one of compute and kernel"):
+            _custom_op("bad_entry", **entry)
+        with pytest.raises(UnknownOp):
+            get_op_def("bad_entry")
+
+    def test_register_op_rejects_a_compute_with_two_outputs(self):
+        with pytest.raises(InvalidOpDef, match="output arity 2"):
+            register_op(OpDef(
+                name="split", input_arity=1, attr_schema={}, output_arity=2,
+                stateful=False, infer=INFERENCE["dropout"], compute=np.negative,
+            ))
+
+    def test_builtin_ops_have_one_entry(self):
+        for d in sf.kernel_table():
+            entry = d.kernel if d.compute is None else d.compute
+            assert (d.compute is None) != (d.kernel is None), d.name
+            assert entry is KERNELS[d.name], d.name
+
+    @pytest.mark.parametrize("kind", ["compute", "kernel"])
+    def test_custom_op_graph_round_trips(self, kind):
+        if kind == "compute":
+            negate = _custom_op("custom_negate", compute=np.negative)
+        else:
+            negate = _custom_op("custom_negate", kernel=lambda attrs, inputs, env: [
+                _wrap(np.negative(inputs[0].raw()), env.device)])
+        staged = sf.stage(lambda x: sf.add(negate(x), 1.0))
+        x = sf.constant([1.5, -2.0])
+        want = staged(x).numpy()
+        gf = staged.cached_functions()[0].graph
+        restored = sf.deserialize(sf.serialize(gf))
+        assert restored.op_counts() == gf.op_counts()
+        assert restored.output_specs == gf.output_specs
+        (got,) = sf.execute(restored, [x])
+        assert got.numpy().tobytes() == want.tobytes()
+
+    def test_a_wrapped_entry_runs_in_every_mode(self, monkeypatch):
+        # Replace an entry before the runtime starts, as a profiler would:
+        # eager dispatch, a plan step and constant folding each call it.
+        calls = []
+        counted = _counting(KERNELS["mul"], calls)
+        monkeypatch.setitem(KERNELS, "mul", counted)
+        sf.init_runtime(sf.RuntimeOptions())
+        x = sf.constant([1.5, -2.0])
+        np.testing.assert_array_equal(sf.mul(x, x).numpy(), [2.25, 4.0])
+        assert calls == [[np.ndarray, np.ndarray]]
+
+        square = sf.stage(lambda t: sf.mul(t, t))
+        square(x)
+        square(x)
+        assert len(calls) == 3
+        steps = _plan_for(square.cached_functions()[0].graph).steps
+        assert [step[1] for step in steps] == [counted]
+
+        calls.clear()
+        folded = sf.stage(lambda: sf.mul(sf.constant([2.0]), sf.constant([3.0])))
+        np.testing.assert_array_equal(folded().numpy(), [6.0])
+        assert calls == [[np.ndarray, np.ndarray]]
+        assert "mul" not in folded.cached_functions()[0].graph.op_counts()
+
+    def test_custom_compute_is_a_plan_step_and_folds(self):
+        calls = []
+        counted = _counting(np.negative, calls)
+        negate = _custom_op("custom_negate", compute=counted)
+        staged = sf.stage(negate)
+        np.testing.assert_array_equal(staged(sf.constant([1.0, -2.0])).numpy(),
+                                      [-1.0, 2.0])
+        (step,) = _plan_for(staged.cached_functions()[0].graph).steps
+        assert step[:2] == (1, counted)
+        assert calls == [[np.ndarray]]
+
+        calls.clear()
+        folded = sf.stage(lambda: negate(sf.constant([4.0])))
+        np.testing.assert_array_equal(folded().numpy(), [-4.0])
+        assert calls == [[np.ndarray]]
+        assert folded.cached_functions()[0].graph.op_counts() == {"constant": 1}
+
+    def test_custom_compute_takes_any_number_of_inputs(self):
+        register_op(OpDef(
+            name="fma", input_arity=3, attr_schema={}, output_arity=1,
+            stateful=False, infer=lambda attrs, specs, env=None: [specs[0]],
+            compute=lambda a, b, c: a * b + c,
+        ))
+        fma = lambda x, y, z: sfops.dispatch("fma", [x, y, z])[0]
+        args = [sf.constant([1.5, -2.0]), sf.constant([2.0, 3.0]), sf.constant([0.5, 1.0])]
+        staged = sf.stage(fma)
+        want = fma(*args).numpy()
+        np.testing.assert_array_equal(want, [3.5, -5.0])
+        assert staged(*args).numpy().tobytes() == want.tobytes()
+        (step,) = _plan_for(staged.cached_functions()[0].graph).steps
+        assert step[0] == 3
 
 
 class TestEagerDispatch:

@@ -5,7 +5,7 @@ import stageflow as sf
 from stageflow import tape as tape_module
 from stageflow.backprop import backward_for, get_forward_backward
 from stageflow.executor import _plan_for
-from stageflow.kernels import COMPUTE, INFERENCE, KERNELS
+from stageflow.kernels import INFERENCE, KERNELS
 from stageflow.ops import OpDef, register_op
 from stageflow.runtime import current_context
 from stageflow.errors import (
@@ -837,7 +837,7 @@ class TestTransposedMatmul:
         rng = np.random.default_rng(34)
         a, b = _operands(rng, 5, k, 3, ta, tb, dtype)
         attrs = {"transpose_a": ta, "transpose_b": tb}
-        out = COMPUTE["matmul"](attrs, a, b)
+        out = KERNELS["matmul"](a, b, **attrs)
         assert out.dtype == dtype and out.shape == (5, 3)
         assert out.flags.c_contiguous
         want = np.matmul(a.T if ta else a, b.T if tb else b)
@@ -857,7 +857,7 @@ class TestTransposedMatmul:
             a = rng.choice(specials, (1, m) if ta else (m, 1))
             b = rng.choice(specials, (n, 1) if tb else (1, n))
             with np.errstate(invalid="ignore", over="ignore"):
-                got = COMPUTE["matmul"](_transpose_attrs(ta, tb), a, b)
+                got = KERNELS["matmul"](a, b, **_transpose_attrs(ta, tb))
                 want = np.matmul(a.T if ta else a, b.T if tb else b)
             assert got.dtype == dtype and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
@@ -904,7 +904,7 @@ def _register_ruleless_negate():
     """``-x`` as a custom op that has no gradient rule."""
     register_op(OpDef(
         name="ruleless_negate", input_arity=1, attr_schema={}, output_arity=1,
-        stateful=False, kernel=KERNELS["neg"], infer=INFERENCE["neg"],
+        stateful=False, compute=KERNELS["neg"], infer=INFERENCE["neg"],
     ))
     return lambda v: sf.dispatch("ruleless_negate", [v])[0]
 
@@ -1143,7 +1143,7 @@ def _register_numpy_rule_op():
     register_op(OpDef(
         name="numpy_double", input_arity=1, attr_schema={}, output_arity=1,
         stateful=False,
-        kernel=lambda attrs, ins, env: KERNELS["add"](attrs, [ins[0], ins[0]], env),
+        compute=lambda x: KERNELS["add"](x, x),
         infer=INFERENCE["neg"], gradient=rule,
     ))
     return lambda v: sf.dispatch("numpy_double", [v])[0]

@@ -335,7 +335,7 @@ def _counted_neg():
 
     sfops.register_op(sfops.OpDef(
         name="counted_neg", input_arity=1, attr_schema={}, output_arity=1,
-        stateful=False, kernel=sfops.get_op_def("neg").kernel, infer=infer,
+        stateful=False, compute=sfops.get_op_def("neg").compute, infer=infer,
     ))
     return calls
 
@@ -459,6 +459,22 @@ API_MISUSE = [
     ("while-body-eager",
      lambda: sf.while_loop(lambda v: sf.greater(v, 0.0), 2, [1.0]),
      sf.errors.StagingError),
+    ("dispatch-inputs-none", lambda: sf.dispatch("add", None), KernelError),
+    ("reshape-shape-none", lambda: sf.reshape(f32(2), None), AttrMismatch),
+    ("broadcast_to-shape-none", lambda: sf.broadcast_to(f32(2), None), AttrMismatch),
+    ("random_normal-shape-none", lambda: sf.random_normal(None), AttrMismatch),
+    ("constant-ragged", lambda: sf.constant([[1.0], [1.0, 2.0]]),
+     sf.errors.LengthMismatch),
+    ("add-ragged", lambda: sf.add(f32(2), [[1.0], [1.0, 2.0]]),
+     sf.errors.LengthMismatch),
+    ("execute-not-a-graph", lambda: sf.execute(None, []), InputMismatch),
+    ("host_call-not-a-callback", lambda: sf.host_call(3, [f32(2)]),
+     sf.errors.CallbackError),
+    ("register_callback-str-dim",
+     lambda: sf.register_callback(lambda x: x, [(sf.float32, ("a",))]),
+     sf.errors.SignatureViolation),
+    ("restore-not-a-checkpoint", lambda: sf.restore(sf.Variable([1.0]), None),
+     sf.errors.StorageError),
 ]
 
 
