@@ -14,7 +14,8 @@ Before any timing, both modes run with the same seed and their per-iteration
 results must agree (1e-6 for trajectories, 1e-5 elsewhere); a mismatch
 raises NumericalDivergence and no throughput is reported. Staged trace and
 optimization time lands in the warmup/setup phase and is reported
-separately, never inside steady-state throughput.
+separately, never inside steady-state throughput. Minor page faults are
+counted around the timed loops (``getrusage``), where ``resource`` exists.
 """
 from __future__ import annotations
 
@@ -22,9 +23,14 @@ import csv
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import ops
 from .errors import ConfigError, NumericalDivergence, StorageError
@@ -75,6 +81,8 @@ class BenchReport:
     cache_size: int
     copies: int
     setup_time: float  # tracing + first-run optimization, excluded from timing
+    # Over the timed iterations of all repeats; None without ``resource``.
+    minor_faults_per_iteration: Optional[float] = None
 
 
 class _Workload:
@@ -233,6 +241,10 @@ def _gate(cfg: BenchConfig) -> None:
             )
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+
+
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     cfg.validate()
     _gate(cfg)
@@ -243,16 +255,19 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     runs: List[float] = []
     setup_time = 0.0
     cache_size = 0
+    faults = 0
     for _ in range(cfg.repeats):
         t_setup = time.perf_counter()
         wl = _fresh(cfg, cfg.mode)
         for _ in range(cfg.warmup):
             wl.run_iteration()
         setup_time += time.perf_counter() - t_setup
+        f0 = _minor_faults()
         t0 = time.perf_counter()
         for _ in range(cfg.iterations):
             wl.run_iteration()
         elapsed = time.perf_counter() - t0
+        faults += _minor_faults() - f0
         wall_times.append(elapsed)
         runs.append(cfg.batch_size * cfg.iterations / elapsed)
         cache_size = wl.cache_size()
@@ -269,6 +284,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         cache_size=cache_size,
         copies=stats1["transparent_copies"] - stats0["transparent_copies"],
         setup_time=setup_time,
+        minor_faults_per_iteration=(
+            faults / (cfg.repeats * cfg.iterations) if resource else None
+        ),
     )
 
 

@@ -55,6 +55,9 @@ def _run_bench(args) -> int:
         f"(stddev {report.stddev:.1f}, {report.trace_count} traces, "
         f"{report.copies} copies, setup {report.setup_time * 1e3:.1f} ms)"
     )
+    faults = report.minor_faults_per_iteration
+    print("minor faults per iteration: "
+          + ("unavailable" if faults is None else f"{faults:.1f}"))
     if args.out:
         emit_csv(report, args.out)
         print(f"report written to {args.out}")

@@ -71,8 +71,12 @@ def check_shape(dims: Iterable[int]) -> Shape:
 def check_specs(specs: Iterable, error: type) -> list:
     """``specs`` as (DType, shape of ints or None) pairs, the form of a pinned
     signature or a callback's outputs; ``error`` for any other entry."""
+    try:
+        entries = list(specs)
+    except TypeError:
+        raise error(f"a signature is a list of (dtype, shape) entries, got {specs!r}") from None
     checked = []
-    for entry in specs:
+    for entry in entries:
         try:
             dtype, shape = entry
             dims = tuple(None if d is None else int(d) for d in shape)

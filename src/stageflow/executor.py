@@ -303,7 +303,13 @@ def execute(
     """Run a graph function directly (inputs, then captured values)."""
     if not isinstance(gf, GraphFunction):
         raise InputMismatch(f"execute runs a GraphFunction, got {type(gf).__name__}")
-    all_inputs = list(inputs) + list(captured)
+    try:
+        all_inputs = list(inputs) + list(captured)
+    except TypeError:
+        raise InputMismatch(
+            f"execute takes lists of inputs, got {type(inputs).__name__} "
+            f"and {type(captured).__name__}"
+        ) from None
     env = KernelEnv(device=placement_target(all_inputs, current_context()))
     return execute_graph(gf, all_inputs, env=env, workers=workers)
 

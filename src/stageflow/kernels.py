@@ -203,7 +203,8 @@ def _matmul_np(a, b, transpose_a=False, transpose_b=False):
 
 
 def _step_positive_np(x):
-    return np.greater(x, 0).astype(x.dtype)
+    # One pass into the output dtype; no bool temporary.
+    return np.greater(x, 0, out=np.empty(x.shape, x.dtype))
 
 
 def _matmul_infer(attrs, in_specs, env=None):

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from stageflow import cli
+from stageflow import bench, cli
 from stageflow.bench import CSV_HEADER, BenchConfig
 from stageflow.errors import ConfigError, NumericalDivergence, StorageError
 
@@ -57,3 +57,23 @@ class TestMain:
         assert len(rows) == 3  # one repeat row plus the mean row
         assert rows[1][:4] == ["leapfrog", "eager", "1", "1"]
         assert float(rows[2][4]) > 0
+
+    def test_prints_minor_faults_per_iteration(self, capsys):
+        assert cli.main(_bench_args()) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("minor faults per iteration: ")
+        assert float(line.rsplit(" ", 1)[1]) >= 0
+
+    def test_minor_faults_unavailable_without_resource(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "resource", None)
+        assert cli.main(_bench_args()) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "minor faults per iteration: unavailable")
+
+
+def test_report_counts_minor_faults_over_the_timed_iterations(monkeypatch):
+    counts = iter(range(0, 1000, 7))  # each reading is 7 faults after the last
+    monkeypatch.setattr(bench, "_minor_faults", lambda: next(counts))
+    report = bench.run_benchmark(BenchConfig("microop_loop", "eager", iterations=2,
+                                             warmup=0, repeats=3))
+    assert report.minor_faults_per_iteration == 7 * 3 / (3 * 2)

@@ -553,6 +553,16 @@ class TestRawArrayPlans:
         }
         assert all(sf.ops.get_op_def(op).compute is KERNELS[op] for op in _ARRAY_OPS)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_positive_bytes_match_a_cast_bool_gate(self, dtype):
+        edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-30, -1e-30, 2.0],
+                         dtype=dtype)
+        for x in (edges, edges.reshape(3, 3), np.array(np.inf, dtype), np.array(-0.0, dtype)):
+            got = np.asarray(_step_positive_np(x))
+            want = np.asarray(np.greater(x, 0).astype(x.dtype))
+            assert got.dtype == want.dtype and got.shape == want.shape == x.shape
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("op", sorted(_ARRAY_OPS))
     def test_direct_array_steps_bit_equal_to_eager_replay(self, op):
         arity, dtypes = _ARRAY_OPS[op]

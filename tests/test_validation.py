@@ -435,6 +435,13 @@ def _pred():
     return sf.constant(True)
 
 
+def _negate_graph():
+    b = GraphBuilder()
+    x = b.add_placeholder("x", sf.float32, (2,))
+    (y,) = b.add_node("neg", [x], {}, None, [(sf.float32, (2,))])
+    return b.finalize("negate", [y], ["y"])
+
+
 # Public calls given a wrong kind of argument: each raises a StageflowError,
 # and the eager control-flow forms raise what the staged forms raise.
 API_MISUSE = [
@@ -445,6 +452,8 @@ API_MISUSE = [
      lambda: sf.stage(lambda x: x, signature=[(sf.float32, ("a",))]),
      sf.errors.SignatureMismatch),
     ("stage-bad-entry", lambda: sf.stage(lambda x: x, signature=[sf.float32]),
+     sf.errors.SignatureMismatch),
+    ("stage-signature-not-a-list", lambda: sf.stage(lambda x: x, signature=3),
      sf.errors.SignatureMismatch),
     ("cond-eager", lambda: sf.cond(_pred(), 3, 4, []), sf.errors.StagingError),
     ("cond-staged", lambda: sf.stage(lambda: sf.cond(_pred(), 3, 4, []))(),
@@ -468,11 +477,14 @@ API_MISUSE = [
     ("add-ragged", lambda: sf.add(f32(2), [[1.0], [1.0, 2.0]]),
      sf.errors.LengthMismatch),
     ("execute-not-a-graph", lambda: sf.execute(None, []), InputMismatch),
+    ("execute-inputs-none", lambda: sf.execute(_negate_graph(), None), InputMismatch),
     ("host_call-not-a-callback", lambda: sf.host_call(3, [f32(2)]),
      sf.errors.CallbackError),
     ("register_callback-str-dim",
      lambda: sf.register_callback(lambda x: x, [(sf.float32, ("a",))]),
      sf.errors.SignatureViolation),
+    ("register_callback-signature-not-a-list",
+     lambda: sf.register_callback(lambda x: x, 3), sf.errors.SignatureViolation),
     ("restore-not-a-checkpoint", lambda: sf.restore(sf.Variable([1.0]), None),
      sf.errors.StorageError),
 ]
