@@ -74,7 +74,9 @@ def check_specs(specs: Iterable, error: type) -> list:
     try:
         entries = list(specs)
     except TypeError:
-        raise error(f"a signature is a list of (dtype, shape) entries, got {specs!r}") from None
+        raise error(
+            f"a signature is a list of (dtype, shape) entries, got {specs!r}"
+        ) from None
     checked = []
     for entry in entries:
         try:

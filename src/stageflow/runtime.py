@@ -56,13 +56,14 @@ HEAP_RETAIN_BYTES = 16 << 20
 the heap instead of ``mmap``.
 
 Minor page faults per warm batch-512 ``mlp_train`` step of ``stageflow
-bench``, counted with ``getrusage`` (glibc 2.36, Python 3.11, numpy 2.4): 562
-eager and 610 staged with glibc's defaults, where each step's 512 KiB arrays
-are trimmed off the heap when freed and faulted in again when next
-allocated; under 1 in both modes at 16 MiB. Both parameters are set because
-setting either one freezes glibc's adaptive mmap threshold where it stands:
-with ``M_TOP_PAD`` alone, made before the threshold had risen, those arrays
-stayed on ``mmap`` and faulted 778 times per eager step.
+bench``, counted with ``getrusage`` (glibc 2.36, Python 3.11, numpy 2.4):
+354 to 610 with glibc's defaults, by what the process allocated before, as
+each step's 512 KiB arrays are trimmed off the heap when freed and faulted
+in again when next allocated; under 1 in both modes at 16 MiB. Both
+parameters are set because setting either one freezes glibc's adaptive
+mmap threshold where it stands: with ``M_TOP_PAD`` alone, made before the
+threshold had risen, those arrays stayed on ``mmap`` and faulted 778 times
+per eager step.
 """
 
 _heap_retained: Optional[bool] = None  # decided by the first Runtime
