@@ -15,7 +15,8 @@ results must agree (1e-6 for trajectories, 1e-5 elsewhere); a mismatch
 raises NumericalDivergence and no throughput is reported. Staged trace and
 optimization time lands in the warmup/setup phase and is reported
 separately, never inside steady-state throughput. Minor page faults are
-counted around the timed loops (``getrusage``), where ``resource`` exists.
+counted around the timed loops (``getrusage``), where ``resource`` exists,
+and so are tape backwards replayed from a plan (``RuntimeStats.tape_replays``).
 """
 from __future__ import annotations
 
@@ -83,6 +84,7 @@ class BenchReport:
     setup_time: float  # tracing + first-run optimization, excluded from timing
     # Over the timed iterations of all repeats; None without ``resource``.
     minor_faults_per_iteration: Optional[float] = None
+    tape_replays_per_iteration: float = 0.0  # over the timed iterations
 
 
 class _Workload:
@@ -255,19 +257,21 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     runs: List[float] = []
     setup_time = 0.0
     cache_size = 0
-    faults = 0
+    faults = replays = 0
     for _ in range(cfg.repeats):
         t_setup = time.perf_counter()
         wl = _fresh(cfg, cfg.mode)
         for _ in range(cfg.warmup):
             wl.run_iteration()
         setup_time += time.perf_counter() - t_setup
+        r0 = rt.stats.tape_replays
         f0 = _minor_faults()
         t0 = time.perf_counter()
         for _ in range(cfg.iterations):
             wl.run_iteration()
         elapsed = time.perf_counter() - t0
         faults += _minor_faults() - f0
+        replays += rt.stats.tape_replays - r0
         wall_times.append(elapsed)
         runs.append(cfg.batch_size * cfg.iterations / elapsed)
         cache_size = wl.cache_size()
@@ -287,6 +291,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         minor_faults_per_iteration=(
             faults / (cfg.repeats * cfg.iterations) if resource else None
         ),
+        tape_replays_per_iteration=replays / (cfg.repeats * cfg.iterations),
     )
 
 

@@ -31,8 +31,12 @@ is one of two kinds, by what the op's registry entry (``OpDef``) has:
   ``KernelEnv`` per pinned device, made at the first Tensor step that
   needs it.
 
+One step loop, two entries: ``execute_graph`` checks the inputs against the
+placeholders, then runs ``run_bound``; a tape replay, whose exact key proved
+its inputs' specs, calls ``run_bound`` directly.
+
 Tensors are made only at the graph's edges and for Tensor steps: the inputs
-are unwrapped once, after binding; each output is wrapped once, read-only
+are unwrapped once, at binding; each output is wrapped once, read-only
 and C-contiguous, on its node's device (an output that is an input or a
 constant comes back as that object, and outputs that share a slot come back
 as one object). So a plan of compute steps makes no Tensor and no
@@ -227,10 +231,17 @@ def execute_graph(
 
     ``workers`` is accepted for compatibility and ignored.
     """
+    return run_bound(gf, inputs, _bind_inputs(gf, inputs), env)
+
+
+def run_bound(gf: GraphFunction, inputs: Sequence, raw: list,
+              env: Optional[KernelEnv] = None) -> List[Tensor]:
+    """Run ``gf`` on ``inputs`` already known to match its placeholders,
+    with ``raw`` their slot values (a tensor's array, a variable itself)."""
     rt = get_runtime()
     plan = _plan_for(gf)
     buffers = list(plan.prefill)
-    buffers[: plan.n_inputs] = _bind_inputs(gf, inputs)
+    buffers[: plan.n_inputs] = raw
     if env is not None:
         device = env.device
     else:

@@ -75,6 +75,7 @@ class GraphFunction:
         library: Optional[Dict[str, "GraphFunction"]] = None,
         *,
         nodes_of: Optional["GraphFunction"] = None,
+        _refs_checked: bool = False,
     ):
         self.name = name
         self.inputs: Tuple[Placeholder, ...] = tuple(inputs)
@@ -84,7 +85,9 @@ class GraphFunction:
             sorted((library or {}).items())
         )
         # ``nodes_of``: a graph with these very tuples; only outputs are new.
-        if nodes_of is None or self.nodes is not nodes_of.nodes or (
+        if _refs_checked:  # by SGF1 decode: each names an earlier value
+            self._validate(refs=False)
+        elif nodes_of is None or self.nodes is not nodes_of.nodes or (
                 self.inputs is not nodes_of.inputs):
             self._validate()
         self._output_specs = self._checked_output_specs()
@@ -95,11 +98,11 @@ class GraphFunction:
 
     # -- well-formedness -----------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self, refs: bool = True) -> None:
         n_in = len(self.inputs)
         nodes = self.nodes
         for end, node in enumerate(nodes, n_in):  # end: the node's value id
-            for vid, out_idx in node.inputs:
+            for vid, out_idx in node.inputs if refs else ():
                 if vid < 0 or vid >= end:
                     raise CorruptGraph(
                         f"{self.name}: node {end - n_in} ({node.op}) references "

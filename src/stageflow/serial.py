@@ -245,4 +245,4 @@ def _decode(data: bytes, name: str) -> GraphFunction:
         specs.append(out_specs)
     nr.end("the node table")
 
-    return GraphFunction(name, placeholders, nodes, outputs, library)
+    return GraphFunction(name, placeholders, nodes, outputs, library, _refs_checked=True)

@@ -23,15 +23,18 @@ lifetime.
 Replay. A backward pass whose structure repeats runs as a cached plan, not
 op by op. A tape's fingerprint (entry count, last op, first saved input's
 shape, source count) is counted per thread; from its ``REPLAY_AFTER``-th
-sighting on, the backward gets an exact structural key: each entry's op,
-attrs and input wiring as value numbers, the specs of the values from
-outside the tape, the sources' numbers and each seed's attach point. On the
-key's first sighting the op-by-op backward runs with a trace open
-(``staging.TraceState``) instead: it records the same ops in the same order
-over placeholders for the saved values and seeds it reads, so the
-finalized graph's plan is bit-identical to the op-by-op path. That call and
-every later one with the key run the plan through
-``executor.execute_graph``: a replayed backward dispatches, and counts, no
+sighting on, the backward gets an exact structural key, built in one pass:
+each entry's op, attrs and input count, and the number (first position) and
+spec (class, dtype, shape) at each position of the entries' values, the
+sources and the target (``vjp``: the seeds). On the key's first sighting
+the op-by-op backward runs with a trace open (``staging.TraceState``)
+instead: it records the same ops in the same order over placeholders for
+the saved values it reads, so the finalized graph's plan is bit-identical
+to the op-by-op path. ``gradient``'s ones seed is made in the trace, a
+plan constant, with the target's spec in the key; ``vjp``'s cotangents
+stay plan inputs. That call and every later one with the key run the plan
+through ``executor.run_bound``, unchecked, as the key proved each input's
+spec: a replayed backward makes no seed and dispatches, and counts, no
 eager op. ``RuntimeStats`` counts the plans built (``tape_plans``, not
 ``traces``) and the backward passes they run (``tape_replays``). The plans
 live on the thread's ``ExecutionContext``, at most ``_MAX_PLANS`` of them,
@@ -44,6 +47,8 @@ good for a key whose trace raised (a rule that reads a concrete value).
 """
 from __future__ import annotations
 
+from itertools import count
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import escape, executor
@@ -66,6 +71,7 @@ REPLAY_AFTER = 8
 _MAX_PLANS = 256  # plans kept per thread
 _MAX_SIGHTINGS = 4096  # fingerprints counted per thread before a reset
 _UNSEEN = object()
+_SPEC = attrgetter("__class__", "dtype._value_", "shape")  # a value's, in a key
 
 
 class TapeEntry:
@@ -220,6 +226,8 @@ class Tape:
         times, and when no tape is active, no trace is open and there is
         one device and no device scope, the backward runs as a cached plan
         (see the module docstring): the same bits, and no eager op counted.
+        The ones seed is a plan constant, and the key (the target's spec
+        in the seed's place) proves the inputs: no seed, no input check.
         """
         single = not isinstance(sources, (list, tuple))
         source_list = [sources] if single else list(sources)
@@ -247,23 +255,25 @@ class Tape:
         if not self.persistent:
             self._consumed = True
 
-        seeds = {id(target): ones_for(_spec_of(target))}
-        grads = self._accumulate(seeds, source_list)
+        grads = self._accumulate(target, None, source_list)
         results = [
             grads.get(id(s), None) or zeros_for(_spec_of(s)) for s in source_list
         ]
         return results[0] if single else results
 
-    def _accumulate(self, seeds: Dict[int, Tensor], sources: Sequence) -> Dict[int, Tensor]:
-        """Gradients by value identity from ``seeds``: from a cached plan
-        when the backward's structure repeats, else op by op."""
+    def _accumulate(self, target, seeds, sources: Sequence) -> Dict[int, Tensor]:
+        """Gradients by value identity from ``seeds``, or with ``seeds``
+        None from a ones seed at ``target``: from a cached plan when the
+        backward's structure repeats, else op by op."""
         ctx = current_context()
         if (self.entries and not (ctx.tapes or ctx.traces or ctx.device_scopes
                                   or ctx.escape_depth)
                 and len(ctx.runtime.devices) == 1):
-            grads = _replay(ctx, self.entries, seeds, sources)
+            grads = _replay(ctx, self.entries, target, seeds, sources)
             if grads is not None:
                 return grads
+        if seeds is None:
+            seeds = {id(target): ones_for(_spec_of(target))}
         return _backprop(self.entries, seeds, sources)
 
     def vjp(
@@ -285,7 +295,7 @@ class Tape:
                 continue
             prev = seeds.get(id(y))
             seeds[id(y)] = ct if prev is None else add(prev, ct)
-        grads = self._accumulate(seeds, sources)
+        grads = self._accumulate(None, seeds, sources)
         return [grads.get(id(s)) or zeros_for(_spec_of(s)) for s in sources]
 
 
@@ -319,7 +329,7 @@ def _backprop(entries, seeds: Dict[int, Tensor], sources: Sequence) -> Dict[int,
     return grads
 
 
-def _replay(ctx, entries, seeds, sources) -> Optional[Dict[int, Tensor]]:
+def _replay(ctx, entries, target, seeds, sources) -> Optional[Dict[int, Tensor]]:
     """The backward's gradients from a cached plan, or None to run it op by
     op: before the fingerprint's ``REPLAY_AFTER``-th sighting, for a tape
     without an exact key, or for a key whose trace raised."""
@@ -333,13 +343,15 @@ def _replay(ctx, entries, seeds, sources) -> Optional[Dict[int, Tensor]]:
             sightings.clear()
         sightings[fingerprint] = seen + 1
         return None
-    key, values = _structure(entries, seeds, sources)
+    key, values = _structure(entries, target, seeds, sources)
     if key is None:
         return None
     plans = ctx.tape_plans
     plan = plans.get(key, _UNSEEN)
     if plan is _UNSEEN:
-        plan = _trace_plan(entries, seeds, sources, key.encoding, values)
+        if any(isinstance(v, Tensor) for step in key.encoding[0] for _, v in step[1]):
+            return None  # the key would hold a tensor attr and match it by identity
+        plan = _trace_plan(entries, target, seeds, sources, key.encoding, values)
         if len(plans) >= _MAX_PLANS:
             plans.popitem(last=False)
         plans[key] = plan  # None: this key runs op by op
@@ -351,70 +363,52 @@ def _replay(ctx, entries, seeds, sources) -> Optional[Dict[int, Tensor]]:
         return None
     ctx.runtime.stats.count_tape_replay()
     graph, inputs, outputs = plan
-    outs = executor.execute_graph(graph, [values[n] for n in inputs])
-    return {id(values[n]): g for n, g in zip(outputs, outs)}
+    ins = list(map(values.__getitem__, inputs))  # the key proved their specs
+    outs = executor.run_bound(graph, ins, [
+        v._array if v.__class__ is Tensor else v for v in ins])
+    return dict(zip(map(id, map(values.__getitem__, outputs)), outs))
 
 
-def _structure(entries, seeds, sources):
-    """The exact key of a backward pass and its values by number, or Nones
-    when it has none (a custom entry, a tensor or unhashable attr).
+def _structure(entries, target, seeds, sources):
+    """The exact key of a backward pass and its values by position, or
+    Nones when it has none (a custom entry or an unhashable attr).
 
-    Values are numbered by identity in order of appearance: entry inputs
-    and outputs, then sources, then seed values. The key holds each entry's
-    op, attrs and input and output numbers; the class, dtype identity and
-    shape of each value first seen outside an entry's outputs; the
-    sources' numbers; and per seed the number of the value it attaches to
-    (-1 for one the tape never saw) and its own number.
+    The values are laid out in one list: each entry's inputs and outputs,
+    then the sources, then the target (``seeds`` None: a ones seed there)
+    or the seed values. A value's number is the position of its first
+    appearance. The key holds each entry's op, attrs and input count; the
+    number at each position; the class, dtype and shape at each position;
+    the source count; and, for explicit seeds, the number of the value each
+    attaches to (-1 for one the tape never saw).
     """
-    numbers: Dict[int, int] = {}
-    number = numbers.get
     values: list = []
-    specs = []
     steps = []
-
-    def number_of(x) -> int:
-        n = number(id(x))
-        if n is None:
-            n = numbers[id(x)] = len(values)
-            values.append(x)
-            specs.append((x.__class__, id(x.dtype), x.shape))
-        return n
-
     for e in entries:
         if e.backward is not None:
             return None, None
-        ins = tuple(map(number, e.input_ids))
-        if None in ins:  # a value first seen here, where no entry made it
-            ins = tuple(map(number_of, e.saved_inputs))
-        outs = []
-        for y in e.saved_outputs:
-            n = number(id(y))
-            if n is None:
-                n = numbers[id(y)] = len(values)
-                values.append(y)
-            outs.append(n)
         attrs = e.attrs
-        if attrs:
-            attrs = tuple(attrs.items())
-            for _, v in attrs:
-                if isinstance(v, Tensor):
-                    return None, None
-        steps.append((e.op, attrs or (), ins, tuple(outs)))
-    srcs = tuple(map(number_of, sources))
-    attach = tuple([(number(t, -1), number_of(g)) for t, g in seeds.items()])
+        steps.append((e.op, tuple(attrs.items()) if attrs else (), len(e.saved_inputs)))
+        values += e.saved_inputs
+        values += e.saved_outputs
+    values += sources
+    values += (target,) if seeds is None else seeds.values()
+    first: Dict[int, int] = {}  # identity -> number, its first position
+    wiring = tuple(map(first.setdefault, map(id, values), count()))
+    attach = None if seeds is None else tuple([first.get(t, -1) for t in seeds])
     try:
-        key = TraceKey((tuple(steps), tuple(specs), srcs, attach))
+        key = TraceKey((tuple(steps), wiring, tuple(map(_SPEC, values)),
+                        len(sources), attach))
     except TypeError:  # an unhashable attr
         return None, None
     return key, values
 
 
-def _trace_plan(entries, seeds, sources, encoding, values):
+def _trace_plan(entries, target, seeds, sources, encoding, values):
     """The op-by-op backward traced into ``(graph, input numbers, source
     numbers of the outputs)``, over placeholders for the saved values and
     seeds it reads, each made at its first read; None if the trace raises
     or reads a value from outside the tape."""
-    steps, _, srcs, attach = encoding
+    wiring = encoding[1]
     ts = TraceState("tape_backward")
     made: Dict[int, object] = {}
     inputs: List[int] = []  # placeholder order, as value numbers
@@ -447,15 +441,20 @@ def _trace_plan(entries, seeds, sources, encoding, values):
 
         return TapeEntry(e.op, ids, e.output_ids, (), (), backward=backward)
 
+    steps, at = [], 0
+    for e in entries:  # each entry's numbers: its inputs', then its outputs'
+        k = at + len(e.saved_inputs)
+        steps.append(traced(e, wiring[at:k], wiring[k:k + len(e.saved_outputs)]))
+        at = k + len(e.saved_outputs)
     try:
         with ts.open():
-            grads = _backprop(
-                [traced(e, ins, outs) for e, (_, _, ins, outs) in zip(entries, steps)],
-                {target: placeholder(n) for target, (_, n) in zip(seeds, attach)},
-                sources,
-            )
+            if seeds is None:  # ones made in the trace: a constant node
+                seeds = {id(target): ones_for(_spec_of(target))}
+            else:
+                seeds = {t: placeholder(n) for t, n in zip(seeds, wiring[at + len(sources):])}
+            grads = _backprop(steps, seeds, sources)
             outputs, refs = [], []
-            for s, n in zip(sources, srcs):
+            for s, n in zip(sources, wiring[at:]):
                 g = grads.get(id(s))
                 if g is not None and n not in outputs:
                     outputs.append(n)

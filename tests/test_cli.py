@@ -71,6 +71,16 @@ class TestMain:
             "minor faults per iteration: unavailable")
 
 
+@pytest.mark.parametrize("mode, replays", [("eager", "20.0"), ("staged", "0.0")])
+def test_leapfrog_reports_tape_replays_per_iteration(mode, replays, capsys):
+    # Eager leapfrog replays each of its 20 force backwards per iteration;
+    # staged runs them inside its graph.
+    args = ["bench", "--workload", "leapfrog", "--mode", mode, "--batch", "1",
+            "--iters", "2", "--warmup", "1", "--repeats", "2"]
+    assert cli.main(args) == 0
+    assert f"tape replays per iteration: {replays}" in capsys.readouterr().out.splitlines()
+
+
 def test_report_counts_minor_faults_over_the_timed_iterations(monkeypatch):
     counts = iter(range(0, 1000, 7))  # each reading is 7 faults after the last
     monkeypatch.setattr(bench, "_minor_faults", lambda: next(counts))

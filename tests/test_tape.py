@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stageflow as sf
+from stageflow import gradients as gradients_module
 from stageflow import tape as tape_module
 from stageflow.backprop import backward_for, get_forward_backward
 from stageflow.executor import _plan_for
@@ -1016,7 +1017,6 @@ class TestReplayBitsEqualOpByOp:
         replay_at_once(True)
         assert _bits(trajectory(q, p)) == want
         assert _counts() == (1, 10)
-        # A replayed force dispatches none of its 6 backward ops.
         # A replayed force dispatches none of its 6 backward ops: per step,
         # two forces' 3 forward ops and the 6 update ops remain.
         assert stats.snapshot()["eager_dispatches"] == 5 * (2 * 3 + 6)
@@ -1048,6 +1048,109 @@ class TestReplayBitsEqualOpByOp:
                 y = sf.reduce_sum(x * x)
             assert t.gradient(y, x).numpy().tolist() == [2.0, 4.0]
             assert _counts() == ((0, 0) if k < 2 else (1, k - 1))
+
+    def test_gate_builds_no_key_before_the_threshold(self, monkeypatch):
+        # Building an exact key for every gradient made retrace's eager
+        # steps slower; the fingerprint gate keeps it to repeated tapes.
+        monkeypatch.setattr(tape_module, "REPLAY_AFTER", 3)
+        built = []
+        structure = tape_module._structure
+        monkeypatch.setattr(tape_module, "_structure",
+                            lambda *args: built.append(1) or structure(*args))
+        x = sf.constant([1.0, 2.0])
+        for k in range(5):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = sf.reduce_sum(x * x)
+            assert t.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+            assert len(built) == max(0, k - 1)  # none in the first 2 sightings
+
+
+def _force_tape(q):
+    with sf.Tape() as t:
+        t.watch(q)
+        u = sf.mul(sf.reduce_sum(sf.mul(q, q)), 0.5)
+    return t, u
+
+
+class TestReplayContract:
+    """A replay makes no seed and checks no input: the seed of ``gradient``
+    is a plan constant, and the key proves every plan input."""
+
+    def test_force_hit_makes_no_seed(self, replay_at_once, monkeypatch):
+        q = sf.constant(np.random.default_rng(15).standard_normal((32, 2)).astype(np.float32))
+        seeds = []
+        ones_for = gradients_module.ones_for
+
+        def counting(spec):
+            seeds.append(spec)
+            return ones_for(spec)
+
+        monkeypatch.setattr(gradients_module, "ones_for", counting)
+        monkeypatch.setattr(tape_module, "ones_for", counting)
+
+        def force():
+            t, u = _force_tape(q)
+            return _bits([t.gradient(u, q)])
+
+        replay_at_once(False)
+        want = force()
+        assert len(seeds) == 1  # op by op makes one
+        replay_at_once(True)
+        assert force() == want  # builds the plan: its seed is made in the trace
+        del seeds[:]
+        assert force() == want  # a hit
+        assert seeds == []
+        assert _counts() == (1, 2)
+
+    def test_force_plan_reads_q_and_the_scalar(self, replay_at_once):
+        q = sf.constant(np.random.default_rng(16).standard_normal((32, 2)).astype(np.float32))
+        t, u = _force_tape(q)
+        half = t.entries[-1].saved_inputs[1]
+        _, values = tape_module._structure(t.entries, u, None, [q])
+        t.gradient(u, q)
+        (graph, inputs, _), = current_context().tape_plans.values()
+        assert float(half) == 0.5
+        assert sorted(id(values[n]) for n in inputs) == sorted([id(q), id(half)])
+        assert sorted((p.dtype.value, p.shape) for p in graph.inputs) == [
+            ("float32", ()), ("float32", (32, 2))]
+        seed, = [n.attrs["value"] for n in graph.nodes if n.op == "constant"]
+        assert (seed.dtype, seed.shape, float(seed)) == (sf.float32, (), 1.0)
+
+    def test_vjp_keeps_its_cotangents_as_plan_inputs(self, replay_at_once):
+        x = sf.constant(np.array([0.5, -1.5, 2.0], np.float32))
+
+        def vjp(ct):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = sf.mul(sf.exp(x), x)
+            return _bits(t.vjp([y], [sf.constant(np.array(ct, np.float32))], [x]))
+
+        cts = ([1.0, 2.0, 3.0], [-0.5, 0.25, 4.0])
+        replay_at_once(False)
+        want = [vjp(ct) for ct in cts]
+        replay_at_once(True)
+        assert [vjp(ct) for ct in cts] == want  # builds the plan, then a hit
+        assert _counts() == (1, 2)
+        (graph, inputs, _), = current_context().tape_plans.values()
+        assert len(inputs) == 3  # the cotangent, x and exp(x)
+        assert all(n.op != "constant" for n in graph.nodes)
+
+    def test_unconnected_targets_of_two_dtypes(self, replay_at_once):
+        x32 = sf.constant(np.array([1.0, 2.0], np.float32))
+        x64 = sf.constant(np.array([3.0], np.float64))
+        with sf.Tape(persistent=True) as t:
+            t.watch(x32)
+            t.watch(x64)
+            sf.mul(x32, x32)
+            sf.mul(x64, x64)
+        targets = [sf.reduce_sum(x32), sf.reduce_sum(x64)]  # after the tape
+        for _ in range(2):
+            for target in targets:
+                g32, g64 = t.gradient(target, [x32, x64])
+                assert (g32.dtype, g32.numpy().tolist()) == (sf.float32, [0.0, 0.0])
+                assert (g64.dtype, g64.numpy().tolist()) == (sf.float64, [0.0])
+        assert _counts() == (2, 4)  # one key per target dtype
 
 
 class TestReplayKey:
