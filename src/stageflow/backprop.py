@@ -47,7 +47,7 @@ from typing import Dict, List, Tuple
 from .errors import NotDifferentiable, StagingError
 from .escape import backward_callback_for
 from .gradients import GradContext, zeros_for
-from .graph import GraphFunction, Node, add_to_library, prune
+from .graph import GraphFunction, Node, _optimized, add_to_library
 from .ops import _DERIVED, add, dispatch
 from .runtime import get_runtime
 
@@ -72,7 +72,7 @@ def backward_for(gf: GraphFunction, wanted: Tuple[bool, ...]):
     cf = gf._bwd_by_mask.get(wanted)
     if cf is None:
         full = bwd_cf.graph
-        pruned = prune(full, [o for o, w in zip(full.outputs, wanted) if w])
+        pruned = _optimized(full, [o for o, w in zip(full.outputs, wanted) if w], fold=False)
         cf = gf._bwd_by_mask.setdefault(
             wanted,
             _staging.ConcreteFunction(pruned, bwd_cf.materialize_captured(), "list"),
@@ -297,10 +297,8 @@ def _assemble_forward_variant(gf, needed, call_rewrites) -> GraphFunction:
     outputs = list(gf.outputs) + [
         (f"saved_{k}", ref) for k, ref in enumerate(needed)
     ]
-    # Without a rewritten call the node tuple is gf's, and its checks hold.
-    return GraphFunction(gf.name + "_fwd", gf.inputs,
-                         nodes if call_rewrites else gf.nodes, outputs, library,
-                         nodes_of=gf)
+    return GraphFunction(gf.name + "_fwd", gf.inputs, nodes, outputs, library,
+                         _checked=True)
 
 
 # ``staging`` imports this module, and derivation traces the backward and

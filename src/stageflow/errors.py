@@ -20,7 +20,8 @@ class NarrowingOverflow(StageflowError):
 
 
 class SymbolicTensor(StageflowError):
-    """A concrete-only facility was applied to a symbolic (traced) tensor."""
+    """A concrete-only facility was applied to a symbolic (traced) tensor,
+    or a tensor was made neither concrete nor symbolic, or both."""
 
 
 class BroadcastIncompatible(StageflowError):
@@ -38,7 +39,8 @@ class UnknownOp(StageflowError):
 
 
 class InvalidOpDef(StageflowError):
-    """An OpDef without exactly one of compute and kernel, or a multi-output compute."""
+    """An OpDef without exactly one of compute and kernel, a multi-output
+    compute, or an attr of unknown kind."""
 
 
 class ArityMismatch(StageflowError):

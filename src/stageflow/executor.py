@@ -16,9 +16,9 @@ upstream gradients before propagating them, ``(g1 + g2) * c`` where eager
 computes ``g1 * c + g2 * c``, which is not bit-identical. The backward
 graphs run through plans too, so they are deduplicated the same way.
 
-Slots hold raw arrays. Every node passed its op's ``infer`` rule when it was
-recorded or decoded, so a step trusts its inputs and only computes. A step
-is one of two kinds, by what the op's registry entry (``OpDef``) has:
+Slots hold raw arrays. Every node passed ``graph.checked_node``, which runs
+its op's ``infer`` rule, once, so a step trusts its inputs and only
+computes. A step is one of two kinds, by what the op's ``OpDef`` has:
 
 * a compute step calls the op's ``compute`` on its input arrays, with the
   node's attrs bound if it has any. For an attr-free elementwise op
@@ -110,8 +110,8 @@ class _Plan:
 
     def __init__(self, gf: GraphFunction):
         n_in = self.n_inputs = len(gf.inputs)
-        # Per value id, its first slot: a placeholder's is its id (at any
-        # output index a hand-built graph reads), a node's its first output's.
+        # Per value id, its first slot: a placeholder's is its id, a node's
+        # its first output's.
         first: List[int] = list(range(n_in))
         # Per slot: a constant's array and tensor, and the device of a
         # pinned node's outputs (None: the call's device).
@@ -128,9 +128,8 @@ class _Plan:
                 arr = value.raw()
                 key = (value.dtype, arr.shape, arr.tobytes(), value.device, device)
             else:
-                in_slots = tuple([  # a graph only refers to earlier values
-                    vid if vid < n_in else first[vid] + k for vid, k in inputs
-                ])
+                # A graph only refers to earlier values.
+                in_slots = tuple([first[vid] + k for vid, k in inputs])
                 op_def = defs.get(op) or get_op_def(op)  # UnknownOp
                 compute = op_def.compute
                 key = None
@@ -141,10 +140,7 @@ class _Plan:
                         if defaults.get(k, _NO_DEFAULT) is not v
                     ])) if attrs else (), in_slots, device)
             if key is not None:
-                try:
-                    hit = numbered.get(key)
-                except TypeError:  # an unhashable attr of a hand-built node
-                    key = None
+                hit = numbered.get(key)
             out = len(prefill) if hit is None else hit
             first.append(out)
             if hit is not None:
@@ -170,9 +166,7 @@ class _Plan:
                 steps.append((n, fn, a, b, out, info))
         self.prefill, self.constants, self.slot_device = prefill, constants, slot_device
         self.steps = steps
-        self.output_slots = [
-            vid if vid < n_in else first[vid] + k for _, (vid, k) in gf.outputs
-        ]
+        self.output_slots = [first[vid] + k for _, (vid, k) in gf.outputs]
 
 
 def _plan_for(gf: GraphFunction) -> _Plan:

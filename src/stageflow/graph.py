@@ -19,15 +19,21 @@ a consumer, so the result is also the graph that folding first and pruning
 after gives. Each pass hands back the graph itself when it changes nothing,
 and otherwise builds one new graph that reuses every node whose inputs did
 not move. Nodes are named tuples, built without a setattr per field.
+
+``checked_node`` is the one check of a node; every recorded, hand-built or
+decoded node passes it once. Graphs derived from checked nodes (finalize,
+the optimizer passes, forward variants) pass ``_checked=True`` instead.
 """
 from __future__ import annotations
 
 from functools import partial
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .devices import DeviceName
+from .devices import DeviceName, as_device_name
 from .dtypes import DType, SymShape
-from .errors import CorruptGraph, KernelError
+from .errors import (
+    ArityMismatch, AttrMismatch, CorruptGraph, KernelError, UnknownDevice, UnknownOp,
+)
 from .runtime import get_runtime
 from .tensor import Tensor
 
@@ -74,9 +80,30 @@ class GraphFunction:
         outputs: Sequence[Tuple[str, Ref]],
         library: Optional[Dict[str, "GraphFunction"]] = None,
         *,
-        nodes_of: Optional["GraphFunction"] = None,
-        _refs_checked: bool = False,
+        _checked: bool = False,
     ):
+        """Each node passes ``checked_node``, which gives its attrs and
+        specs (its AttrMismatch and UnknownDevice raised as CorruptGraph
+        naming the node), and each output names a tensor value; a malformed
+        argument is CorruptGraph too. ``_checked``: the library derived the
+        nodes and outputs from a graph that already passed."""
+        if not _checked:
+            try:
+                inputs, library = tuple(inputs), dict(library or {})
+                scope = NodeScope.of(inputs, library)
+                checked, values, n_in = [], scope.values, len(inputs)
+                for k, (op, refs, attrs, device, specs) in enumerate(nodes):
+                    try:
+                        node = checked_node(k, op, refs, attrs, device, specs, scope)
+                    except (AttrMismatch, UnknownDevice) as e:
+                        raise CorruptGraph(f"node {k}: {e}") from None
+                    checked.append(new_node(node))
+                    for j, spec in enumerate(node[4]):
+                        values[n_in + k, j] = spec
+                nodes, outputs = checked, tuple(outputs)
+                scope.check_outputs(name, [r for _, r in outputs], [o for o, _ in outputs])
+            except (AttributeError, TypeError, ValueError) as e:
+                raise CorruptGraph(f"{name}: malformed graph: {type(e).__name__}: {e}") from None
         self.name = name
         self.inputs: Tuple[Placeholder, ...] = tuple(inputs)
         self.nodes: Tuple[Node, ...] = tuple(nodes)
@@ -84,57 +111,11 @@ class GraphFunction:
         self.library: Dict[str, GraphFunction] = dict(
             sorted((library or {}).items())
         )
-        # ``nodes_of``: a graph with these very tuples; only outputs are new.
-        if _refs_checked:  # by SGF1 decode: each names an earlier value
-            self._validate(refs=False)
-        elif nodes_of is None or self.nodes is not nodes_of.nodes or (
-                self.inputs is not nodes_of.inputs):
-            self._validate()
-        self._output_specs = self._checked_output_specs()
+        self._output_specs = tuple([self.spec_of(ref) for _, ref in self.outputs])
         self._plan = None  # compiled executor plan, set lazily
         self._fwd_bwd = None  # derived (forward variant, backward fn), set lazily
         self._bwd_by_mask: Dict[Tuple[bool, ...], Any] = {}  # backward_for's cache
         self._grad_paths = None  # backprop._grad_paths, set lazily
-
-    # -- well-formedness -----------------------------------------------------
-
-    def _validate(self, refs: bool = True) -> None:
-        n_in = len(self.inputs)
-        nodes = self.nodes
-        for end, node in enumerate(nodes, n_in):  # end: the node's value id
-            for vid, out_idx in node.inputs if refs else ():
-                if vid < 0 or vid >= end:
-                    raise CorruptGraph(
-                        f"{self.name}: node {end - n_in} ({node.op}) references "
-                        f"value {vid} that is not an input or an earlier node"
-                    )
-                if vid >= n_in and out_idx >= len(nodes[vid - n_in].out_specs):
-                    raise CorruptGraph(
-                        f"{self.name}: node {end - n_in} references missing "
-                        f"output {out_idx} of node {vid - n_in}"
-                    )
-            if node.op in VARIABLE_OPS and not (
-                node.inputs and node.inputs[0][0] < n_in
-                and self.inputs[node.inputs[0][0]].is_variable_ref
-            ):
-                raise CorruptGraph(
-                    f"{self.name}: node {end - n_in} ({node.op}) must take a "
-                    "variable input placeholder as its first input"
-                )
-
-    def _checked_output_specs(self) -> tuple:
-        n_in, n_values = len(self.inputs), len(self.inputs) + len(self.nodes)
-        specs = []
-        for _, (vid, out_idx) in self.outputs:
-            if 0 <= vid < n_in:
-                ph = self.inputs[vid]
-                specs.append((ph.dtype, ph.shape))
-            elif n_in <= vid < n_values and out_idx < len(
-                    out_specs := self.nodes[vid - n_in].out_specs):
-                specs.append(out_specs[out_idx])
-            else:
-                raise CorruptGraph(f"{self.name}: dangling output reference")
-        return tuple(specs)
 
     @property
     def serializable(self) -> bool:  # no host_call here or in the library
@@ -202,46 +183,137 @@ class GraphFunction:
         return self._normal_form() == other._normal_form()
 
 
+class NodeScope(NamedTuple):
+    """What the next node of a graph under construction may refer to."""
+
+    values: Dict[tuple, Tuple[DType, SymShape]]  # each earlier value's ref -> spec
+    variables: set  # the refs of the variable-reference placeholders
+    library: Dict[str, "GraphFunction"]  # what function attrs name
+    env: Any  # a KernelEnv, which resolves function attrs in ``library``
+    ops: Dict[str, Any]  # the op registry's definitions, by name
+
+    @classmethod
+    def of(cls, inputs: Sequence[Placeholder], library: Dict[str, "GraphFunction"]):
+        """The scope of a graph's first node: ``inputs`` at ``(index, 0)``."""
+        rt = get_runtime()
+        return cls(
+            {(i, 0): (ph.dtype, ph.shape) for i, ph in enumerate(inputs)},
+            {(i, 0) for i, ph in enumerate(inputs) if ph.is_variable_ref}, library,
+            _kernels.KernelEnv(rt.devices[0].name, (library,)), rt.registry._defs)
+
+    def check_outputs(self, graph: str, refs: Sequence, names: Sequence) -> None:
+        """CorruptGraph unless each of ``refs`` names a tensor value in
+        scope (not a variable) and has a name."""
+        values, variables = self.values, self.variables
+        if len(refs) != len(names) or not all(
+                isinstance(r, tuple) and r in values and r not in variables
+                and isinstance(o, str)
+                for r, o in zip(refs, names)):
+            raise CorruptGraph(f"{graph}: an output names no tensor value")
+
+
+def checked_node(k, op, inputs, attrs, device, out_specs, scope: NodeScope) -> tuple:
+    """The fields of node ``k``, checked: a known op (UnknownOp) with that
+    many inputs (ArityMismatch), canonical attrs (AttrMismatch), each graph
+    function attr put in the scope's library and named there, and a
+    canonical device (UnknownDevice); inputs that name earlier values in
+    ``scope``, with variable placeholders just at a variable op's input 0
+    and a call's inputs (CorruptGraph); and the specs the op's ``infer``
+    gives, which declared ``out_specs`` (None: none) must equal
+    (CorruptGraph)."""
+    try:
+        op_def = scope.ops[op]
+    except (KeyError, TypeError):
+        raise UnknownOp(f"unknown op {op!r}") from None
+    try:
+        inputs = tuple(inputs)
+        in_specs = [*map(scope.values.__getitem__, inputs)]
+    except (KeyError, TypeError):
+        raise CorruptGraph(f"node {k} references a missing or later value") from None
+    if op_def.input_arity is not None and len(inputs) != op_def.input_arity:
+        raise ArityMismatch(f"{op} takes {op_def.input_arity} inputs, got {len(inputs)}")
+    attrs = _ops.canonicalize_attrs(op_def, attrs) if attrs or op_def.required_attrs else {}
+    variables = scope.variables
+    if op in VARIABLE_OPS:
+        if not (inputs and inputs[0] in variables) or not variables.isdisjoint(inputs[1:]):
+            raise CorruptGraph(f"node {k} ({op}) must take a variable input "
+                               "placeholder as its first input, and only there")
+    elif op in FUNCTION_ATTRS:
+        for name in FUNCTION_ATTRS[op]:
+            if isinstance(attrs[name], GraphFunction):
+                attrs[name] = add_to_library(scope.library, attrs[name])
+        if op == "call_function":  # specs do not carry kind: match it here
+            callee = scope.env.resolve_function(attrs["function"])
+            if any((ref in variables) != ph.is_variable_ref
+                   for ref, ph in zip(inputs, callee.inputs)):
+                raise CorruptGraph(f"node {k} (call_function) passes a variable where "
+                                   f"{callee.name} takes a tensor, or the reverse")
+    elif variables and not variables.isdisjoint(inputs):
+        raise CorruptGraph(f"node {k} ({op}) takes a variable input placeholder")
+    if device is not None:
+        device = as_device_name(device)
+    specs = tuple(op_def.infer(attrs, in_specs, scope.env))
+    if out_specs is not None and (
+            type(out_specs) not in (list, tuple) or tuple(out_specs) != specs):
+        raise CorruptGraph(
+            f"node {k} ({op}) declares outputs {out_specs!r}, but infers {list(specs)}")
+    return op, inputs, attrs, device, specs
+
+
 class GraphBuilder:
-    """Accumulates placeholders and nodes while a trace is open."""
+    """Accumulates placeholders and checked nodes, for a trace or by hand."""
 
     # Building-time refs: ("p", idx) for placeholders, ("n", idx, out) for
     # node outputs. Placeholders may be appended after nodes already exist
     # (closure captures), so the final ids are only assigned at finalize.
 
-    def __init__(self):
+    def __init__(self, library: Optional[Dict[str, GraphFunction]] = None):
+        """``library``: the functions that function attrs may name; a graph
+        function given as an attr is added to it."""
         self.placeholders: List[Placeholder] = []
-        self.nodes: List[dict] = []
+        self.nodes: List[tuple] = []  # Node fields, with building-time refs
+        self.library: Dict[str, GraphFunction] = dict(library or {})
+        self._scope = NodeScope.of((), self.library)
 
     def add_placeholder(
         self, name: str, dtype: DType, shape: SymShape, is_variable_ref: bool = False
     ):
-        self.placeholders.append(Placeholder(name, dtype, tuple(shape), is_variable_ref))
-        return ("p", len(self.placeholders) - 1)
+        ref, shape = ("p", len(self.placeholders)), tuple(shape)
+        self.placeholders.append(Placeholder(name, dtype, shape, is_variable_ref))
+        self._scope.values[ref] = (dtype, shape)
+        if is_variable_ref:
+            self._scope.variables.add(ref)
+        return ref
 
     def add_node(
         self,
         op: str,
         inputs: Sequence,
-        attrs: Dict[str, Any],
+        attrs: Optional[Dict[str, Any]],
         device: Optional[DeviceName],
-        out_specs: Sequence[Tuple[DType, SymShape]],
+        out_specs: Optional[Sequence[Tuple[DType, SymShape]]],
     ):
-        """Append a node; the builder keeps ``attrs`` itself, not a copy, so
-        the caller must not change it afterwards."""
+        """Append ``op`` on ``inputs`` (building-time refs) if it passes
+        ``checked_node``, which gives its attrs and output specs (None
+        declares none); return its output refs. Calls resolve in ``library``."""
         idx = len(self.nodes)
-        self.nodes.append((op, inputs, attrs, device, tuple(out_specs)))
-        if len(out_specs) == 1:
-            return [("n", idx, 0)]
-        return [("n", idx, j) for j in range(len(out_specs))]
+        node = checked_node(idx, op, inputs, attrs, device, out_specs, self._scope)
+        self.nodes.append(node)
+        specs = node[4]
+        if len(specs) == 1:
+            ref = ("n", idx, 0)
+            self._scope.values[ref] = specs[0]
+            return [ref]
+        refs = [("n", idx, j) for j in range(len(specs))]
+        self._scope.values.update(zip(refs, specs))
+        return refs
 
-    def finalize(
-        self,
-        name: str,
-        output_refs: Sequence,
-        output_names: Sequence[str],
-        library: Optional[Dict[str, GraphFunction]] = None,
-    ) -> GraphFunction:
+    def finalize(self, name: str, output_refs: Sequence,
+                 output_names: Sequence[str]) -> GraphFunction:
+        """The graph with these named outputs, building-time refs to tensor
+        values (CorruptGraph)."""
+        output_refs, output_names = list(output_refs), list(output_names)
+        self._scope.check_outputs(name, output_refs, output_names)
         n_in = len(self.placeholders)
         nodes = [
             new_node((op, tuple([
@@ -253,18 +325,17 @@ class GraphBuilder:
             (oname, (n_in + r[1], r[2]) if r[0] == "n" else (r[1], 0))
             for oname, r in zip(output_names, output_refs)
         ]
-        return GraphFunction(name, self.placeholders, nodes, outputs, library)
+        return GraphFunction(name, self.placeholders, nodes, outputs, self.library,
+                             _checked=True)
 
 
 def add_to_library(library: Dict[str, GraphFunction], gf: GraphFunction) -> str:
-    """Add ``gf`` under its name, or ``name_v{i}`` with the first free ``i``
-    when another function holds the name; returns the name used."""
-    name = gf.name
-    if name in library and library[name] is not gf:
-        i = 1
-        while f"{name}_v{i}" in library:
-            i += 1
-        name = f"{name}_v{i}"
+    """The name of ``gf`` in ``library``: its own, or ``name_v{i}`` with the
+    first ``i`` that no other function holds; adds it there if need be."""
+    name, i = gf.name, 0
+    while library.get(name, gf) is not gf:
+        i += 1
+        name = f"{gf.name}_v{i}"
     library[name] = gf
     return name
 
@@ -275,14 +346,10 @@ def add_to_library(library: Dict[str, GraphFunction], gf: GraphFunction) -> str:
 
 
 def node_is_stateful(node: Node, library: Dict[str, GraphFunction]) -> bool:
-    """A node is stateful if its op is, or if a function it calls is."""
+    """A node is stateful if its op is, or if a function it calls (named in
+    ``library``, as the node check left it) is."""
     if node.op in FUNCTION_ATTRS:
-        for attr_name in FUNCTION_ATTRS[node.op]:
-            fn_name = node.attrs.get(attr_name)
-            callee = library.get(fn_name) if isinstance(fn_name, str) else None
-            if callee is not None and graph_is_stateful(callee):
-                return True
-        return False
+        return any(graph_is_stateful(library[node.attrs[a]]) for a in FUNCTION_ATTRS[node.op])
     return get_runtime().registry.get(node.op).stateful
 
 
@@ -291,13 +358,7 @@ def graph_is_stateful(gf: GraphFunction) -> bool:
 
 
 def _referenced_functions(nodes: Sequence[Node]) -> set:
-    names = set()
-    for n in nodes:
-        for attr_name in FUNCTION_ATTRS.get(n.op, ()):
-            v = n.attrs.get(attr_name)
-            if isinstance(v, str):
-                names.add(v)
-    return names
+    return {n.attrs[a] for n in nodes for a in FUNCTION_ATTRS.get(n.op, ())}
 
 
 def _rebuild(
@@ -339,20 +400,16 @@ def _rebuild(
     if library:
         names = _referenced_functions(nodes)
         library = {k: v for k, v in library.items() if k in names}
-    return GraphFunction(gf.name, gf.inputs, nodes, outputs, library)
+    return GraphFunction(gf.name, gf.inputs, nodes, outputs, library, _checked=True)
 
 
-def prune(
-    gf: GraphFunction, outputs: Optional[Sequence[Tuple[str, Ref]]] = None
-) -> GraphFunction:
+def prune(gf: GraphFunction) -> GraphFunction:
     """Drop stateless nodes that neither outputs nor stateful nodes reach.
 
     Stateful nodes are always retained (their effects are the point), and so
-    is everything upstream of them. Given ``outputs`` (named refs of values
-    of ``gf``), the result has those outputs. Idempotent;
-    semantics-preserving.
+    is everything upstream of them. Idempotent; semantics-preserving.
     """
-    return _optimized(gf, outputs, fold=False)
+    return _optimized(gf, None, fold=False)
 
 
 def constant_fold(gf: GraphFunction) -> GraphFunction:
@@ -384,8 +441,9 @@ run_node_for_folding = None
 
 
 def _optimized(gf: GraphFunction, outputs, prune: bool = True, fold: bool = True):
-    """Mark what ``prune`` keeps (toward ``outputs`` in place of ``gf``'s,
-    if given), fold only those nodes, then build the result once."""
+    """Mark what ``prune`` keeps (toward ``outputs``, named refs of values
+    of ``gf``, in place of its own if given), fold only those nodes, then
+    build the result once."""
     n_in = len(gf.inputs)
     nodes = gf.nodes
     keep = [not prune] * (n_in + len(nodes))  # per value id
@@ -424,7 +482,7 @@ def _optimized(gf: GraphFunction, outputs, prune: bool = True, fold: bool = True
     if not folded_outs:
         if all(keep):
             return gf if outputs is None else GraphFunction(
-                gf.name, gf.inputs, nodes, outputs, gf.library, nodes_of=gf)
+                gf.name, gf.inputs, nodes, outputs, gf.library, _checked=True)
         return _rebuild(gf, [i for i, k in enumerate(keep) if k], {}, outputs)
 
     # What is read once the folded nodes no longer read their inputs.
@@ -445,3 +503,7 @@ def _optimized(gf: GraphFunction, outputs, prune: bool = True, fold: bool = True
         i for i, node in enumerate(nodes)
         if keep[i] and (node.op != "constant" or (n_in + i, 0) in used)
     ], folded)
+
+
+# ``kernels`` and ``ops`` import this module: bind them once it is complete.
+from . import kernels as _kernels, ops as _ops  # noqa: E402

@@ -4,9 +4,9 @@ Every op has one ``infer`` rule, and both execution modes use it. The rule
 is the op's only validator: given the input (dtype, shape) specs, possibly
 with wildcard (``None``) dims, and the attrs, it returns the output specs or
 raises ``KernelError`` (``ShapeMismatch`` for a variable assignment). Eager
-dispatch runs it before every kernel call; graph building runs it when it
-records a node, and decoding a graph runs it again for every node. What
-runs after it trusts its inputs and only computes.
+dispatch runs it before every kernel call, and ``graph.checked_node`` once
+for every node a graph gets from outside the library: recorded, hand-built
+or decoded. What runs after it trusts its inputs and only computes.
 
 Each op has one entry in ``KERNELS``, and the op registry hands it out as
 the op's ``compute`` or its ``kernel``. A pure op (and ``random_normal``)
@@ -51,8 +51,9 @@ What a kernel still checks is what ``infer`` could not see:
   ``while_loop`` predicate (``_check_predicate``), and the value a variable
   is assigned (``Variable._check_value``);
 * that an eager variable op got a variable, since specs do not carry
-  kind (a graph is checked when it is built or decoded: input 0 of a
-  variable op must be a variable-reference placeholder);
+  kind (in a graph, ``checked_node`` saw that input 0 of a variable op is
+  a variable-reference placeholder, and that a call passes variables just
+  where its callee takes them);
 * numpy's own errors on wildcard dims (a broadcast, matmul or reshape that
   does not fit at run time), which the dispatcher and the executor wrap as
   ``KernelError``.
@@ -66,7 +67,7 @@ import numpy as np
 
 from . import dtypes
 from .devices import DeviceName
-from .dtypes import _FROM_NP, DType, SymShape
+from .dtypes import _FROM_NP, DType, SymShape, matches_spec
 from .errors import BroadcastIncompatible, KernelError, MissingFunction, ShapeMismatch
 from .escape import callback_signature, run_callback
 from .graph import GraphFunction
@@ -413,6 +414,10 @@ def _call_function_infer(attrs, in_specs, env=None):
             f"call_function: {gf.name} takes {len(gf.inputs)} inputs, "
             f"got {len(in_specs)}"
         )
+    for (dt, shape), ph in zip(in_specs, gf.inputs):  # an unknown dim: checked at run time
+        if None not in shape and not matches_spec(dt, shape, ph.dtype, ph.shape):
+            raise KernelError(f"call_function: {gf.name} input {ph.name!r} is "
+                              f"{ph.dtype.value}{list(ph.shape)}, got {dt.value}{list(shape)}")
     return gf.output_specs  # a fresh list
 
 

@@ -76,13 +76,18 @@ class OpDef:
     # value numbering treats an attr given at its default as absent.
     attr_defaults: Dict[str, Any] = field(default_factory=dict, compare=False)
     # Names of the required attrs, so a call without attrs canonicalizes
-    # without walking the schema.
+    # without walking the schema, and each attr's checker, by name.
     required_attrs: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    attr_checks: Dict[str, Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "required_attrs", tuple(
-            name for name, (_, required) in self.attr_schema.items() if required
-        ))
+            name for name, (_, required) in self.attr_schema.items() if required))
+        try:
+            checks = {name: _ATTR_CHECKS[kind] for name, (kind, _) in self.attr_schema.items()}
+        except KeyError as e:
+            raise InvalidOpDef(f"op {self.name!r} has an attr of unknown kind {e}") from None
+        object.__setattr__(self, "attr_checks", checks)
 
     @property
     def differentiable(self) -> bool:
@@ -225,18 +230,13 @@ def canonicalize_attrs(op_def: OpDef, attrs: Optional[dict]) -> Dict[str, Any]:
     """``attrs`` checked against the op's schema, in name order, each value
     by its kind's checker; AttrMismatch for an unexpected, missing or
     ill-typed attr."""
-    if not attrs and not op_def.required_attrs:
-        return {}
     attrs = attrs or {}
-    schema = op_def.attr_schema
+    checks = op_def.attr_checks
     out: Dict[str, Any] = {}
     for name in sorted(attrs):
-        spec = schema.get(name)
-        if spec is None:
-            raise AttrMismatch(f"{op_def.name}: unexpected attr {name!r}")
-        check = _ATTR_CHECKS.get(spec[0])
+        check = checks.get(name)
         if check is None:
-            raise AttrMismatch(f"{op_def.name}.{name}: unknown attr kind {spec[0]!r}")
+            raise AttrMismatch(f"{op_def.name}: unexpected attr {name!r}")
         out[name] = check(op_def.name, name, attrs[name])
     for name in op_def.required_attrs:
         if name not in out:
@@ -282,7 +282,7 @@ def _axes_attr(op: str, name: str, value):
     if value is None:
         return None
     try:
-        return tuple(int(a) for a in value)
+        return tuple(map(int, value))
     except (TypeError, ValueError):
         raise AttrMismatch(f"{op}.{name} must be axes, got {value!r}") from None
 
@@ -352,13 +352,14 @@ def copy_to(t: Tensor, dst: Union[str, DeviceName]) -> Tensor:
 def dispatch(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> List[Tensor]:
     """Run an op eagerly or record it into the open trace.
 
-    The whole eager path is this one frame, in this order: look the op up
-    (UnknownOp), check the arity and canonicalize the attrs; reject
-    symbolic and non-tensor inputs; run the op's ``infer`` rule, which the
-    compute or kernel trusts; place the inputs (``resolve_placement``, the
-    one owner of placement); run the compute on the input arrays and wrap
-    its result, or run the kernel, turning a non-Stageflow failure into
-    KernelError; count the op and record it on the active tapes.
+    Look the op up (UnknownOp). In a trace, ``TraceState.record`` takes it
+    from there. The rest of the eager path is this frame, in this order:
+    check the arity and canonicalize the attrs; reject symbolic and
+    non-tensor inputs; run the op's ``infer`` rule, which the compute or
+    kernel trusts; place the inputs (``resolve_placement``, the one owner of
+    placement); run the compute on the input arrays and wrap its result, or
+    run the kernel, turning a non-Stageflow failure into KernelError; count
+    the op and record it on the active tapes.
     """
     ctx = current_context()
     try:
@@ -371,13 +372,13 @@ def dispatch(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> List[Te
         op_def = ctx.runtime.registry._defs[op]
     except KeyError:
         raise UnknownOp(f"unknown op {op!r}") from None
+    if ctx.traces and not ctx.escape_depth:
+        return ctx.traces[-1].record(op_def, inputs, attrs, ctx)
     if op_def.input_arity is not None and len(inputs) != op_def.input_arity:
         raise ArityMismatch(
             f"{op} takes {op_def.input_arity} inputs, got {len(inputs)}"
         )
     attrs = canonicalize_attrs(op_def, attrs) if attrs or op_def.required_attrs else {}
-    if ctx.traces and not ctx.escape_depth:
-        return ctx.traces[-1].record(op_def, inputs, attrs, ctx)
     specs = []
     for i, x in enumerate(inputs):
         if isinstance(x, Tensor):
@@ -475,14 +476,15 @@ def _as_operand(x, like: Optional[Tensor] = None):
 
 def _binary(op: str):
     def fn(a, b):
-        if isinstance(a, Variable):
-            a = a.read_value()
-        if isinstance(b, Variable):
-            b = b.read_value()
-        if not isinstance(a, Tensor):
-            a = _as_operand(a, like=b if isinstance(b, Tensor) else None)
-        if not isinstance(b, Tensor):
-            b = _as_operand(b, like=a)
+        if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+            if isinstance(a, Variable):
+                a = a.read_value()
+            if isinstance(b, Variable):
+                b = b.read_value()
+            if not isinstance(a, Tensor):
+                a = _as_operand(a, like=b if isinstance(b, Tensor) else None)
+            if not isinstance(b, Tensor):
+                b = _as_operand(b, like=a)
         return dispatch(op, [a, b])[0]
 
     fn.__name__ = op

@@ -14,12 +14,11 @@ sections that follow, in fixed order, are:
 
 Fixed-layout runs are one ``struct`` call each: a node's op-name id and ref
 count, its refs, and a placeholder's name id, dtype and rank. Tensor-valued
-attrs use the ``wire`` tensor encoding. On load a node's attrs are
-checked against its op's attr schema, as dispatch checks them, so an
-unknown name or a value of the wrong kind is ``CorruptGraph``. Node
-output specs are not stored; they are re-inferred on load. The top-level
-function's own name has no slot in the container (nested names live in the
-library), so a round-trip preserves everything except it.
+attrs use the ``wire`` tensor encoding. On load each node passes
+``graph.checked_node`` once: an attr outside its op's schema is
+``CorruptGraph``, and the output specs, which are not stored, are inferred.
+The top-level function's own name has no slot in the container (nested
+names live in the library), so a round-trip preserves everything except it.
 
 Graphs that reference host callbacks are not serializable; callbacks are
 registry ids with no portable meaning.
@@ -28,15 +27,11 @@ from __future__ import annotations
 
 import functools
 from itertools import chain
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from .devices import DeviceName
 from .dtypes import DTYPE_TAGS, DType
-from .errors import AttrMismatch, CorruptGraph, NotSerializable, StageflowError, UnknownDevice
-from .graph import GraphFunction, Node, Placeholder, new_node
-from .kernels import KernelEnv
-from .ops import canonicalize_attrs
-from .runtime import get_runtime
+from .errors import CorruptGraph, NotSerializable, StageflowError
+from .graph import GraphFunction, Placeholder
 from .tensor import Tensor
 from .wire import (
     ByteReader, ByteWriter, StringTable, dtype_of, layout, pack, read_shape,
@@ -209,40 +204,15 @@ def _decode(data: bytes, name: str) -> GraphFunction:
         library[lname] = _decode(lr.blob(), lname)
     lr.end("the library")
 
-    # Rebuild node output specs by running inference in program order; the
-    # library is decoded first so calls into it can be inferred.
-    rt = get_runtime()
-    env = KernelEnv(device=rt.devices[0].name, libraries=(library,))
-    specs: List[Tuple] = [[(ph.dtype, ph.shape)] for ph in placeholders]
-    nodes: List[Node] = []
+    # Each node as GraphFunction takes it (no declared specs), in wire order.
+    nodes = []
     for _ in range(nr.u32()):
         op_id, n_refs = nr.take(_NODE_HEAD)
-        op = nr.string_at(op_id)
         inputs = tuple(_REF.iter_unpack(nr.raw(_REF.size * n_refs)))
         attrs = {}
         for _ in range(nr.u32()):
             attr_name = nr.string()
             attrs[attr_name] = _attr_from_wire(nr)
-        op_def = rt.registry.get(op)
-        try:
-            if attrs or op_def.required_attrs:
-                attrs = canonicalize_attrs(op_def, attrs)
-        except AttrMismatch as e:
-            raise CorruptGraph(f"node {len(nodes)}: {e}") from None
-        device = nr.string()
-        try:
-            in_specs = [specs[vid][out_idx] for vid, out_idx in inputs]
-        except IndexError:
-            raise CorruptGraph(
-                f"node {len(nodes)} references a missing or later value"
-            ) from None
-        out_specs = tuple(op_def.infer(attrs, in_specs, env))
-        try:
-            placed = DeviceName.parse(device) if device else None
-        except UnknownDevice as e:
-            raise CorruptGraph(f"node {len(nodes)}: {e}") from None
-        nodes.append(new_node((op, inputs, attrs, placed, out_specs)))
-        specs.append(out_specs)
+        nodes.append((nr.string_at(op_id), inputs, attrs, nr.string() or None, None))
     nr.end("the node table")
-
-    return GraphFunction(name, placeholders, nodes, outputs, library, _refs_checked=True)
+    return GraphFunction(name, placeholders, nodes, outputs, library)

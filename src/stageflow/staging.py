@@ -45,12 +45,8 @@ from .errors import (
     VariableCreationError,
 )
 from .gradients import zeros_for
-from .graph import (
-    FUNCTION_ATTRS, GraphBuilder, GraphFunction, add_to_library, optimize,
-)
-from .kernels import (
-    KernelEnv, _check_predicate, _require_condition, _require_predicate,
-)
+from .graph import GraphBuilder, GraphFunction, optimize
+from .kernels import _check_predicate, _require_condition, _require_predicate
 from .ops import _as_operand, _notify_tapes, dispatch, raising_backward
 from .runtime import current_context, get_runtime
 from .state import Variable
@@ -67,7 +63,6 @@ class TraceState:
         self.trace_id = next(_trace_ids)
         self.name = name
         self.builder = GraphBuilder()
-        self.library: Dict[str, GraphFunction] = {}
         self.created_variables: List[Variable] = []
         self.capture_values: List[Any] = []  # placeholder order
         self._capture_refs: Dict[int, Any] = {}
@@ -75,8 +70,6 @@ class TraceState:
         self._const_cache: Dict[int, Any] = {}
         self._keepalive: List[Any] = []
         self._base_scope_depth = 0
-        self._lib_names: Dict[int, str] = {}
-        self._env: Optional[KernelEnv] = None  # record's, for the last device
 
     @contextmanager
     def open(self):
@@ -160,74 +153,48 @@ class TraceState:
         key = id(t)
         bref = self._const_cache.get(key)
         if bref is None:
-            refs = self.builder.add_node(
-                "constant", [], {"value": t}, None, [(t.dtype, t.shape)]
-            )
+            refs = self.builder.add_node("constant", [], {"value": t}, None, None)
             bref = refs[0]
             self._const_cache[key] = bref
             self._keepalive.append(t)
         return bref
 
-    def add_library_function(self, gf: GraphFunction) -> str:
-        key = id(gf)
-        name = self._lib_names.get(key)
-        if name is None:
-            name = self._lib_names[key] = add_to_library(self.library, gf)
-        return name
-
     # -- node recording ----------------------------------------------------------
 
-    def record(self, op_def, inputs: List, attrs: Dict[str, Any], ctx) -> List[Tensor]:
+    def record(self, op_def, inputs: List, attrs: Optional[dict], ctx) -> List[Tensor]:
         """Append one node applying ``op_def`` to ``inputs`` and return its
         symbolic outputs.
 
-        ``ops.dispatch`` calls this with the thread's context ``ctx`` and
-        attrs it canonicalized for this call, which the node keeps; only an
-        op with function attrs gets a copy, with each graph function put in
-        the trace's library and named there. The op's ``infer`` rule checks
-        the inputs and gives the output specs, with a kernel environment
-        kept per trace for the last device (it holds the library itself, so
-        functions added later resolve). Nodes are placed on the ambient
-        device; only a device scope entered inside the traced function pins
-        the node.
+        ``ops.dispatch`` calls this with the thread's context ``ctx`` and the
+        call's attrs, which ``GraphBuilder.add_node`` checks with the rest of
+        the node (a graph function attr goes into the trace's library). Nodes
+        are placed on the ambient device; only a device scope entered inside
+        the traced function pins the node.
         """
-        fn_attrs = FUNCTION_ATTRS.get(op_def.name)
-        if fn_attrs is not None:
-            attrs = dict(attrs)
-            for attr_name in fn_attrs:
-                v = attrs.get(attr_name)
-                if isinstance(v, GraphFunction):
-                    attrs[attr_name] = self.add_library_function(v)
-        trace_id = self.trace_id
-        brefs = []
-        in_specs = []
-        for x in inputs:
-            brefs.append(self.resolve_input(x))  # rejects non-tensor inputs
-            in_specs.append((x.dtype, x.shape))
+        brefs = tuple(map(self.resolve_input, inputs))  # rejects non-tensor inputs
         scopes = ctx.device_scopes
-        device = scopes[-1] if scopes else ctx.runtime.devices[0].name
-        env = self._env
-        if env is None or env.device is not device:
-            env = self._env = KernelEnv(device, (self.library,))
-        out_specs = op_def.infer(attrs, in_specs, env)
-        pinned = scopes[-1] if len(scopes) > self._base_scope_depth else None
-        out_brefs = self.builder.add_node(op_def.name, brefs, attrs, pinned, out_specs)
+        if scopes:
+            device = scopes[-1]
+            pinned = device if len(scopes) > self._base_scope_depth else None
+        else:
+            device, pinned = ctx.runtime.devices[0].name, None
+        builder = self.builder
+        out_brefs = builder.add_node(op_def.name, brefs, attrs, pinned, None)
+        node = builder.nodes[-1]  # (op, inputs, attrs, device, out_specs)
         if len(out_brefs) == 1:  # most ops
-            (dt, shape), = out_specs
-            outs = [symbolic_tensor(dt, shape, device, _new_sref((trace_id, *out_brefs)))]
+            (dt, shape), = node[4]
+            outs = [symbolic_tensor(dt, shape, device, _new_sref((self.trace_id, *out_brefs)))]
         else:
             outs = [
-                symbolic_tensor(dt, shape, device, _new_sref((trace_id, bref)))
-                for (dt, shape), bref in zip(out_specs, out_brefs)
+                symbolic_tensor(dt, shape, device, _new_sref((self.trace_id, bref)))
+                for (dt, shape), bref in zip(node[4], out_brefs)
             ]
         if ctx.tapes:
-            _notify_tapes(op_def, inputs, outs, attrs, ctx)
+            _notify_tapes(op_def, inputs, outs, node[2], ctx)
         return outs
 
     def finalize(self, output_refs, output_names) -> GraphFunction:
-        gf = self.builder.finalize(
-            self.name, output_refs, output_names, library=self.library
-        )
+        gf = self.builder.finalize(self.name, output_refs, output_names)
         return optimize(gf)
 
 

@@ -371,7 +371,7 @@ def _replay(ctx, entries, target, seeds, sources) -> Optional[Dict[int, Tensor]]
 
 def _structure(entries, target, seeds, sources):
     """The exact key of a backward pass and its values by position, or
-    Nones when it has none (a custom entry or an unhashable attr).
+    Nones when it has none (a custom entry).
 
     The values are laid out in one list: each entry's inputs and outputs,
     then the sources, then the target (``seeds`` None: a ones seed there)
@@ -395,11 +395,7 @@ def _structure(entries, target, seeds, sources):
     first: Dict[int, int] = {}  # identity -> number, its first position
     wiring = tuple(map(first.setdefault, map(id, values), count()))
     attach = None if seeds is None else tuple([first.get(t, -1) for t in seeds])
-    try:
-        key = TraceKey((tuple(steps), wiring, tuple(map(_SPEC, values)),
-                        len(sources), attach))
-    except TypeError:  # an unhashable attr
-        return None, None
+    key = TraceKey((tuple(steps), wiring, tuple(map(_SPEC, values)), len(sources), attach))
     return key, values
 
 

@@ -51,7 +51,7 @@ class Tensor:
         symbolic: Optional[SymbolicRef] = None,
     ):
         if (array is None) == (symbolic is None):
-            raise ValueError("tensor must be exactly one of concrete or symbolic")
+            raise SymbolicTensor("tensor must be exactly one of concrete or symbolic")
         self.dtype = dtype
         self.shape = tuple(shape)
         self.device = device

@@ -9,9 +9,16 @@ from __future__ import annotations
 import numpy as np
 
 import stageflow as sf
-from stageflow import ops as sfops
+from stageflow import graph, ops as sfops
 from stageflow.graph import GraphBuilder, GraphFunction
 from stageflow.dtypes import DType
+
+
+def skip_node_check(monkeypatch):
+    """Make ``GraphBuilder.add_node`` append nodes as given, unchecked, as a
+    writer of hostile graphs would, until ``monkeypatch.undo()``."""
+    monkeypatch.setattr(graph, "checked_node", lambda k, op, inputs, attrs, device, specs,
+                        scope: (op, tuple(inputs), attrs, device, tuple(specs)))
 
 
 # ---------------------------------------------------------------------------

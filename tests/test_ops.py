@@ -109,6 +109,11 @@ class TestOneExecutionEntry:
                 stateful=False, infer=INFERENCE["dropout"], compute=np.negative,
             ))
 
+    def test_an_attr_of_unknown_kind_is_rejected_at_definition(self):
+        with pytest.raises(InvalidOpDef, match="attr of unknown kind 'blob'"):
+            OpDef(name="blobby", input_arity=1, attr_schema={"b": ("blob", False)},
+                  output_arity=1, stateful=False, infer=INFERENCE["neg"], compute=np.negative)
+
     def test_builtin_ops_have_one_entry(self):
         for d in sf.kernel_table():
             entry = d.kernel if d.compute is None else d.compute

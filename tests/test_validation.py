@@ -16,13 +16,14 @@ import stageflow as sf
 from stageflow import ops as sfops
 from stageflow.errors import (
     AttrMismatch,
+    CorruptGraph,
     InputMismatch,
     KernelError,
     MissingFunction,
     ShapeMismatch,
     StageflowError,
 )
-from stageflow.graph import GraphBuilder
+from stageflow.graph import GraphBuilder, Node, Placeholder
 
 
 def f32(*shape):
@@ -435,6 +436,9 @@ def _pred():
     return sf.constant(True)
 
 
+_X2 = Placeholder("x", sf.float32, (2,))
+
+
 def _negate_graph():
     b = GraphBuilder()
     x = b.add_placeholder("x", sf.float32, (2,))
@@ -487,6 +491,15 @@ API_MISUSE = [
      lambda: sf.register_callback(lambda x: x, 3), sf.errors.SignatureViolation),
     ("restore-not-a-checkpoint", lambda: sf.restore(sf.Variable([1.0]), None),
      sf.errors.StorageError),
+    ("tensor-neither-concrete-nor-symbolic", lambda: sf.Tensor(sf.float32, (), None),
+     sf.errors.SymbolicTensor),
+    ("graph_function-one-tuple-ref",
+     lambda: sf.GraphFunction("g", [_X2], [Node("neg", ((0,),), {}, None, None)], []),
+     CorruptGraph),
+    ("graph_function-nodes-none", lambda: sf.GraphFunction("g", [_X2], None, []),
+     CorruptGraph),
+    ("graph_function-output-not-a-ref",
+     lambda: sf.GraphFunction("g", [_X2], [], [("o", 3)]), CorruptGraph),
 ]
 
 

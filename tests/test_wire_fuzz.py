@@ -12,6 +12,8 @@ import stageflow as sf
 from stageflow.errors import CorruptGraph, StageflowError, StorageError
 from stageflow.graph import GraphBuilder
 
+from helpers import skip_node_check
+
 # 1-4 single-byte overwrites at positions given as fractions of the blob.
 mutations = st.lists(
     st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 255)),
@@ -231,13 +233,16 @@ class TestWireFuzz:
         ({"bogus": 7}, "unexpected attr 'bogus'"),
         ({"transpose_a": 1}, "transpose_a must be a bool"),
     ])
-    def test_attrs_outside_the_op_schema_are_corrupt_graph(self, attrs, match):
-        # The builder takes any attrs, and the wire encodes them; decoding
+    def test_attrs_outside_the_op_schema_are_corrupt_graph(self, attrs, match,
+                                                           monkeypatch):
+        # A writer that skips the node check encodes any attrs; decoding
         # checks them against the op's schema.
+        skip_node_check(monkeypatch)
         b = GraphBuilder()
         x = b.add_placeholder("x", sf.float32, (2, 2))
         (y,) = b.add_node("matmul", [x, x], attrs, None, [(sf.float32, (2, 2))])
         blob = sf.serialize(b.finalize("hostile", [y], ["y"]))
+        monkeypatch.undo()
         with pytest.raises(CorruptGraph, match=rf"^node 0: matmul.*{match}"):
             sf.deserialize(blob)
 
