@@ -16,7 +16,8 @@ raises NumericalDivergence and no throughput is reported. Staged trace and
 optimization time lands in the warmup/setup phase and is reported
 separately, never inside steady-state throughput. Minor page faults are
 counted around the timed loops (``getrusage``), where ``resource`` exists,
-and so are tape backwards replayed from a plan (``RuntimeStats.tape_replays``).
+and so are tape backwards replayed from a plan (``RuntimeStats.tape_replays``)
+and staged function calls (``RuntimeStats.staged_calls``).
 """
 from __future__ import annotations
 
@@ -85,6 +86,7 @@ class BenchReport:
     # Over the timed iterations of all repeats; None without ``resource``.
     minor_faults_per_iteration: Optional[float] = None
     tape_replays_per_iteration: float = 0.0  # over the timed iterations
+    staged_calls_per_iteration: float = 0.0  # over the timed iterations
 
 
 class _Workload:
@@ -257,7 +259,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     runs: List[float] = []
     setup_time = 0.0
     cache_size = 0
-    faults = replays = 0
+    faults = replays = calls = 0
     for _ in range(cfg.repeats):
         t_setup = time.perf_counter()
         wl = _fresh(cfg, cfg.mode)
@@ -265,6 +267,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             wl.run_iteration()
         setup_time += time.perf_counter() - t_setup
         r0 = rt.stats.tape_replays
+        c0 = rt.stats.snapshot()["staged_calls"]
         f0 = _minor_faults()
         t0 = time.perf_counter()
         for _ in range(cfg.iterations):
@@ -272,6 +275,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         elapsed = time.perf_counter() - t0
         faults += _minor_faults() - f0
         replays += rt.stats.tape_replays - r0
+        calls += rt.stats.snapshot()["staged_calls"] - c0
         wall_times.append(elapsed)
         runs.append(cfg.batch_size * cfg.iterations / elapsed)
         cache_size = wl.cache_size()
@@ -292,6 +296,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             faults / (cfg.repeats * cfg.iterations) if resource else None
         ),
         tape_replays_per_iteration=replays / (cfg.repeats * cfg.iterations),
+        staged_calls_per_iteration=calls / (cfg.repeats * cfg.iterations),
     )
 
 

@@ -56,6 +56,7 @@ def _run_bench(args) -> int:
         f"{report.copies} copies, setup {report.setup_time * 1e3:.1f} ms)"
     )
     print(f"tape replays per iteration: {report.tape_replays_per_iteration:.1f}")
+    print(f"staged calls per iteration: {report.staged_calls_per_iteration:.1f}")
     faults = report.minor_faults_per_iteration
     print("minor faults per iteration: "
           + ("unavailable" if faults is None else f"{faults:.1f}"))

@@ -39,6 +39,10 @@ class DType(enum.Enum):
     def __repr__(self) -> str:
         return f"DType.{self.value}"
 
+    # Members are singletons, so identity is equality: hash without the
+    # Python frame of ``Enum.__hash__`` (every trace key hashes its dtypes).
+    __hash__ = object.__hash__
+
 
 float32 = DType.float32
 float64 = DType.float64

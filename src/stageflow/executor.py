@@ -31,9 +31,14 @@ computes. A step is one of two kinds, by what the op's ``OpDef`` has:
   ``KernelEnv`` per pinned device, made at the first Tensor step that
   needs it.
 
-One step loop, two entries: ``execute_graph`` checks the inputs against the
-placeholders, then runs ``run_bound``; a tape replay, whose exact key proved
-its inputs' specs, calls ``run_bound`` directly.
+One step loop, two entries. ``execute_graph`` binds the inputs to the
+placeholders, then runs ``run_bound``: a staged call outside a trace, a
+call, branch or loop node's graph and ``execute`` all enter here, and the
+binding is their one input check. It reads a table the plan holds, so an
+input that is a concrete tensor of its placeholder's exact spec, or a
+variable of it at a variable-reference placeholder, costs one class test
+and one spec comparison. A tape replay, whose exact key proved its inputs'
+specs, calls ``run_bound`` directly.
 
 Tensors are made only at the graph's edges and for Tensor steps: the inputs
 are unwrapped once, at binding; each output is wrapped once, read-only
@@ -105,11 +110,17 @@ class _Plan:
     with a Tensor kernel) always gets a step.
     """
 
-    __slots__ = ("n_inputs", "prefill", "constants", "slot_device", "steps",
-                 "output_slots")
+    __slots__ = ("n_inputs", "binding", "prefill", "constants", "slot_device",
+                 "steps", "output_slots")
 
     def __init__(self, gf: GraphFunction):
         n_in = self.n_inputs = len(gf.inputs)
+        # Per placeholder, the class and (dtype, shape) of a value that binds
+        # without further checks, and the placeholder itself.
+        self.binding = tuple([
+            (Variable if ph.is_variable_ref else Tensor, (ph.dtype, ph.shape), ph)
+            for ph in gf.inputs
+        ])
         # Per value id, its first slot: a placeholder's is its id, a node's
         # its first output's.
         first: List[int] = list(range(n_in))
@@ -179,40 +190,59 @@ def _plan_for(gf: GraphFunction) -> _Plan:
 
 def _bind_inputs(gf: GraphFunction, values: Sequence) -> list:
     """Check ``values`` against the placeholders and return their slot
-    values: a tensor's array, a variable itself."""
-    if len(values) != len(gf.inputs):
+    values: a tensor's array, a variable itself.
+
+    This is a call's one input check. A concrete tensor of its placeholder's
+    exact spec, or a variable of it at a variable-reference placeholder,
+    binds after one class test and one spec comparison; any other value
+    gets ``_bind_one``'s checks and messages.
+    """
+    binding = (gf._plan or _plan_for(gf)).binding
+    if len(values) != len(binding):
         raise InputMismatch(
-            f"{gf.name} takes {len(gf.inputs)} inputs "
+            f"{gf.name} takes {len(binding)} inputs "
             f"(including captures), got {len(values)}"
         )
     raw = []
-    for ph, v in zip(gf.inputs, values):
-        if ph.is_variable_ref:
-            if not isinstance(v, Variable):
-                raise InputMismatch(
-                    f"{gf.name}: input {ph.name!r} expects a variable"
-                )
-            what = "variable bound to"
-            raw.append(v)
-        else:
-            if not isinstance(v, Tensor):
-                raise InputMismatch(
-                    f"{gf.name}: input {ph.name!r} expects a tensor, got "
-                    f"{type(v).__name__}"
-                )
-            if v._symbolic is not None:
-                raise InputMismatch(
-                    f"{gf.name}: symbolic tensor passed for {ph.name!r}"
-                )
-            what = "input"
-            raw.append(v._array)
-        if not matches_spec(v.dtype, v.shape, ph.dtype, ph.shape):
-            raise InputMismatch(
-                f"{gf.name}: {what} {ph.name!r} is "
-                f"{v.dtype.value}{list(v.shape)}, expected "
-                f"{ph.dtype.value}{list(ph.shape)}"
-            )
+    for v, (cls, spec, ph) in zip(values, binding):
+        if v.__class__ is cls and (v.dtype, v.shape) == spec:
+            if cls is Variable:
+                raw.append(v)
+                continue
+            array = v._array
+            if array is not None:  # not symbolic
+                raw.append(array)
+                continue
+        raw.append(_bind_one(gf, ph, v))
     return raw
+
+
+def _bind_one(gf: GraphFunction, ph, v):
+    """``v`` checked against placeholder ``ph``; its slot value."""
+    if ph.is_variable_ref:
+        if not isinstance(v, Variable):
+            raise InputMismatch(
+                f"{gf.name}: input {ph.name!r} expects a variable"
+            )
+        what, slot = "variable bound to", v
+    else:
+        if not isinstance(v, Tensor):
+            raise InputMismatch(
+                f"{gf.name}: input {ph.name!r} expects a tensor, got "
+                f"{type(v).__name__}"
+            )
+        if v._symbolic is not None:
+            raise InputMismatch(
+                f"{gf.name}: symbolic tensor passed for {ph.name!r}"
+            )
+        what, slot = "input", v._array
+    if not matches_spec(v.dtype, v.shape, ph.dtype, ph.shape):
+        raise InputMismatch(
+            f"{gf.name}: {what} {ph.name!r} is "
+            f"{v.dtype.value}{list(v.shape)}, expected "
+            f"{ph.dtype.value}{list(ph.shape)}"
+        )
+    return slot
 
 
 def execute_graph(
@@ -233,7 +263,7 @@ def run_bound(gf: GraphFunction, inputs: Sequence, raw: list,
     """Run ``gf`` on ``inputs`` already known to match its placeholders,
     with ``raw`` their slot values (a tensor's array, a variable itself)."""
     rt = get_runtime()
-    plan = _plan_for(gf)
+    plan = gf._plan or _plan_for(gf)
     buffers = list(plan.prefill)
     buffers[: plan.n_inputs] = raw
     if env is not None:

@@ -218,9 +218,9 @@ def checked_node(k, op, inputs, attrs, device, out_specs, scope: NodeScope) -> t
     function attr put in the scope's library and named there, and a
     canonical device (UnknownDevice); inputs that name earlier values in
     ``scope``, with variable placeholders just at a variable op's input 0
-    and a call's inputs (CorruptGraph); and the specs the op's ``infer``
-    gives, which declared ``out_specs`` (None: none) must equal
-    (CorruptGraph)."""
+    and where the graphs a call, cond or while_loop node runs take them
+    (CorruptGraph); and the specs the op's ``infer`` gives, which declared
+    ``out_specs`` (None: none) must equal (CorruptGraph)."""
     try:
         op_def = scope.ops[op]
     except (KeyError, TypeError):
@@ -242,11 +242,14 @@ def checked_node(k, op, inputs, attrs, device, out_specs, scope: NodeScope) -> t
         for name in FUNCTION_ATTRS[op]:
             if isinstance(attrs[name], GraphFunction):
                 attrs[name] = add_to_library(scope.library, attrs[name])
-        if op == "call_function":  # specs do not carry kind: match it here
-            callee = scope.env.resolve_function(attrs["function"])
+        if op == "cond" and inputs and inputs[0] in variables:
+            raise CorruptGraph(f"node {k} (cond) takes a variable as its predicate")
+        # Specs do not carry kind: match it against each graph the node runs.
+        for name, refs in _kernels.callee_inputs(op, attrs, inputs):
+            callee = scope.env.resolve_function(attrs[name])
             if any((ref in variables) != ph.is_variable_ref
-                   for ref, ph in zip(inputs, callee.inputs)):
-                raise CorruptGraph(f"node {k} (call_function) passes a variable where "
+                   for ref, ph in zip(refs, callee.inputs)):
+                raise CorruptGraph(f"node {k} ({op}) passes a variable where "
                                    f"{callee.name} takes a tensor, or the reverse")
     elif variables and not variables.isdisjoint(inputs):
         raise CorruptGraph(f"node {k} ({op}) takes a variable input placeholder")

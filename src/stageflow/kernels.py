@@ -52,8 +52,8 @@ What a kernel still checks is what ``infer`` could not see:
   is assigned (``Variable._check_value``);
 * that an eager variable op got a variable, since specs do not carry
   kind (in a graph, ``checked_node`` saw that input 0 of a variable op is
-  a variable-reference placeholder, and that a call passes variables just
-  where its callee takes them);
+  a variable-reference placeholder, and that a call, cond or while_loop
+  node passes variables just where the graphs it runs take them);
 * numpy's own errors on wildcard dims (a broadcast, matmul or reshape that
   does not fit at run time), which the dispatcher and the executor wrap as
   ``KernelError``.
@@ -70,7 +70,7 @@ from .devices import DeviceName
 from .dtypes import _FROM_NP, DType, SymShape, matches_spec
 from .errors import BroadcastIncompatible, KernelError, MissingFunction, ShapeMismatch
 from .escape import callback_signature, run_callback
-from .graph import GraphFunction
+from .graph import FUNCTION_ATTRS, GraphFunction
 from .runtime import get_runtime
 from .state import Variable
 from .tensor import Tensor, concrete_tensor, to_device
@@ -407,17 +407,53 @@ def _assign_add_kernel(attrs, inputs, env):
 # ---------------------------------------------------------------------------
 
 
+def callee_inputs(op: str, attrs, inputs: Sequence) -> tuple:
+    """What each graph a ``call_function``, ``cond`` or ``while_loop`` node
+    runs receives, as ``(function attr, its inputs)`` pairs: sliced from
+    the node's ``inputs`` (specs, refs or values, one sequence type) by the
+    node's count attrs, which must fit (KernelError).
+
+    A call's graph gets all inputs. A branch gets the operands and its own
+    captures, after the boolean predicate at input 0; the loop condition
+    and body get the loop variables and their own captures."""
+    if op == "call_function":
+        return (("function", inputs),)
+    if op == "cond":
+        counts = attrs["n_operands"], attrs["n_then_captured"], attrs["n_else_captured"]
+        head = 1
+    else:
+        counts = attrs["n_vars"], attrs["n_cond_captured"], attrs["n_body_captured"]
+        head = 0
+    if min(counts) < 0 or head + sum(counts) != len(inputs):
+        raise KernelError(f"{op} counts {list(counts)} do not fit its {len(inputs)} inputs")
+    n, k = head + counts[0], head + counts[0] + counts[1]
+    shared = inputs[head:n]
+    first, second = FUNCTION_ATTRS[op]
+    return ((first, shared + inputs[n:k]), (second, shared + inputs[k:]))
+
+
+def _matched_callees(op: str, attrs, in_specs: Sequence[Spec], env) -> list:
+    """The graphs a call, cond or while_loop node runs, each matched against
+    the specs it receives: one per placeholder (KernelError otherwise),
+    where a spec with an unknown dim is checked when the graph runs."""
+    graphs = []
+    for name, specs in callee_inputs(op, attrs, in_specs):
+        gf = _resolve(attrs[name], env)
+        if len(specs) != len(gf.inputs):
+            raise KernelError(
+                f"{op}: {gf.name} takes {len(gf.inputs)} inputs, got {len(specs)}"
+            )
+        for (dt, shape), ph in zip(specs, gf.inputs):
+            if None not in shape and not matches_spec(dt, shape, ph.dtype, ph.shape):
+                raise KernelError(f"{op}: {gf.name} input {ph.name!r} is "
+                                  f"{ph.dtype.value}{list(ph.shape)}, got "
+                                  f"{dt.value}{list(shape)}")
+        graphs.append(gf)
+    return graphs
+
+
 def _call_function_infer(attrs, in_specs, env=None):
-    gf = _resolve(attrs["function"], env)
-    if len(in_specs) != len(gf.inputs):
-        raise KernelError(
-            f"call_function: {gf.name} takes {len(gf.inputs)} inputs, "
-            f"got {len(in_specs)}"
-        )
-    for (dt, shape), ph in zip(in_specs, gf.inputs):  # an unknown dim: checked at run time
-        if None not in shape and not matches_spec(dt, shape, ph.dtype, ph.shape):
-            raise KernelError(f"call_function: {gf.name} input {ph.name!r} is "
-                              f"{ph.dtype.value}{list(ph.shape)}, got {dt.value}{list(shape)}")
+    (gf,) = _matched_callees("call_function", attrs, in_specs, env)
     return gf.output_specs  # a fresh list
 
 
@@ -455,27 +491,18 @@ def _check_predicate(op: str, pred: Tensor) -> bool:
 
 
 def _cond_infer(attrs, in_specs, env=None):
-    then_gf = _resolve(attrs["then_branch"], env)
-    else_gf = _resolve(attrs["else_branch"], env)
+    then_gf, else_gf = _matched_callees("cond", attrs, in_specs, env)
     _require_predicate("cond", in_specs[0])
     t_specs, e_specs = then_gf.output_specs, else_gf.output_specs
     if [s[0] for s in t_specs] != [s[0] for s in e_specs]:
         raise KernelError("cond branches must produce matching output dtypes")
-    return list(t_specs)
+    return t_specs
 
 
 def _cond_kernel(attrs, inputs, env):
-    n_ops = attrs["n_operands"]
-    n_then = attrs["n_then_captured"]
-    pred = inputs[0]
-    operands = inputs[1 : 1 + n_ops]
-    then_caps = inputs[1 + n_ops : 1 + n_ops + n_then]
-    else_caps = inputs[1 + n_ops + n_then :]
-    if _check_predicate("cond", pred):
-        gf = env.resolve_function(attrs["then_branch"])
-        return execute_graph(gf, list(operands) + list(then_caps), env=env)
-    gf = env.resolve_function(attrs["else_branch"])
-    return execute_graph(gf, list(operands) + list(else_caps), env=env)
+    then_in, else_in = callee_inputs("cond", attrs, inputs)
+    name, branch_inputs = then_in if _check_predicate("cond", inputs[0]) else else_in
+    return execute_graph(env.resolve_function(attrs[name]), branch_inputs, env=env)
 
 
 def _require_condition(specs: Sequence[Spec]) -> None:
@@ -486,7 +513,8 @@ def _require_condition(specs: Sequence[Spec]) -> None:
 
 
 def _while_infer(attrs, in_specs, env=None):
-    _require_condition(_resolve(attrs["loop_cond"], env).output_specs)
+    cond_gf, _ = _matched_callees("while_loop", attrs, in_specs, env)
+    _require_condition(cond_gf.output_specs)
     return list(in_specs[: attrs["n_vars"]])
 
 

@@ -227,10 +227,16 @@ def kernel_table() -> List[OpDef]:
 
 
 def canonicalize_attrs(op_def: OpDef, attrs: Optional[dict]) -> Dict[str, Any]:
-    """``attrs`` checked against the op's schema, in name order, each value
-    by its kind's checker; AttrMismatch for an unexpected, missing or
-    ill-typed attr."""
-    attrs = attrs or {}
+    """``attrs`` (a dict, or None for none) checked against the op's schema,
+    in name order, each value by its kind's checker; AttrMismatch for
+    attrs that are not a dict and for an unexpected, missing or ill-typed
+    attr."""
+    if attrs is None:
+        attrs = {}
+    elif not isinstance(attrs, dict):
+        raise AttrMismatch(
+            f"{op_def.name}: attrs must be a dict, got {type(attrs).__name__}"
+        )
     checks = op_def.attr_checks
     out: Dict[str, Any] = {}
     for name in sorted(attrs):
@@ -316,7 +322,8 @@ _ATTR_CHECKS: Dict[str, Callable[[str, str, Any], Any]] = {
 def resolve_placement(
     op_def: OpDef, inputs: Sequence, ctx: ExecutionContext
 ) -> Tuple[DeviceName, List]:
-    """Pick the execution device and transparently copy stray inputs to it.
+    """Pick the execution device and transparently copy stray inputs to it,
+    for an op (``op_def``) or a staged call (None); both place alike.
 
     Each transparent copy bumps the runtime copy metric. With a single
     device and no scope, ``inputs`` itself comes back.

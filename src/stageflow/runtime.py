@@ -7,7 +7,7 @@ execute on the calling thread; the runtime starts no threads of its own.
 
 Each thread of execution owns one ExecutionContext: its stack of open
 traces, its stack of active gradient tapes, its device-scope stack, its
-eager op counts and its cache of tape backward plans.
+eager op and staged call counts and its cache of tape backward plans.
 
 Building the first Runtime also changes the process's malloc policy once,
 on glibc only (see ``retain_freed_heap``): blocks up to ``HEAP_RETAIN_BYTES``
@@ -89,34 +89,48 @@ def retain_freed_heap() -> bool:
     return _heap_retained
 
 
+class ThreadCounts:
+    """One thread's eager op counts and staged call count; only that
+    thread writes them."""
+
+    __slots__ = ("ops", "staged_calls")
+
+    def __init__(self):
+        self.ops: Dict[str, int] = {}
+        self.staged_calls = 0
+
+
 class RuntimeStats:
     """Instrumentation counters; cheap enough to leave always on.
 
-    Eager ops are counted per op name in one dict per execution context,
-    which only that context's thread writes (no lock per op);
-    ``snapshot`` merges them. ``tape_plans`` counts the tape backward plans
-    built and ``tape_replays`` the backward passes run from one; a replayed
-    backward dispatches no eager op.
+    Eager ops are counted per op name, and staged calls (a staged function
+    run outside a trace, which dispatches no op of its own) in one number,
+    both in one ``ThreadCounts`` per execution context, which only that
+    context's thread writes (no lock per op or call); ``snapshot`` sums
+    them, the counts of threads that have ended included. ``tape_plans`` counts
+    the tape backward plans built and ``tape_replays`` the backward passes
+    run from one; a replayed backward dispatches no eager op.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._op_counts: List[Dict[str, int]] = []
+        self._counts: List[ThreadCounts] = []
         self.reset()
 
     def reset(self) -> None:
         with self._lock:
-            for counts in self._op_counts:
-                counts.clear()
+            for counts in self._counts:
+                counts.ops.clear()
+                counts.staged_calls = 0
             self.transparent_copies = 0
             self.traces = 0
             self.derived_traces = 0
             self.tape_plans = 0
             self.tape_replays = 0
 
-    def register_op_counts(self, counts: Dict[str, int]) -> None:
+    def register_counts(self, counts: ThreadCounts) -> None:
         with self._lock:
-            self._op_counts.append(counts)
+            self._counts.append(counts)
 
     def count_copy(self, n: int = 1) -> None:
         with self._lock:
@@ -141,11 +155,12 @@ class RuntimeStats:
     def snapshot(self) -> dict:
         with self._lock:
             merged: Counter = Counter()
-            for counts in self._op_counts:
-                merged.update(counts.copy())
+            for counts in self._counts:
+                merged.update(counts.ops.copy())
             return {
                 "eager_dispatches": sum(merged.values()),
                 "eager_op_counts": dict(merged),
+                "staged_calls": sum(counts.staged_calls for counts in self._counts),
                 "transparent_copies": self.transparent_copies,
                 "traces": self.traces,
                 "derived_traces": self.derived_traces,
@@ -158,7 +173,7 @@ class ExecutionContext:
     """Per-thread mode, tape, and placement state, for one runtime."""
 
     __slots__ = ("runtime", "traces", "tapes", "device_scopes", "escape_depth",
-                 "op_counts", "tape_plans", "tape_sightings")
+                 "counts", "op_counts", "tape_plans", "tape_sightings")
 
     def __init__(self, runtime: "Runtime"):
         self.runtime = runtime
@@ -166,8 +181,9 @@ class ExecutionContext:
         self.tapes: List[Any] = []  # stack of tape.Tape, innermost last
         self.device_scopes: List[Any] = []
         self.escape_depth = 0
-        self.op_counts: Dict[str, int] = {}  # eager ops run on this thread
-        runtime.stats.register_op_counts(self.op_counts)
+        self.counts = ThreadCounts()
+        self.op_counts = self.counts.ops  # eager ops run on this thread
+        runtime.stats.register_counts(self.counts)
         # tape.py's backward plans, least recently used first, and how often
         # each tape fingerprint was seen.
         self.tape_plans: "OrderedDict[Any, Any]" = OrderedDict()

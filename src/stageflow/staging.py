@@ -4,8 +4,12 @@
 trace key from the arguments (tensors abstracted to dtype/shape, variables
 keyed by identity, plain values by value, plus the ambient device scope); a
 cache miss runs the function once in a graph-building context and caches the
-optimized graph, a hit reuses it. Graph functions execute through the
-``call_function`` op, so calls place like ops and record onto tapes.
+optimized graph, a hit reuses it. Outside a trace, a call places its inputs
+as an op would (``ops.resolve_placement``) and runs the graph through
+``executor.execute_graph``, whose input binding is the call's one input
+check; it dispatches no op and counts as one ``staged_calls``. Inside a
+trace, it records a ``call_function`` node. Taped calls record one tape
+entry whose backward is itself a staged call.
 
 Host values the function closes over are captured: external tensors and
 variables become hidden placeholder inputs passed automatically at call
@@ -44,10 +48,11 @@ from .errors import (
     UnencodableArgument,
     VariableCreationError,
 )
+from .executor import execute_graph
 from .gradients import zeros_for
 from .graph import GraphBuilder, GraphFunction, optimize
-from .kernels import _check_predicate, _require_condition, _require_predicate
-from .ops import _as_operand, _notify_tapes, dispatch, raising_backward
+from .kernels import KernelEnv, _check_predicate, _require_condition, _require_predicate
+from .ops import _as_operand, _notify_tapes, dispatch, raising_backward, resolve_placement
 from .runtime import current_context, get_runtime
 from .state import Variable
 from .tensor import SymbolicRef, Tensor, count_open_trace, symbolic_tensor
@@ -289,9 +294,14 @@ def _normalize_outputs(result, fn_name: str):
 class ConcreteFunction:
     """A traced graph plus its captured environment and output structure."""
 
-    def __init__(self, graph: GraphFunction, captured: Sequence, structure: str):
+    def __init__(self, graph: GraphFunction, captured: Sequence, structure: str,
+                 all_explicit: bool = False):
+        """``all_explicit``: every argument of the traced call is a tensor or
+        a variable, so a call with its trace key passes all its arguments
+        as inputs (the key fixes which arguments are which)."""
         self.graph = graph
         self.structure = structure
+        self.all_explicit = all_explicit
         self._captured = []
         for value in captured:
             if isinstance(value, Variable):
@@ -340,8 +350,9 @@ class ConcreteFunction:
         return list(outputs)
 
 
-def call_concrete(cf: ConcreteFunction, explicit: Sequence) -> List[Tensor]:
-    """Invoke a concrete function through the call_function op.
+def call_concrete(cf: ConcreteFunction, explicit: Sequence, ctx=None) -> List[Tensor]:
+    """Invoke a concrete function on its explicit inputs (see ``_call``), in
+    this thread's context ``ctx``.
 
     When an active tape watches one of the inputs (captured variables that
     the graph reads auto-watch first), the call runs through the derived
@@ -350,9 +361,8 @@ def call_concrete(cf: ConcreteFunction, explicit: Sequence) -> List[Tensor]:
     function call.
     """
     inputs_all = list(explicit) + cf.materialize_captured()
-    ctx = current_context()
-    active_tapes = [t for t in ctx.tapes if t.active]
-    watching = []
+    ctx = ctx or current_context()
+    active_tapes = [t for t in ctx.tapes if t.active] if ctx.tapes else None
     if active_tapes:
         for pos in cf._read_var_positions:
             v = inputs_all[pos]
@@ -364,14 +374,26 @@ def call_concrete(cf: ConcreteFunction, explicit: Sequence) -> List[Tensor]:
             for t in active_tapes
             if any(id(x) in t._tracked for x in inputs_all)
         ]
-    if watching and cf.differentiable:
-        return _call_with_tape(cf, inputs_all, watching)
-    return dispatch("call_function", inputs_all, {"function": cf.graph})
+        if watching and cf.differentiable:
+            return _call_with_tape(cf, inputs_all, watching, ctx)
+    return _call(cf.graph, inputs_all, ctx)
 
 
-def _call_with_tape(cf, inputs_all, watching) -> List[Tensor]:
+def _call(gf: GraphFunction, inputs: List, ctx) -> List[Tensor]:
+    """``gf`` on ``inputs``: a ``call_function`` node in an open trace;
+    otherwise the inputs placed as an op's would be and the graph run on
+    this thread, which ``execute_graph``'s binding checks."""
+    if ctx.traces and not ctx.escape_depth:
+        return dispatch("call_function", inputs, {"function": gf})
+    device, moved = resolve_placement(None, inputs, ctx)
+    ctx.counts.staged_calls += 1
+    env = ctx.runtime.eager_envs.get(device) or KernelEnv(device=device)
+    return execute_graph(gf, moved, env)
+
+
+def _call_with_tape(cf, inputs_all, watching, ctx) -> List[Tensor]:
     fwd, _, saved_desc, float_pos = get_forward_backward(cf.graph)
-    outs_all = dispatch("call_function", inputs_all, {"function": fwd})
+    outs_all = _call(fwd, inputs_all, ctx)
     m = len(cf.graph.outputs)
     outs, extras = outs_all[:m], outs_all[m:]
     saved_vals = [
@@ -450,11 +472,11 @@ class PolymorphicFunction:
         return list(self._cache.values())
 
     def trace_key_for(self, *args, **kwargs) -> TraceKey:
-        bound = self._bind(args, kwargs)
+        values = [v for _, v, _ in self._bind(args, kwargs)]
         if self.pinned_signature is not None:
-            self._check_pinned(bound)
+            self._check_pinned(values)
             return _PINNED
-        return infer_trace_key([v for _, v, _ in bound])
+        return infer_trace_key(values)
 
     def get_concrete(self, key: TraceKey) -> ConcreteFunction:
         cf = self._cache.get(key)
@@ -465,13 +487,18 @@ class PolymorphicFunction:
         return cf
 
     def __call__(self, *args, **kwargs):
-        bound = self._bind(args, kwargs)
-        cf = self._concrete_for(bound)
-        explicit = [
-            v for _, v, _ in bound if isinstance(v, (Tensor, Variable))
+        names = self._plain_names
+        if names is not None and not kwargs and len(args) == len(names):
+            bound, values = None, args  # ``_bind`` gives one entry per name
+        else:
+            bound = self._bind(args, kwargs)
+            values = [v for _, v, _ in bound]
+        ctx = current_context()
+        cf = self._concrete_for(values, ctx, bound)
+        explicit = values if cf.all_explicit else [
+            v for v in values if isinstance(v, (Tensor, Variable))
         ]
-        outs = call_concrete(cf, explicit)
-        return cf.unpack(outs)
+        return cf.unpack(call_concrete(cf, explicit, ctx))
 
     # -- internals -------------------------------------------------------------
 
@@ -510,13 +537,13 @@ class PolymorphicFunction:
                 entries.append((name, value, "pos"))
         return entries
 
-    def _check_pinned(self, bound: List) -> None:
+    def _check_pinned(self, values: Sequence) -> None:
         sig = self.pinned_signature
-        if len(bound) != len(sig):
+        if len(values) != len(sig):
             raise SignatureMismatch(
-                f"{self._name} is pinned to {len(sig)} arguments, got {len(bound)}"
+                f"{self._name} is pinned to {len(sig)} arguments, got {len(values)}"
             )
-        for i, ((_, arg, _), (dtype, shape)) in enumerate(zip(bound, sig)):
+        for i, (arg, (dtype, shape)) in enumerate(zip(values, sig)):
             if not isinstance(arg, Tensor):
                 raise SignatureMismatch(
                     f"{self._name}: argument {i} must be a tensor under a "
@@ -528,12 +555,15 @@ class PolymorphicFunction:
                     f"{list(arg.shape)}, pinned to {dtype.value}{list(shape)}"
                 )
 
-    def _concrete_for(self, bound: List) -> ConcreteFunction:
+    def _concrete_for(self, values: Sequence, ctx=None, bound=None) -> ConcreteFunction:
+        """The concrete function for a call's argument ``values``, traced
+        on a miss from ``bound``, the call's ``_bind`` entries (None: the
+        plain entries of ``values``)."""
         if self.pinned_signature is not None:
-            self._check_pinned(bound)
+            self._check_pinned(values)
             key = _PINNED
         else:
-            key = infer_trace_key([v for _, v, _ in bound])
+            key = infer_trace_key(values, ctx)
         cf = self._cache.get(key)
         if cf is not None:
             return cf
@@ -547,7 +577,7 @@ class PolymorphicFunction:
                 cf = self._cache.get(key)
             if cf is not None:
                 return cf
-            cf = self._trace_to_concrete(bound)
+            cf = self._trace_to_concrete(self._bind(values, {}) if bound is None else bound)
             with self._cache_lock:
                 self._cache[key] = cf
             return cf
@@ -587,6 +617,7 @@ def trace_function(
     get_runtime().stats.count_trace()
     ts = TraceState(name)
     args, kwargs = [], {}
+    all_explicit = all(isinstance(v, (Tensor, Variable)) for _, v, _ in bound)
     for i, (pname, value, kind) in enumerate(bound):
         if pinned is not None:
             value = ts.add_arg_tensor(pname, *pinned[i])
@@ -615,7 +646,8 @@ def trace_function(
         out_tensors, structure = _normalize_outputs(result, name)
         out_refs = [ts.resolve_input(t) for t in out_tensors]
     gf = ts.finalize(out_refs, [f"out_{i}" for i in range(len(out_refs))])
-    return ConcreteFunction(gf, ts.capture_values, structure), ts.created_variables
+    cf = ConcreteFunction(gf, ts.capture_values, structure, all_explicit)
+    return cf, ts.created_variables
 
 
 def stage(fn=None, *, signature=None, name=None):

@@ -30,8 +30,10 @@ sources and the target (``vjp``: the seeds). On the key's first sighting
 the op-by-op backward runs with a trace open (``staging.TraceState``)
 instead: it records the same ops in the same order over placeholders for
 the saved values it reads, so the finalized graph's plan is bit-identical
-to the op-by-op path. ``gradient``'s ones seed is made in the trace, a
-plan constant, with the target's spec in the key; ``vjp``'s cotangents
+to the op-by-op path. That graph is pruned, not constant-folded, so the
+seed's chain runs at replay and the plan keeps no constant of a source's
+size. ``gradient``'s ones seed is made in the trace, a plan constant,
+with the target's spec in the key; ``vjp``'s cotangents
 stay plan inputs. That call and every later one with the key run the plan
 through ``executor.run_bound``, unchecked, as the key proved each input's
 spec: a replayed backward makes no seed and dispatches, and counts, no
@@ -60,6 +62,7 @@ from .errors import (
     UnwatchedSource,
 )
 from .gradients import GradContext, ones_for, zeros_for
+from .graph import prune
 from .ops import add
 from .runtime import current_context
 from .staging import TraceKey, TraceState
@@ -457,7 +460,8 @@ def _trace_plan(entries, target, seeds, sources, encoding, values):
                     refs.append(ts.resolve_input(g))
         if ts.capture_values:
             return None
-        gf = ts.finalize(refs, [f"grad_{i}" for i in range(len(refs))])
+        # Not folded: see the module docstring.
+        gf = prune(ts.builder.finalize(ts.name, refs, [f"grad_{i}" for i in range(len(refs))]))
     except Exception:
         # Any failure means the trace cannot stand in for this backward; the
         # op-by-op run that follows raises the rule's own error, if any.

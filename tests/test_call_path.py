@@ -2,13 +2,16 @@
 runs an import statement, and call metadata is computed once per graph and
 handed out as copies."""
 import builtins
+import gc
 import sys
 
 import numpy as np
 import pytest
 
 import stageflow as sf
+from stageflow import executor
 from stageflow.dtypes import matches_spec
+from stageflow.errors import DeadVariable, StageflowError
 from stageflow.ops import get_op_def
 from stageflow.tape import REPLAY_AFTER
 
@@ -262,6 +265,97 @@ class TestCachedCallMetadata:
         assert cf.differentiable is True
         assert [e.op for e in tape.entries] == ["call_function"]
         assert tape.gradient(y, x).numpy().tolist() == [2.0, 4.0]
+
+
+class TestStagedCallContract:
+    """Outside a trace a staged call dispatches no op: it places its inputs
+    as an op would, runs its graph through ``execute_graph``, whose binding
+    is its one input check, and counts as one ``staged_calls``."""
+
+    def _counting_binds(self, monkeypatch):
+        binds = []
+        bind = executor._bind_inputs
+
+        def counting(gf, values):
+            binds.append(gf.name)
+            return bind(gf, values)
+
+        monkeypatch.setattr(executor, "_bind_inputs", counting)
+        return binds
+
+    def _delta(self, run):
+        stats = sf.get_runtime().stats
+        before = stats.snapshot()
+        run()
+        after = stats.snapshot()
+        return {k: after[k] - before[k] for k in ("eager_dispatches", "staged_calls")}
+
+    def test_a_warm_call_binds_once_and_dispatches_nothing(self, monkeypatch):
+        f = sf.stage(lambda a, b: sf.add(a, b))
+        q, p = sf.constant(np.ones((32, 2), np.float32)), sf.constant(np.ones((32, 2), np.float32))
+        f(q, p)
+        binds = self._counting_binds(monkeypatch)
+        assert self._delta(lambda: f(q, p)) == {"eager_dispatches": 0, "staged_calls": 1}
+        assert len(binds) == 1
+        assert "call_function" not in sf.get_runtime().stats.snapshot()["eager_op_counts"]
+
+    def test_a_taped_call_and_its_gradient_bind_twice(self, monkeypatch):
+        f = sf.stage(lambda a: sf.reduce_sum(sf.mul(a, a)))
+        x = sf.constant(np.array([1.0, 2.0], np.float32))
+
+        def taped():
+            with sf.Tape() as tape:
+                tape.watch(x)
+                y = f(x)
+            return tape.gradient(y, x)
+
+        taped()
+        binds = self._counting_binds(monkeypatch)
+        assert self._delta(taped) == {"eager_dispatches": 0, "staged_calls": 2}
+        assert len(binds) == 2  # the forward variant, then the staged backward
+        assert taped().numpy().tolist() == [2.0, 4.0]
+
+    def test_a_call_in_a_trace_records_a_call_function_node(self):
+        inner = sf.stage(lambda a: sf.mul(a, a))
+        outer = sf.stage(lambda a: inner(a) + 1.0)
+        x = sf.constant(np.array([3.0], np.float32))
+        assert self._delta(lambda: outer(x)) == {"eager_dispatches": 0, "staged_calls": 1}
+        (cf,) = outer.cached_functions()
+        assert "call_function" in [n.op for n in cf.graph.nodes]
+
+    def test_a_wrong_shaped_cotangent_reaching_a_staged_backward_raises(self):
+        f = sf.stage(lambda a: sf.mul(a, 2.0))
+        x = sf.constant(np.ones(3, np.float32))
+        with sf.Tape() as tape:
+            tape.watch(x)
+            y = f(x)
+        with pytest.raises(StageflowError):
+            tape.vjp([y], [sf.constant(np.ones(4, np.float32))], [x])
+
+    def test_a_dead_captured_variable_raises(self):
+        v = sf.Variable(np.ones(2, np.float32))
+        holder = [v]
+        f = sf.stage(lambda a: sf.add(a, holder[0].read_value()))
+        x = sf.constant(np.ones(2, np.float32))
+        assert f(x).numpy().tolist() == [2.0, 2.0]
+        del v, holder[:]
+        gc.collect()
+        with pytest.raises(DeadVariable):
+            f(x)
+
+    @pytest.mark.usefixtures("accel_runtime")
+    def test_a_call_under_a_device_scope_places_its_inputs(self):
+        f = sf.stage(lambda a, b: sf.add(a, b))
+        x, y = sf.constant(np.ones(2, np.float32)), sf.constant(np.ones(2, np.float32))
+        stats = sf.get_runtime().stats
+        with sf.device_scope(ACCEL0):
+            f(x, y)
+            before = stats.snapshot()
+            out = f(x, y)
+            after = stats.snapshot()
+        assert out.device.render() == ACCEL0
+        assert after["transparent_copies"] - before["transparent_copies"] == 2
+        assert after["staged_calls"] - before["staged_calls"] == 1
 
 
 @pytest.mark.parametrize("dtype, shape, spec_dtype, spec_shape, fits", [

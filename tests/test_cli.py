@@ -81,6 +81,18 @@ def test_leapfrog_reports_tape_replays_per_iteration(mode, replays, capsys):
     assert f"tape replays per iteration: {replays}" in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("mode, calls", [("eager", "0.0"), ("staged", "1.0")])
+def test_leapfrog_reports_staged_calls_per_iteration(mode, calls, capsys):
+    # Staged leapfrog is one staged call of the whole trajectory; its forces
+    # are traced into that graph. Eager leapfrog stages nothing.
+    args = ["bench", "--workload", "leapfrog", "--mode", mode, "--batch", "1",
+            "--iters", "2", "--warmup", "1", "--repeats", "2"]
+    assert cli.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index(f"staged calls per iteration: {calls}")
+    assert lines[at - 1].startswith("tape replays per iteration: ")
+
+
 def test_report_counts_minor_faults_over_the_timed_iterations(monkeypatch):
     counts = iter(range(0, 1000, 7))  # each reading is 7 faults after the last
     monkeypatch.setattr(bench, "_minor_faults", lambda: next(counts))

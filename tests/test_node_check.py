@@ -108,6 +108,89 @@ class TestCalls:
         assert out.numpy().tolist() == [[4.0] * 3] * 2
 
 
+def _flag_graph():
+    # A loop condition over a (2, 3) float32 loop variable: its captured flag.
+    b = GraphBuilder()
+    b.add_placeholder("x", F32, (2, 3))
+    flag = b.add_placeholder("flag", sf.boolean, ())
+    return b.finalize("flag", b.add_node("identity", [flag], None, None, None), ["keep"])
+
+
+def _cond_attrs(n_operands=1, n_then=0, n_else=0):
+    return {"then_branch": "negate23", "else_branch": "negate23",
+            "n_operands": n_operands, "n_then_captured": n_then, "n_else_captured": n_else}
+
+
+def _while_attrs(n_cond=1, n_body=0):
+    return {"loop_cond": "flag", "loop_body": "negate23", "n_vars": 1,
+            "n_cond_captured": n_cond, "n_body_captured": n_body}
+
+
+class TestControlFlowNodes:
+    """``cond`` and ``while_loop`` nodes are matched against the graphs they
+    run when they are added, as calls are: each graph gets the operands or
+    loop variables plus its own captures."""
+
+    def _builder(self):
+        b = GraphBuilder({"negate23": NEGATE23, "flag": _flag_graph()})
+        refs = {
+            "pred": b.add_placeholder("pred", sf.boolean, ()),
+            "y": b.add_placeholder("y", F32, (3,)),
+            "x": b.add_placeholder("x", F32, (2, 3)),
+            "v": b.add_placeholder("v", F32, (2, 3), is_variable_ref=True),
+            "vpred": b.add_placeholder("vpred", sf.boolean, (), is_variable_ref=True),
+        }
+        return b, refs
+
+    def test_a_cond_operand_its_branch_does_not_take_fails_when_added(self):
+        b, r = self._builder()
+        with pytest.raises(KernelError, match="cond: negate23 input 'x' is float32"):
+            b.add_node("cond", [r["pred"], r["y"]], _cond_attrs(), None, None)
+        assert b.nodes == []
+
+    def test_a_cond_capture_count_its_branch_does_not_take_fails(self):
+        b, r = self._builder()
+        with pytest.raises(KernelError, match="negate23 takes 1 inputs, got 2"):
+            b.add_node("cond", [r["pred"], r["x"], r["x"]], _cond_attrs(n_then=1), None, None)
+
+    def test_counts_that_do_not_fit_the_inputs_fail(self):
+        b, r = self._builder()
+        with pytest.raises(KernelError, match="do not fit"):
+            b.add_node("cond", [r["pred"], r["x"]], _cond_attrs(n_operands=2), None, None)
+        with pytest.raises(KernelError, match="do not fit"):
+            b.add_node("cond", [r["pred"], r["x"]], _cond_attrs(n_then=-1, n_else=1), None, None)
+        with pytest.raises(KernelError, match="do not fit"):
+            b.add_node("while_loop", [r["x"]], _while_attrs(), None, None)
+
+    def test_a_loop_variable_its_graphs_do_not_take_fails_when_added(self):
+        b, r = self._builder()
+        with pytest.raises(KernelError, match="while_loop: flag input 'x' is float32"):
+            b.add_node("while_loop", [r["y"], r["pred"]], _while_attrs(), None, None)
+
+    def test_a_variable_for_a_tensor_operand_is_corrupt(self):
+        b, r = self._builder()
+        with pytest.raises(CorruptGraph, match=r"\(cond\) passes a variable where negate23"):
+            b.add_node("cond", [r["pred"], r["v"]], _cond_attrs(), None, None)
+        with pytest.raises(CorruptGraph, match=r"\(while_loop\) passes a variable"):
+            b.add_node("while_loop", [r["v"], r["pred"]], _while_attrs(), None, None)
+
+    def test_a_variable_predicate_is_corrupt(self):
+        b, r = self._builder()
+        with pytest.raises(CorruptGraph, match="variable as its predicate"):
+            b.add_node("cond", [r["vpred"], r["x"]], _cond_attrs(), None, None)
+
+    def test_matching_nodes_build_and_run(self):
+        b, r = self._builder()
+        (c,) = b.add_node("cond", [r["pred"], r["x"]], _cond_attrs(), None, None)
+        gf = b.finalize("branch", [c], ["c"])
+        x = sf.constant(np.ones((2, 3), np.float32))
+        pred = sf.constant(True)
+        v = sf.Variable(np.ones((2, 3), np.float32))
+        (out,) = sf.execute(gf, [pred, sf.constant(np.ones(3, np.float32)), x, v,
+                                 sf.Variable(True)])
+        assert out.numpy().tolist() == [[-1.0] * 3] * 2
+
+
 # ---------------------------------------------------------------------------
 # Property: a node table builds to a graph that runs as its specs say, or
 # raises a StageflowError, through GraphBuilder and GraphFunction alike.
@@ -122,6 +205,9 @@ _b = GraphBuilder()
 _x = _b.add_placeholder("x", F32, (2, 3))
 DOUBLE = _b.finalize("double", _b.add_node("add", [_x, _x], None, None, None), ["y"])
 LIBRARY = {"double": DOUBLE}
+_b = GraphBuilder()
+_x = _b.add_placeholder("x", F32, (2, 3))
+NEGATE23 = _b.finalize("negate23", _b.add_node("neg", [_x], None, None, None), ["y"])
 # Control flow and host callbacks are drawn by the staging and escape tests.
 HIGHER_ORDER = ("cond", "while_loop", "host_call")
 CPU = "/job:local/task:0/device:CPU:0"

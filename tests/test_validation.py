@@ -439,6 +439,12 @@ def _pred():
 _X2 = Placeholder("x", sf.float32, (2,))
 
 
+def _add_node_list_attrs():
+    b = GraphBuilder()
+    x = b.add_placeholder("x", sf.float32, (3,))
+    b.add_node("reduce_sum", [x], ["axes"], None, None)
+
+
 def _negate_graph():
     b = GraphBuilder()
     x = b.add_placeholder("x", sf.float32, (2,))
@@ -473,6 +479,17 @@ API_MISUSE = [
      lambda: sf.while_loop(lambda v: sf.greater(v, 0.0), 2, [1.0]),
      sf.errors.StagingError),
     ("dispatch-inputs-none", lambda: sf.dispatch("add", None), KernelError),
+    ("dispatch-attrs-list", lambda: sf.dispatch("reduce_sum", [f32(3)], ["axes"]),
+     AttrMismatch),
+    ("dispatch-attrs-int", lambda: sf.dispatch("reduce_sum", [f32(3)], 3), AttrMismatch),
+    ("dispatch-attrs-str", lambda: sf.dispatch("reduce_sum", [f32(3)], "axes"),
+     AttrMismatch),
+    ("add_node-attrs-list", _add_node_list_attrs, AttrMismatch),
+    ("dispatch-cond-no-inputs", lambda: sf.dispatch("cond", [], {
+        "then_branch": _negate_graph(), "else_branch": _negate_graph(), "n_operands": 0,
+        "n_then_captured": 0, "n_else_captured": 0}), KernelError),
+    ("staged-call-leaked-symbolic",
+     lambda: sf.stage(lambda x: x * 2.0)(_leaked_symbolic()), InputMismatch),
     ("reshape-shape-none", lambda: sf.reshape(f32(2), None), AttrMismatch),
     ("broadcast_to-shape-none", lambda: sf.broadcast_to(f32(2), None), AttrMismatch),
     ("random_normal-shape-none", lambda: sf.random_normal(None), AttrMismatch),
