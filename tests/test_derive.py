@@ -1,15 +1,17 @@
 """Staged derivation runs only toward float inputs: no gradient toward a
 constant is recorded, the forward variant saves only what the needed
 gradients read, and the gradients stay bit-identical to eager."""
+import hashlib
+
 import numpy as np
 import pytest
 
 import stageflow as sf
 from stageflow import staging
-from stageflow.backprop import get_forward_backward
+from stageflow.backprop import backward_for, get_forward_backward
 
 from helpers import leapfrog
-from test_optimize import _mlp_variant
+from test_optimize import _mlp_variant, _pinned_graphs
 
 
 def _taped_graph(fn, *args):
@@ -41,6 +43,27 @@ def _graphs():
             pf(x, y)
         graphs.append(pf.get_concrete(pf.trace_key_for(x, y)).graph)
     return graphs
+
+
+def test_derived_graphs_serialize_to_pinned_bytes():
+    # Every forward variant, full backward and single-input masked backward
+    # of the graphs above and of the optimizer's pinned graphs.
+    digest, count = hashlib.sha256(), 0
+    for gf in _graphs() + _pinned_graphs():
+        fwd, bwd_cf, _, float_pos = get_forward_backward(gf)
+        derived = [fwd, bwd_cf.graph] + [
+            backward_for(gf, tuple(j == i for j in range(len(float_pos)))).graph
+            for i in range(len(float_pos))
+        ]
+        for g in derived:
+            blob = sf.serialize(g)
+            digest.update(len(blob).to_bytes(4, "little"))
+            digest.update(blob)
+            count += 1
+    assert count == 287
+    assert digest.hexdigest() == (
+        "1c8bdeb33815c5034ada0b9d7961a0bda3b1c292f3d981265fcc74d0a79ac7d2"
+    )
 
 
 def test_every_saved_value_is_read_by_the_backward():
