@@ -1,4 +1,17 @@
-"""Differentiation of graph functions.
+"""The reverse pass, and the derived functions of graph functions.
+
+One reverse pass. ``reverse_accumulate`` is the one loop that accumulates
+gradients: an eager tape, a tape's traced replay plan and a staged
+derivation all run it. It walks ``TapeEntry`` records whose values are keyed
+by anything hashable: a tape keys them by object identity, a derivation by
+the graph's ``(value id, output index)`` refs. A forward walk from the
+source keys marks every value they reach; the reverse walk skips an entry
+that no source or no gradient reaches, and tells each entry which of its
+inputs are reached (``GradContext.needs``), so no gradient toward a constant
+is computed. An op entry hands its rule a ``GradContext`` over its saved
+values (``TapeEntry.backprop``). A staged call's entry, on a tape or in a
+derivation, runs ``call_backward``; a host call's runs
+``host_call_backward``.
 
 The first time a graph function is called while a tape watches one of its
 inputs, two derived functions are built from it and cached:
@@ -9,17 +22,13 @@ inputs, two derived functions are built from it and cached:
   variant, so intermediates thread out through call boundaries);
 * a *backward function*: a fresh graph that maps
   ``(output gradients..., saved values...)`` to gradients for every float
-  input, built by running the per-op gradient rules in reverse over the
-  forward graph inside a new trace.
+  input, built by running the reverse pass over one entry per forward node,
+  toward the float inputs, inside a new trace.
 
-Derivation runs only toward float inputs. One forward pass marks the values
-a float input reaches; the reverse pass skips every node that no float
-input reaches, and tells each rule which of its inputs are reached
-(``GradContext.needs``), as the eager tape does. So no
-gradient toward a constant is recorded, and the forward variant saves only
-the values that the needed gradients read. A rule computes a needed
-gradient with the same ops either way, so the gradients are bit-identical
-to a derivation toward every input.
+A rule reads saved values lazily, so the forward variant saves only the
+values that the needed gradients read. A rule computes a needed gradient
+with the same ops either way, so the gradients are bit-identical to a
+derivation toward every input.
 
 The tape entry for the call stores the saved values, so computing the
 gradient of a staged forward pass executes the staged backward function —
@@ -31,7 +40,9 @@ function that keeps just those outputs of the full one and prunes the nodes
 no kept output or stateful node reaches. It takes the same inputs, so the
 forward variant and the saved values stay one per graph, and no mask needs
 a second derivation. The kept nodes are the full backward's own, so the
-gradients are bit-identical to the full backward's.
+gradients are bit-identical to the full backward's. ``call_backward`` runs
+the masked backward for the inputs its caller needs, on a tape and for a
+nested call alike.
 
 A node without a gradient rule (a staged ``cond`` or ``while_loop``) drops
 the gradient that reaches it. ``_grad_paths`` records, per value, each such
@@ -48,10 +59,127 @@ from .errors import NotDifferentiable, StagingError
 from .escape import backward_callback_for
 from .gradients import GradContext, zeros_for
 from .graph import GraphFunction, Node, _optimized, add_to_library
-from .ops import _DERIVED, add, dispatch
+from .ops import add, dispatch
 from .runtime import get_runtime
 
 SavedDesc = Tuple  # ("input", placeholder index) | ("extra", fwd extra index)
+
+# Ops whose gradients are derived from their callee or callback, not looked
+# up: their entries bring their own backward.
+_DERIVED = ("call_function", "host_call")
+
+
+class TapeEntry:
+    """One recorded op application, as the reverse pass sees it.
+
+    ``input_ids``/``output_ids`` key its values. An op entry keeps its
+    ``op_def`` and ``attrs`` and hands its rule the ``saved_inputs`` and
+    ``saved_outputs`` (the values, or ``LazyReads`` that make each at its
+    first read) and the ``in_specs`` (None: read from the saved inputs). A
+    custom entry (a staged or host call, an op whose gradient raises or is
+    dropped) brings a prebuilt ``backward`` closure instead.
+    """
+
+    __slots__ = ("op", "input_ids", "output_ids", "saved_inputs", "saved_outputs",
+                 "op_def", "attrs", "backward", "in_specs")
+
+    def __init__(self, op, input_ids, output_ids, saved_inputs, saved_outputs,
+                 op_def=None, attrs=None, backward=None, in_specs=None):
+        self.op = op
+        self.input_ids = input_ids
+        self.output_ids = output_ids
+        self.saved_inputs = saved_inputs
+        self.saved_outputs = saved_outputs
+        self.op_def = op_def
+        self.attrs = attrs
+        self.backward = backward
+        self.in_specs = in_specs
+
+    def backprop(self, out_grads, needs) -> List[Tuple[object, object]]:
+        """``(input key, gradient)`` contributions for upstream
+        ``out_grads``. ``needs`` flags the inputs whose gradient is wanted;
+        op rules and custom entries compute only those."""
+        if self.backward is not None:
+            return self.backward(out_grads, needs)
+        grads = self.op_def.gradient(GradContext(
+            self.attrs, self.saved_inputs.__getitem__,
+            self.saved_outputs.__getitem__, self.in_specs, out_grads, needs,
+        ))
+        keys = self.input_ids
+        return [(keys[i], g) for i, g in enumerate(grads) if g is not None]
+
+
+class LazyReads:
+    """Indexable: ``read(keys[i])`` at ``i``, made when a rule reads it."""
+
+    __slots__ = ("read", "keys")
+
+    def __init__(self, read, keys):
+        self.read = read
+        self.keys = keys
+
+    def __getitem__(self, i):
+        return self.read(self.keys[i])
+
+
+def reverse_accumulate(entries, seeds: Dict, source_keys) -> Dict:
+    """Gradients by key, accumulated in reverse over ``entries`` (in
+    recording order) from ``seeds`` (key to gradient). Only the entries a
+    source key reaches run, and an input that no source reaches gets no
+    gradient computed."""
+    reach = set(source_keys)
+    for entry in entries:
+        for key in entry.input_ids:
+            if key in reach:
+                reach.update(entry.output_ids)
+                break
+    grads = dict(seeds)
+    for entry in reversed(entries):
+        out_grads = list(map(grads.get, entry.output_ids))
+        if not any(out_grads):  # a tensor is always true
+            continue
+        needs = list(map(reach.__contains__, entry.input_ids))
+        if not any(needs):
+            continue
+        for key, g in entry.backprop(out_grads, needs):
+            prev = grads.get(key)
+            grads[key] = g if prev is None else add(prev, g)
+    return grads
+
+
+def call_backward(gf: GraphFunction, out_grads, saved: list, needs):
+    """``(input position, gradient)`` pairs of a call of ``gf`` that saved
+    ``saved`` (its forward variant's saved values, as ``saved_desc`` lists
+    them): zeros stand in for None output gradients, and the staged backward
+    for the float inputs flagged in ``needs`` runs as a call."""
+    float_pos = get_forward_backward(gf)[3]
+    wanted = tuple([needs[p] for p in float_pos])
+    seeds = [
+        g if g is not None else zeros_for(spec)
+        for g, spec in zip(out_grads, gf.output_specs)
+    ]
+    grads = _staging.call_concrete(backward_for(gf, wanted), seeds + saved)
+    return zip([p for p, w in zip(float_pos, wanted) if w], grads)
+
+
+def host_call_backward(cb_id: int, in_specs: Tuple, out_specs, read_input, keys):
+    """The backward of a host call of callback ``cb_id`` on inputs of
+    ``in_specs``, read by position with ``read_input`` and keyed by
+    ``keys``: a host call of the callback's derived VJP on the inputs and
+    the output gradients (zeros for None), which gives every float input a
+    gradient."""
+
+    def backward(out_grads, needs):
+        bwd_id, float_in = backward_callback_for(cb_id, in_specs)
+        args = [read_input(k) for k in range(len(in_specs))]
+        args += [
+            g if g is not None else zeros_for(spec)
+            for g, spec in zip(out_grads, out_specs)
+        ]
+        results = dispatch("host_call", args, {"callback": bwd_id})
+        return [(keys[p], g) for p, g in zip(float_in, results)]
+
+    return backward
 
 
 def get_forward_backward(gf: GraphFunction):
@@ -148,28 +276,37 @@ def _build(gf: GraphFunction):
     rt = get_runtime()
     n_in = len(gf.inputs)
     ts = _staging.TraceState(gf.name + "_bwd")
-    paths = _grad_paths(gf)
 
     needed: List[Tuple[int, int]] = []  # forward refs exported by the variant
     needed_index: Dict[Tuple[int, int], int] = {}
-    aug_specs: Dict[Tuple[int, int], Tuple] = {}  # extra outputs of rewritten calls
     call_rewrites: Dict[int, GraphFunction] = {}
     saved_desc: List[SavedDesc] = []
     saved_syms: Dict[Tuple[int, int], object] = {}
-    grads: Dict[Tuple[int, int], object] = {}
 
-    def spec_of(ref):
-        return aug_specs.get(ref) or gf.spec_of(ref)
-
-    def accumulate(ref, g):
-        # A value no float input reaches passes its gradient nowhere.
-        if ref in paths:
-            prev = grads.get(ref)
-            grads[ref] = g if prev is None else add(prev, g)
+    def saved_value(ref, spec=None):
+        # ``spec``: that of an extra output of a rewritten call.
+        sym = saved_syms.get(ref)
+        if sym is None:
+            dt, shape = spec or gf.spec_of(ref)
+            sym = ts.add_arg_tensor(f"saved_{len(saved_desc)}", dt, shape)
+            vid, out_idx = ref
+            if vid < n_in:
+                saved_desc.append(("input", vid))
+            else:
+                pos = needed_index.get(ref)
+                if pos is None:
+                    pos = len(needed)
+                    needed.append(ref)
+                    needed_index[ref] = pos
+                saved_desc.append(("extra", pos))
+            saved_syms[ref] = sym
+        return sym
 
     with ts.open():
         # Backward inputs, part 1: one upstream-gradient placeholder per
-        # forward output.
+        # forward output. Part 2, the saved forward values, are made as the
+        # reverse pass reads them.
+        seeds: Dict[Tuple[int, int], object] = {}
         for name, ref in gf.outputs:
             dt, shape = gf.spec_of(ref)
             if any(d is None for d in shape):
@@ -178,61 +315,15 @@ def _build(gf: GraphFunction):
                     "unknown dims (shape-polymorphic functions are not "
                     "differentiable)"
                 )
-            accumulate(ref, ts.add_arg_tensor(f"grad_{name}", dt, shape))
-
-        # Backward inputs, part 2 (lazily): saved forward values.
-        def saved_value(ref):
-            sym = saved_syms.get(ref)
-            if sym is None:
-                dt, shape = spec_of(ref)
-                sym = ts.add_arg_tensor(f"saved_{len(saved_desc)}", dt, shape)
-                vid, out_idx = ref
-                if vid < n_in:
-                    saved_desc.append(("input", vid))
-                else:
-                    pos = needed_index.get(ref)
-                    if pos is None:
-                        pos = len(needed)
-                        needed.append(ref)
-                        needed_index[ref] = pos
-                    saved_desc.append(("extra", pos))
-                saved_syms[ref] = sym
-            return sym
-
-        for i in range(len(gf.nodes) - 1, -1, -1):
-            vid = n_in + i
-            if (vid, 0) not in paths:  # no float input reaches it: no gradient
-                continue
-            node = gf.nodes[i]
-            out_grads = [grads.get((vid, j)) for j in range(len(node.out_specs))]
-            if all(g is None for g in out_grads):
-                continue
-            if node.op == "call_function":
-                _diff_call_node(
-                    gf, node, vid, out_grads, saved_value, accumulate,
-                    call_rewrites, aug_specs, i,
-                )
-            elif node.op == "host_call":
-                _diff_host_call(gf, node, out_grads, saved_value, accumulate)
-            else:
-                rule = rt.registry.get(node.op).gradient
-                if rule is None:  # dropped; see refuse_dropped
-                    continue
-                gctx = GradContext(
-                    node.attrs,
-                    input_fn=lambda k, _n=node: saved_value(_n.inputs[k]),
-                    output_fn=lambda k, _v=vid: saved_value((_v, k)),
-                    in_specs=[gf.spec_of(r) for r in node.inputs],
-                    out_grads=out_grads,
-                    needs=[r in paths for r in node.inputs],
-                )
-                for ref, g in zip(node.inputs, rule(gctx)):
-                    if g is not None:
-                        accumulate(ref, g)
+            g = ts.add_arg_tensor(f"grad_{name}", dt, shape)
+            prev = seeds.get(ref)
+            seeds[ref] = g if prev is None else add(prev, g)
 
         float_pos = [
             p for p, ph in enumerate(gf.inputs) if ph.dtype.is_float
         ]
+        entries = _node_entries(gf, saved_value, call_rewrites)
+        grads = reverse_accumulate(entries, seeds, [(p, 0) for p in float_pos])
         out_refs, out_names = [], []
         for p in float_pos:
             ph = gf.inputs[p]
@@ -250,40 +341,65 @@ def _build(gf: GraphFunction):
     return fwd_gf, bwd_cf, saved_desc, float_pos
 
 
-def _diff_call_node(
-    gf, node, vid, out_grads, saved_value, accumulate, call_rewrites,
-    aug_specs, node_idx,
-):
-    callee = gf.library[node.attrs["function"]]
-    c_fwd, c_bwd_cf, c_desc, c_float = get_forward_backward(callee)
-    call_rewrites[node_idx] = c_fwd
-    m = len(callee.outputs)
-    for k in range(m, len(c_fwd.outputs)):
-        aug_specs[(vid, k)] = c_fwd.output_specs[k]
-    args = []
-    for j, spec in enumerate(callee.output_specs):
-        g = out_grads[j] if j < len(out_grads) else None
-        args.append(g if g is not None else zeros_for(spec))
-    for d in c_desc:
-        if d[0] == "input":
-            args.append(saved_value(node.inputs[d[1]]))
+def _node_entries(gf, saved_value, call_rewrites) -> List[TapeEntry]:
+    """The entries of ``gf``'s nodes, keyed by refs, that a tape would
+    record, reading saved values through ``saved_value``: one per node but
+    a node without a gradient rule and without a float output. The entry of
+    a node without a rule drops the gradient (see ``refuse_dropped``)."""
+    n_in = len(gf.inputs)
+    defs = get_runtime().registry
+    entries = []
+    for i, node in enumerate(gf.nodes):
+        outs = [(n_in + i, k) for k in range(len(node.out_specs))]
+        op_def = defs.get(node.op)
+        if node.op == "call_function":
+            backward = _call_node_backward(gf, i, node, saved_value, call_rewrites)
+        elif node.op == "host_call":
+            backward = host_call_backward(
+                node.attrs["callback"], tuple(map(gf.spec_of, node.inputs)),
+                node.out_specs, LazyReads(saved_value, node.inputs).__getitem__,
+                node.inputs,
+            )
+        elif op_def.gradient is not None:
+            entries.append(TapeEntry(
+                node.op, node.inputs, outs, LazyReads(saved_value, node.inputs),
+                LazyReads(saved_value, outs), op_def, node.attrs,
+                in_specs=LazyReads(gf.spec_of, node.inputs),
+            ))
+            continue
+        elif any(dt.is_float for dt, _ in node.out_specs):
+            backward = _dropped
         else:
-            args.append(saved_value((vid, m + d[1])))
-    results = _staging.call_concrete(c_bwd_cf, args)
-    for pos, g in zip(c_float, results):
-        accumulate(node.inputs[pos], g)
+            continue
+        entries.append(TapeEntry(node.op, node.inputs, outs, (), (), backward=backward))
+    return entries
 
 
-def _diff_host_call(gf, node, out_grads, saved_value, accumulate):
-    in_specs = tuple(gf.spec_of(r) for r in node.inputs)
-    bwd_id, float_in = backward_callback_for(node.attrs["callback"], in_specs)
-    args = [saved_value(r) for r in node.inputs]
-    for j, spec in enumerate(node.out_specs):
-        g = out_grads[j] if j < len(out_grads) else None
-        args.append(g if g is not None else zeros_for(spec))
-    results = dispatch("host_call", args, {"callback": bwd_id})
-    for pos, g in zip(float_in, results):
-        accumulate(node.inputs[pos], g)
+def _dropped(out_grads, needs):
+    return ()
+
+
+def _call_node_backward(gf, i, node, saved_value, call_rewrites):
+    """A call node's backward: the forward variant calls the callee's own
+    forward variant, whose extra outputs are the callee's saved values."""
+    vid = len(gf.inputs) + i
+    callee = gf.library[node.attrs["function"]]
+
+    def backward(out_grads, needs):
+        c_fwd, _, c_desc, _ = get_forward_backward(callee)
+        call_rewrites[i] = c_fwd
+        m, specs = len(callee.outputs), c_fwd.output_specs
+        saved = [
+            saved_value(node.inputs[d[1]]) if d[0] == "input"
+            else saved_value((vid, m + d[1]), specs[m + d[1]])
+            for d in c_desc
+        ]
+        return [
+            (node.inputs[p], g)
+            for p, g in call_backward(callee, out_grads, saved, needs)
+        ]
+
+    return backward
 
 
 def _assemble_forward_variant(gf, needed, call_rewrites) -> GraphFunction:

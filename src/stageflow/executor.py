@@ -245,16 +245,9 @@ def _bind_one(gf: GraphFunction, ph, v):
     return slot
 
 
-def execute_graph(
-    gf: GraphFunction,
-    inputs: Sequence,
-    env: Optional[KernelEnv] = None,
-    workers: Optional[int] = None,
-) -> List[Tensor]:
-    """Run ``gf`` on ``inputs`` (arguments, then captures) on this thread.
-
-    ``workers`` is accepted for compatibility and ignored.
-    """
+def execute_graph(gf: GraphFunction, inputs: Sequence,
+                  env: Optional[KernelEnv] = None) -> List[Tensor]:
+    """Run ``gf`` on ``inputs`` (arguments, then captures) on this thread."""
     return run_bound(gf, inputs, _bind_inputs(gf, inputs), env)
 
 
@@ -335,7 +328,8 @@ def execute(
     captured: Sequence = (),
     workers: Optional[int] = None,
 ) -> List[Tensor]:
-    """Run a graph function directly (inputs, then captured values)."""
+    """Run a graph function directly (inputs, then captured values), on
+    this thread; ``workers`` is accepted for compatibility and ignored."""
     if not isinstance(gf, GraphFunction):
         raise InputMismatch(f"execute runs a GraphFunction, got {type(gf).__name__}")
     try:
@@ -346,7 +340,7 @@ def execute(
             f"and {type(captured).__name__}"
         ) from None
     env = KernelEnv(device=placement_target(all_inputs, current_context()))
-    return execute_graph(gf, all_inputs, env=env, workers=workers)
+    return execute_graph(gf, all_inputs, env=env)
 
 
 def run_node_for_folding(node: Node, inputs: Sequence[Tensor], library) -> List[Tensor]:

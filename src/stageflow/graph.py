@@ -232,7 +232,8 @@ def checked_node(k, op, inputs, attrs, device, out_specs, scope: NodeScope) -> t
         raise CorruptGraph(f"node {k} references a missing or later value") from None
     if op_def.input_arity is not None and len(inputs) != op_def.input_arity:
         raise ArityMismatch(f"{op} takes {op_def.input_arity} inputs, got {len(inputs)}")
-    attrs = _ops.canonicalize_attrs(op_def, attrs) if attrs or op_def.required_attrs else {}
+    attrs = (_ops.canonicalize_attrs(op_def, attrs)
+             if attrs is not None or op_def.required_attrs else {})
     variables = scope.variables
     if op in VARIABLE_OPS:
         if not (inputs and inputs[0] in variables) or not variables.isdisjoint(inputs[1:]):

@@ -512,10 +512,24 @@ def _require_condition(specs: Sequence[Spec]) -> None:
     _require_predicate("while_loop", specs[0])
 
 
+def loop_body_fits(out_specs: Sequence[Spec], var_specs: Sequence[Spec]) -> bool:
+    """Whether a ``while_loop`` body's results fit the loop variables: one
+    per variable, of its dtype, and of its shape where the result's dims
+    are known (the rest are checked when the body runs)."""
+    return len(out_specs) == len(var_specs) and all(
+        dt is v_dt and (None in shape or matches_spec(dt, shape, v_dt, v_shape))
+        for (dt, shape), (v_dt, v_shape) in zip(out_specs, var_specs)
+    )
+
+
 def _while_infer(attrs, in_specs, env=None):
-    cond_gf, _ = _matched_callees("while_loop", attrs, in_specs, env)
+    cond_gf, body_gf = _matched_callees("while_loop", attrs, in_specs, env)
     _require_condition(cond_gf.output_specs)
-    return list(in_specs[: attrs["n_vars"]])
+    var_specs = list(in_specs[: attrs["n_vars"]])
+    if not loop_body_fits(body_gf.output_specs, var_specs):
+        raise KernelError(f"while_loop: {body_gf.name} must return one value per "
+                          "loop variable, with matching specs")
+    return var_specs
 
 
 def _while_kernel(attrs, inputs, env):

@@ -48,10 +48,6 @@ from .runtime import ExecutionContext, current_context, get_runtime
 from .state import Variable
 from .tensor import Tensor, coerce, constant as _constant_tensor, move_to, to_device
 
-# Ops whose gradients are derived from their callee or callback, not looked
-# up: a staged call and a host call record their own tape entries.
-_DERIVED = ("call_function", "host_call")
-
 # Attr value kinds.
 INT, FLOAT, BOOL, STRING, DTYPE, SHAPE, AXES, TENSOR, FUNCTION = (
     "int", "float", "bool", "string", "dtype", "shape", "axes", "tensor", "function",
@@ -385,7 +381,8 @@ def dispatch(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> List[Te
         raise ArityMismatch(
             f"{op} takes {op_def.input_arity} inputs, got {len(inputs)}"
         )
-    attrs = canonicalize_attrs(op_def, attrs) if attrs or op_def.required_attrs else {}
+    attrs = (canonicalize_attrs(op_def, attrs)
+             if attrs is not None or op_def.required_attrs else {})
     specs = []
     for i, x in enumerate(inputs):
         if isinstance(x, Tensor):
@@ -442,9 +439,11 @@ def _notify_tapes(op_def, inputs, outputs, attrs, ctx) -> None:
         for t in ctx.tapes:
             if t.active:
                 t._maybe_record(op_def, inputs, outputs, attrs)
-    elif op_def.name not in _DERIVED and any(y.dtype.is_float for y in outputs):
+    elif op_def.name != "host_call" and any(y.dtype.is_float for y in outputs):
         # A gradient reaching a float output of an op without a rule raises,
-        # where it would otherwise stop there as if it were a constant.
+        # where it would otherwise stop there as if it were a constant. An
+        # eager host call's callback puts its own ops on the tapes, and a
+        # traced one goes on with its derived backward (``TraceState.record``).
         for t in ctx.tapes:
             if t.active and not t._tracked.isdisjoint(map(id, inputs)):
                 t._record_custom(op_def.name, inputs, outputs, (), raising_backward(

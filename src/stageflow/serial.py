@@ -213,6 +213,6 @@ def _decode(data: bytes, name: str) -> GraphFunction:
         for _ in range(nr.u32()):
             attr_name = nr.string()
             attrs[attr_name] = _attr_from_wire(nr)
-        nodes.append((nr.string_at(op_id), inputs, attrs, nr.string() or None, None))
+        nodes.append((nr.string_at(op_id), inputs, attrs or None, nr.string() or None, None))
     nr.end("the node table")
     return GraphFunction(name, placeholders, nodes, outputs, library)

@@ -35,7 +35,7 @@ import weakref
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .backprop import backward_for, get_forward_backward, refuse_dropped
+from .backprop import call_backward, get_forward_backward, host_call_backward, refuse_dropped
 from .dtypes import DType, check_specs, matches_spec
 from .errors import (
     DeadVariable,
@@ -49,9 +49,10 @@ from .errors import (
     VariableCreationError,
 )
 from .executor import execute_graph
-from .gradients import zeros_for
 from .graph import GraphBuilder, GraphFunction, optimize
-from .kernels import KernelEnv, _check_predicate, _require_condition, _require_predicate
+from .kernels import (
+    KernelEnv, _check_predicate, _require_condition, _require_predicate, loop_body_fits,
+)
 from .ops import _as_operand, _notify_tapes, dispatch, raising_backward, resolve_placement
 from .runtime import current_context, get_runtime
 from .state import Variable
@@ -166,7 +167,8 @@ class TraceState:
 
     # -- node recording ----------------------------------------------------------
 
-    def record(self, op_def, inputs: List, attrs: Optional[dict], ctx) -> List[Tensor]:
+    def record(self, op_def, inputs: List, attrs: Optional[dict], ctx,
+               notify: bool = True) -> List[Tensor]:
         """Append one node applying ``op_def`` to ``inputs`` and return its
         symbolic outputs.
 
@@ -174,7 +176,10 @@ class TraceState:
         call's attrs, which ``GraphBuilder.add_node`` checks with the rest of
         the node (a graph function attr goes into the trace's library). Nodes
         are placed on the ambient device; only a device scope entered inside
-        the traced function pins the node.
+        the traced function pins the node. The node goes on the tapes active
+        in the trace as an op would, unless ``notify`` is false (a staged
+        call, which records its own entry); a host call, whose callback has
+        not run, goes on with the callback's derived backward.
         """
         brefs = tuple(map(self.resolve_input, inputs))  # rejects non-tensor inputs
         scopes = ctx.device_scopes
@@ -194,13 +199,27 @@ class TraceState:
                 symbolic_tensor(dt, shape, device, _new_sref((self.trace_id, bref)))
                 for (dt, shape), bref in zip(node[4], out_brefs)
             ]
-        if ctx.tapes:
-            _notify_tapes(op_def, inputs, outs, node[2], ctx)
+        if ctx.tapes and notify:
+            if op_def.name == "host_call":
+                _tape_host_call(inputs, outs, node, ctx)
+            else:
+                _notify_tapes(op_def, inputs, outs, node[2], ctx)
         return outs
 
     def finalize(self, output_refs, output_names) -> GraphFunction:
         gf = self.builder.finalize(self.name, output_refs, output_names)
         return optimize(gf)
+
+
+def _tape_host_call(inputs, outs, node, ctx) -> None:
+    keys = tuple(map(id, inputs))
+    backward = host_call_backward(
+        node[2]["callback"], tuple((x.dtype, x.shape) for x in inputs), node[4],
+        inputs.__getitem__, keys,
+    )
+    for t in ctx.tapes:
+        if t.active and not t._tracked.isdisjoint(keys):
+            t._record_custom("host_call", inputs, outs, inputs, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +399,13 @@ def call_concrete(cf: ConcreteFunction, explicit: Sequence, ctx=None) -> List[Te
 
 
 def _call(gf: GraphFunction, inputs: List, ctx) -> List[Tensor]:
-    """``gf`` on ``inputs``: a ``call_function`` node in an open trace;
-    otherwise the inputs placed as an op's would be and the graph run on
-    this thread, which ``execute_graph``'s binding checks."""
+    """``gf`` on ``inputs``: a ``call_function`` node in an open trace,
+    which goes on no tape (the caller records the call's entry); otherwise
+    the inputs placed as an op's would be and the graph run on this
+    thread, which ``execute_graph``'s binding checks."""
     if ctx.traces and not ctx.escape_depth:
-        return dispatch("call_function", inputs, {"function": gf})
+        return ctx.traces[-1].record(ctx.runtime.registry.get("call_function"),
+                                     inputs, {"function": gf}, ctx, notify=False)
     device, moved = resolve_placement(None, inputs, ctx)
     ctx.counts.staged_calls += 1
     env = ctx.runtime.eager_envs.get(device) or KernelEnv(device=device)
@@ -392,26 +413,21 @@ def _call(gf: GraphFunction, inputs: List, ctx) -> List[Tensor]:
 
 
 def _call_with_tape(cf, inputs_all, watching, ctx) -> List[Tensor]:
-    fwd, _, saved_desc, float_pos = get_forward_backward(cf.graph)
+    fwd, _, saved_desc, _ = get_forward_backward(cf.graph)
     outs_all = _call(fwd, inputs_all, ctx)
     m = len(cf.graph.outputs)
     outs, extras = outs_all[:m], outs_all[m:]
     saved_vals = [
         inputs_all[d[1]] if d[0] == "input" else extras[d[1]] for d in saved_desc
     ]
-    out_specs = cf.graph.output_specs
     input_ids = [id(x) for x in inputs_all]
 
     def backward(out_grads, needs):
         refuse_dropped(cf.graph, out_grads, needs)
-        seeds = [
-            g if g is not None else zeros_for(spec)
-            for g, spec in zip(out_grads, out_specs)
+        return [
+            (input_ids[p], g)
+            for p, g in call_backward(cf.graph, out_grads, saved_vals, needs)
         ]
-        wanted = tuple(needs[p] for p in float_pos)
-        grads = call_concrete(backward_for(cf.graph, wanted), seeds + list(saved_vals))
-        kept = [p for p, w in zip(float_pos, wanted) if w]
-        return [(input_ids[p], g) for p, g in zip(kept, grads)]
 
     # The staged backward reads the extras, so a tape that records that
     # backward sees them as inputs. Recording them as outputs of the call's
@@ -703,14 +719,15 @@ def cond(pred, true_fn, false_fn, operands: Sequence = ()):
 
 
 def while_loop(cond_fn, body_fn, loop_vars: Sequence):
-    """Tensor-dependent loop; loop variables keep their dtype (StagingError).
+    """Tensor-dependent loop; loop variables keep their dtype and their
+    known dims (StagingError).
 
     Outside a trace this is a Python ``while`` over eager ops, which tapes
     differentiate. Inside a trace the condition and body are traced afresh
     into one ``while_loop`` node, which has no gradient.
     """
     vars_ = [_as_operand(x) for x in _operand_list(loop_vars, "while_loop loop_vars")]
-    dtypes = [x.dtype for x in vars_]
+    specs = [(x.dtype, x.shape) for x in vars_]
     cond_name = _fn_name(cond_fn, "loop_cond")
     body_name = _fn_name(body_fn, "loop_body")
     if not current_context().tracing:
@@ -722,11 +739,11 @@ def while_loop(cond_fn, body_fn, loop_vars: Sequence):
             if not _check_predicate("while_loop", keep_going[0]):
                 return tuple(vars_) if len(vars_) != 1 else vars_[0]
             vars_, _ = _normalize_outputs(body_fn(*vars_), body_name)
-            _check_loop_body([x.dtype for x in vars_], dtypes)
+            _check_loop_body([(x.dtype, x.shape) for x in vars_], specs)
     bound = [(f"arg_{i}", x, "pos") for i, x in enumerate(vars_)]
     cond_cf, _ = trace_function(cond_fn, cond_name, bound)
     body_cf, _ = trace_function(body_fn, body_name, bound)
-    _check_loop_body([s[0] for s in body_cf.graph.output_specs], dtypes)
+    _check_loop_body(body_cf.graph.output_specs, specs)
     cond_caps = cond_cf.materialize_captured()
     body_caps = body_cf.materialize_captured()
     outs = dispatch(
@@ -756,10 +773,10 @@ def _require_callable(fn, what: str) -> None:
         raise StagingError(f"{what} must be callable, got {type(fn).__name__}")
 
 
-def _check_loop_body(out_dtypes: List[DType], var_dtypes: List[DType]) -> None:
-    if out_dtypes != var_dtypes:
+def _check_loop_body(out_specs, var_specs) -> None:
+    if not loop_body_fits(out_specs, var_specs):
         raise StagingError("while_loop body must return one value per loop "
-                           "variable, with matching dtypes")
+                           "variable, with matching specs")
 
 
 def _fn_name(fn, fallback: str) -> str:

@@ -7,14 +7,18 @@ records the backward math too, which is all that higher-order derivatives
 require. A watched op without a gradient rule that has a float output is
 recorded with a backward that raises NotDifferentiable.
 
-The backward pass runs only over entries reachable from the requested
-sources. A forward walk over the entries finds every value computed from a
-source; an entry none of whose inputs is among them is skipped, and a rule
-computes no gradient for an input that no source reaches (``needs``). The
-gradients that are computed use the same ops in the same order either way.
-
-An op entry hands its rule a ``GradContext`` over the saved tensors, which
-reads an input's or output's spec from the tensor only when the rule asks.
+The backward pass is ``backprop.reverse_accumulate``, the one reverse pass
+that tape replays and staged derivations run too, over this tape's entries
+keyed by value identity (``backprop.TapeEntry``). It runs only the entries a
+requested source reaches, and a rule computes no gradient for an input that
+no source reaches (``needs``). The gradients that are computed use the same
+ops in the same order either way. An op entry hands its rule a
+``GradContext`` over the saved tensors, which reads an input's or output's
+spec from the tensor only when the rule asks. A staged call's entry runs
+``backprop.call_backward``, the backward a derivation runs for a nested
+call; a host call staged under a tape that is active inside the trace runs
+``backprop.host_call_backward`` (eagerly, the callback's own ops reach the
+tape).
 
 Values are tracked by host object identity. Entries keep strong references
 to the tensors they saved, so identities stay stable for the tape's
@@ -28,13 +32,13 @@ each entry's op, attrs and input count, and the number (first position) and
 spec (class, dtype, shape) at each position of the entries' values, the
 sources and the target (``vjp``: the seeds). On the key's first sighting
 the op-by-op backward runs with a trace open (``staging.TraceState``)
-instead: it records the same ops in the same order over placeholders for
-the saved values it reads, so the finalized graph's plan is bit-identical
-to the op-by-op path. That graph is pruned, not constant-folded, so the
-seed's chain runs at replay and the plan keeps no constant of a source's
-size. ``gradient``'s ones seed is made in the trace, a plan constant,
-with the target's spec in the key; ``vjp``'s cotangents
-stay plan inputs. That call and every later one with the key run the plan
+instead, over entries whose rules read placeholders: it records the same
+ops in the same order over placeholders for the saved values it reads, so
+the finalized graph's plan is bit-identical to the op-by-op path. That
+graph is pruned, not constant-folded, so the seed's chain runs at replay
+and the plan keeps no constant of a source's size. ``gradient``'s ones
+seed is made in the trace, a plan constant, with the target's spec in the
+key; ``vjp``'s cotangents stay plan inputs. That call and every later one with the key run the plan
 through ``executor.run_bound``, unchecked, as the key proved each input's
 spec: a replayed backward makes no seed and dispatches, and counts, no
 eager op. ``RuntimeStats`` counts the plans built (``tape_plans``, not
@@ -61,7 +65,8 @@ from .errors import (
     NonScalarTarget,
     UnwatchedSource,
 )
-from .gradients import GradContext, ones_for, zeros_for
+from .backprop import LazyReads, TapeEntry, reverse_accumulate
+from .gradients import ones_for, zeros_for
 from .graph import prune
 from .ops import add
 from .runtime import current_context
@@ -75,44 +80,6 @@ _MAX_PLANS = 256  # plans kept per thread
 _MAX_SIGHTINGS = 4096  # fingerprints counted per thread before a reset
 _UNSEEN = object()
 _SPEC = attrgetter("__class__", "dtype._value_", "shape")  # a value's, in a key
-
-
-class TapeEntry:
-    """One recorded op application.
-
-    ``saved_inputs``/``saved_outputs`` hold everything the op's gradient
-    might need, so the backward pass never re-runs the forward op. An op
-    entry keeps its ``op_def`` and ``attrs`` and builds its gradient from
-    them; a custom entry (a staged call) brings a prebuilt ``backward``
-    closure instead.
-    """
-
-    __slots__ = ("op", "input_ids", "output_ids", "saved_inputs", "saved_outputs",
-                 "op_def", "attrs", "backward")
-
-    def __init__(self, op, input_ids, output_ids, saved_inputs, saved_outputs,
-                 op_def=None, attrs=None, backward=None):
-        self.op = op
-        self.input_ids = input_ids
-        self.output_ids = output_ids
-        self.saved_inputs = saved_inputs
-        self.saved_outputs = saved_outputs
-        self.op_def = op_def
-        self.attrs = attrs
-        self.backward = backward
-
-    def backprop(self, out_grads, needs) -> List[Tuple[int, Tensor]]:
-        """``(input identity, gradient)`` contributions for upstream
-        ``out_grads``. ``needs`` flags the inputs whose gradient is wanted;
-        op rules and custom entries compute only those."""
-        if self.backward is not None:
-            return self.backward(out_grads, needs)
-        grads = self.op_def.gradient(GradContext(
-            self.attrs, self.saved_inputs.__getitem__,
-            self.saved_outputs.__getitem__, None, out_grads, needs,
-        ))
-        ids = self.input_ids
-        return [(ids[i], g) for i, g in enumerate(grads) if g is not None]
 
 
 def _spec_of(value) -> Tuple:
@@ -277,7 +244,7 @@ class Tape:
                 return grads
         if seeds is None:
             seeds = {id(target): ones_for(_spec_of(target))}
-        return _backprop(self.entries, seeds, sources)
+        return reverse_accumulate(self.entries, seeds, map(id, sources))
 
     def vjp(
         self, outputs: Sequence[Tensor], cotangents: Sequence[Tensor],
@@ -300,36 +267,6 @@ class Tape:
             seeds[id(y)] = ct if prev is None else add(prev, ct)
         grads = self._accumulate(None, seeds, sources)
         return [grads.get(id(s)) or zeros_for(_spec_of(s)) for s in sources]
-
-
-def _reachable(entries, sources: Sequence) -> set:
-    """Identities of the sources and of every value computed from them."""
-    reach = set(map(id, sources))
-    for entry in entries:
-        for iid in entry.input_ids:
-            if iid in reach:
-                reach.update(entry.output_ids)
-                break
-    return reach
-
-
-def _backprop(entries, seeds: Dict[int, Tensor], sources: Sequence) -> Dict[int, Tensor]:
-    """Reverse accumulation from ``seeds`` over the entries some source
-    reaches, op by op; an input no source reaches gets no gradient
-    computed."""
-    reach = _reachable(entries, sources)
-    grads = dict(seeds)
-    for entry in reversed(entries):
-        out_grads = list(map(grads.get, entry.output_ids))
-        if not any(out_grads):  # a tensor is always true
-            continue
-        needs = list(map(reach.__contains__, entry.input_ids))
-        if not any(needs):
-            continue
-        for key, g in entry.backprop(out_grads, needs):
-            prev = grads.get(key)
-            grads[key] = g if prev is None else add(prev, g)
-    return grads
 
 
 def _replay(ctx, entries, target, seeds, sources) -> Optional[Dict[int, Tensor]]:
@@ -425,33 +362,25 @@ def _trace_plan(entries, target, seeds, sources, encoding, values):
             inputs.append(n)
         return p
 
-    def traced(e, ins, outs) -> TapeEntry:
-        # The entry's rule over placeholders; specs come from the tape's
-        # values, so reading one makes no placeholder.
-        in_specs = [(x.dtype, x.shape) for x in e.saved_inputs]
-        ids = e.input_ids
-
-        def backward(out_grads, needs):
-            grads = e.op_def.gradient(GradContext(
-                e.attrs, lambda i: placeholder(ins[i]), lambda j: placeholder(outs[j]),
-                in_specs, out_grads, needs,
-            ))
-            return [(ids[i], g) for i, g in enumerate(grads) if g is not None]
-
-        return TapeEntry(e.op, ids, e.output_ids, (), (), backward=backward)
-
     steps, at = [], 0
     for e in entries:  # each entry's numbers: its inputs', then its outputs'
         k = at + len(e.saved_inputs)
-        steps.append(traced(e, wiring[at:k], wiring[k:k + len(e.saved_outputs)]))
-        at = k + len(e.saved_outputs)
+        end = k + len(e.saved_outputs)
+        # The entry's rule over placeholders; specs come from the tape's
+        # values, so reading one makes no placeholder.
+        steps.append(TapeEntry(
+            e.op, e.input_ids, e.output_ids, LazyReads(placeholder, wiring[at:k]),
+            LazyReads(placeholder, wiring[k:end]), e.op_def, e.attrs,
+            in_specs=[(x.dtype, x.shape) for x in e.saved_inputs],
+        ))
+        at = end
     try:
         with ts.open():
             if seeds is None:  # ones made in the trace: a constant node
                 seeds = {id(target): ones_for(_spec_of(target))}
             else:
                 seeds = {t: placeholder(n) for t, n in zip(seeds, wiring[at + len(sources):])}
-            grads = _backprop(steps, seeds, sources)
+            grads = reverse_accumulate(steps, seeds, map(id, sources))
             outputs, refs = [], []
             for s, n in zip(sources, wiring[at:]):
                 g = grads.get(id(s))

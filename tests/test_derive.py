@@ -94,6 +94,29 @@ def test_no_gradient_toward_a_constant_is_recorded(monkeypatch):
     assert saved_desc == [("extra", 0)]  # the constant; neither input
 
 
+def test_a_nested_call_runs_its_callees_masked_backward():
+    # ``b`` is a constant in ``outer``, so the call node's backward asks the
+    # callee only for d/da: two muls (d/db would add two more).
+    inner = sf.stage(lambda a, b: sf.reduce_sum(sf.exp(a) * sf.exp(b)))
+
+    def outer(x):
+        return inner(x, sf.constant(np.array([0.5, -1.0, 2.0], np.float32)))
+
+    x = sf.constant(np.array([0.25, 1.5, -0.75], np.float32))
+    bwd = get_forward_backward(_taped_graph(outer, x))[1].graph
+    (call,) = [n for n in bwd.nodes if n.op == "call_function"]
+    assert bwd.library[call.attrs["function"]].op_counts()["mul"] == 2
+
+    def run(fn):
+        with sf.Tape() as tape:
+            tape.watch(x)
+            y = fn(x)
+        return tape.gradient(y, x).numpy().tobytes()
+
+    eager, staged = _eager_and_staged(outer, run)
+    assert staged == eager
+
+
 def _eager_and_staged(fn, run):
     return run(fn), run(sf.stage(fn))
 

@@ -91,6 +91,21 @@ class TestStagedHostCalls:
         assert abs(eager_g - staged_g) < 1e-6
         assert eager_g == 12.0
 
+    def test_a_tape_inside_a_staged_function_differentiates_a_host_call(self):
+        # The callback has not run when the trace records the call, so none
+        # of its ops reach the tape: the call goes on with its derived VJP.
+        cb = sf.register_callback(lambda a: a * a, [(sf.float32, (3,))])
+
+        def f(x):
+            with sf.Tape() as t:
+                t.watch(x)
+                y = sf.reduce_sum(sf.host_call(cb, [x])[0])
+            return t.gradient(y, x)
+
+        x = sf.constant(np.arange(3, dtype=np.float32))
+        assert f(x).numpy().tolist() == [0.0, 2.0, 4.0]
+        assert sf.stage(f)(x).numpy().tolist() == [0.0, 2.0, 4.0]
+
     def test_staged_host_call_runs_imperatively(self):
         calls = []
 

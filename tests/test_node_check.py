@@ -116,6 +116,13 @@ def _flag_graph():
     return b.finalize("flag", b.add_node("identity", [flag], None, None, None), ["keep"])
 
 
+def _total_graph():
+    # A loop body that sums its (2, 3) float32 loop variable to a scalar.
+    b = GraphBuilder()
+    x = b.add_placeholder("x", F32, (2, 3))
+    return b.finalize("total", b.add_node("reduce_sum", [x], None, None, None), ["s"])
+
+
 def _cond_attrs(n_operands=1, n_then=0, n_else=0):
     return {"then_branch": "negate23", "else_branch": "negate23",
             "n_operands": n_operands, "n_then_captured": n_then, "n_else_captured": n_else}
@@ -132,7 +139,7 @@ class TestControlFlowNodes:
     loop variables plus its own captures."""
 
     def _builder(self):
-        b = GraphBuilder({"negate23": NEGATE23, "flag": _flag_graph()})
+        b = GraphBuilder({"negate23": NEGATE23, "flag": _flag_graph(), "total": _total_graph()})
         refs = {
             "pred": b.add_placeholder("pred", sf.boolean, ()),
             "y": b.add_placeholder("y", F32, (3,)),
@@ -166,6 +173,13 @@ class TestControlFlowNodes:
         b, r = self._builder()
         with pytest.raises(KernelError, match="while_loop: flag input 'x' is float32"):
             b.add_node("while_loop", [r["y"], r["pred"]], _while_attrs(), None, None)
+
+    def test_a_loop_body_that_changes_a_loop_variable_fails_when_added(self):
+        b, r = self._builder()
+        attrs = dict(_while_attrs(), loop_body="total")
+        with pytest.raises(KernelError, match="while_loop: total must return one value per"):
+            b.add_node("while_loop", [r["x"], r["pred"]], attrs, None, None)
+        assert b.nodes == []
 
     def test_a_variable_for_a_tensor_operand_is_corrupt(self):
         b, r = self._builder()

@@ -606,6 +606,16 @@ class TestHostControlFlow:
             mode(f)(sf.constant(3.0))
 
     @pytest.mark.parametrize("mode", [lambda f: f, sf.stage])
+    def test_loop_body_must_keep_the_known_dims(self, mode):
+        # The body turns a float32[3] loop variable into a float32[].
+        def f(v):
+            return sf.while_loop(lambda a: sf.greater(100.0, sf.reduce_sum(a)),
+                                 lambda a: sf.reduce_sum(a) * 2.0, [v])
+
+        with pytest.raises(StagingError, match="with matching specs"):
+            mode(f)(sf.constant(np.ones(3, np.float32)))
+
+    @pytest.mark.parametrize("mode", [lambda f: f, sf.stage])
     def test_loop_condition_must_return_one_value(self, mode):
         def f(v):
             return sf.while_loop(lambda a: (a > 0.0, a > 1.0), lambda a: a - 1.0, [v])

@@ -944,6 +944,24 @@ class TestNoGradientRule:
             t.gradient(y, x)
 
     @pytest.mark.parametrize("mode", [lambda f: f, sf.stage])
+    def test_a_dispatched_call_function_raises(self, mode):
+        # Only a staged call brings its own entry; a call dispatched by hand
+        # is an op without a gradient rule.
+        double = sf.stage(lambda v: v * 2.0)
+        x = sf.constant([1.0, 2.0, 3.0])
+        double(x)
+        gf = double.get_concrete(double.trace_key_for(x)).graph
+
+        def f(v):
+            with sf.Tape() as t:
+                t.watch(v)
+                y = sf.reduce_sum(sf.dispatch("call_function", [v], {"function": gf})[0])
+            return t.gradient(y, v)
+
+        with pytest.raises(NotDifferentiable, match="call_function has no gradient rule"):
+            mode(f)(x)
+
+    @pytest.mark.parametrize("mode", [lambda f: f, sf.stage])
     def test_relu_second_derivative(self, mode):
         # relu's gradient dispatches step_positive, whose rule is zero.
         def first(v):

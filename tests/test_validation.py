@@ -439,10 +439,10 @@ def _pred():
 _X2 = Placeholder("x", sf.float32, (2,))
 
 
-def _add_node_list_attrs():
+def _add_node_list_attrs(attrs=("axes",), op="reduce_sum"):
     b = GraphBuilder()
     x = b.add_placeholder("x", sf.float32, (3,))
-    b.add_node("reduce_sum", [x], ["axes"], None, None)
+    b.add_node(op, [x], list(attrs), None, None)
 
 
 def _negate_graph():
@@ -485,6 +485,11 @@ API_MISUSE = [
     ("dispatch-attrs-str", lambda: sf.dispatch("reduce_sum", [f32(3)], "axes"),
      AttrMismatch),
     ("add_node-attrs-list", _add_node_list_attrs, AttrMismatch),
+    # Falsy attrs that are not a dict are not "no attrs".
+    ("dispatch-attrs-empty-list", lambda: sf.dispatch("neg", [f32(3)], []), AttrMismatch),
+    ("dispatch-attrs-zero", lambda: sf.dispatch("neg", [f32(3)], 0), AttrMismatch),
+    ("dispatch-attrs-empty-str", lambda: sf.dispatch("neg", [f32(3)], ""), AttrMismatch),
+    ("add_node-attrs-empty-list", lambda: _add_node_list_attrs((), "neg"), AttrMismatch),
     ("dispatch-cond-no-inputs", lambda: sf.dispatch("cond", [], {
         "then_branch": _negate_graph(), "else_branch": _negate_graph(), "n_operands": 0,
         "n_then_captured": 0, "n_else_captured": 0}), KernelError),
