@@ -26,13 +26,10 @@ inputs, two derived functions are built from it and cached:
   toward the float inputs, inside a new trace.
 
 A rule reads saved values lazily, so the forward variant saves only the
-values that the needed gradients read. A rule computes a needed gradient
-with the same ops either way, so the gradients are bit-identical to a
-derivation toward every input.
-
-The tape entry for the call stores the saved values, so computing the
-gradient of a staged forward pass executes the staged backward function —
-no eager math runs in the backward pass of a staged computation.
+values that the needed gradients read, and computes a needed gradient with
+the same ops either way, so the gradients are bit-identical to a
+derivation toward every input. The tape entry for the call stores the
+saved values, so no eager math runs in the backward of a staged call.
 
 A tape wants only the gradients of inputs that reach one of its sources.
 ``backward_for`` serves a mask of wanted float inputs with a backward
@@ -342,10 +339,10 @@ def _build(gf: GraphFunction):
 
 
 def _node_entries(gf, saved_value, call_rewrites) -> List[TapeEntry]:
-    """The entries of ``gf``'s nodes, keyed by refs, that a tape would
-    record, reading saved values through ``saved_value``: one per node but
-    a node without a gradient rule and without a float output. The entry of
-    a node without a rule drops the gradient (see ``refuse_dropped``)."""
+    """The entries a tape would record for ``gf``'s nodes, keyed by refs,
+    reading saved values through ``saved_value``. A node without a rule
+    drops the gradient (see ``refuse_dropped``), and has no entry if it
+    has no float output."""
     n_in = len(gf.inputs)
     defs = get_runtime().registry
     entries = []
