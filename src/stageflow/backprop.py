@@ -275,7 +275,6 @@ def _build(gf: GraphFunction):
     ts = _staging.TraceState(gf.name + "_bwd")
 
     needed: List[Tuple[int, int]] = []  # forward refs exported by the variant
-    needed_index: Dict[Tuple[int, int], int] = {}
     call_rewrites: Dict[int, GraphFunction] = {}
     saved_desc: List[SavedDesc] = []
     saved_syms: Dict[Tuple[int, int], object] = {}
@@ -286,16 +285,11 @@ def _build(gf: GraphFunction):
         if sym is None:
             dt, shape = spec or gf.spec_of(ref)
             sym = ts.add_arg_tensor(f"saved_{len(saved_desc)}", dt, shape)
-            vid, out_idx = ref
-            if vid < n_in:
-                saved_desc.append(("input", vid))
-            else:
-                pos = needed_index.get(ref)
-                if pos is None:
-                    pos = len(needed)
-                    needed.append(ref)
-                    needed_index[ref] = pos
-                saved_desc.append(("extra", pos))
+            if ref[0] < n_in:
+                saved_desc.append(("input", ref[0]))
+            else:  # each ref is saved once
+                saved_desc.append(("extra", len(needed)))
+                needed.append(ref)
             saved_syms[ref] = sym
         return sym
 
